@@ -222,34 +222,50 @@ def path_strength(g: ValueDependencyGraph, path: Sequence[int]) -> tuple[str, fl
     return quality, strength
 
 
-def _maxmin_closure(a: np.ndarray) -> np.ndarray:
-    c = a.copy()
-    for k in range(c.shape[0]):
-        np.maximum(c, np.minimum(c[:, k : k + 1], c[k : k + 1, :]), out=c)
-    return c
-
-
 def propagate_strengths(g: ValueDependencyGraph) -> InfluenceMatrix:
     """Max-min transitive closure on the parity-expanded state graph.
 
-    States are laid out as [(0,+)..(n-1,+), (0,-)..(n-1,-)]; a positive edge
-    connects equal parities, a negative edge opposite ones, so the expanded
-    adjacency is [[P, N], [N, P]]. After closure, pos(i, j) is the entry from
-    (i,+) to (j,+) and neg(i, j) the entry from (i,+) to (j,-). One closure is
-    O((2n)^3).
+    States are [(0,+)..(n-1,+), (0,-)..(n-1,-)]; a positive edge connects
+    equal parities, a negative edge opposite ones, so the expanded adjacency
+    is [[P, N], [N, P]], and pos(i, j) / neg(i, j) are its (i,+) -> (j,+) and
+    (i,+) -> (j,-) closure entries. Flipping every parity is an automorphism
+    of that graph, so after both pivots (k,+) and (k,-) of a Floyd-Warshall
+    sweep the matrix again has the block form [[A, B], [B, A]]: only the two
+    n x n blocks A (pos) and B (neg) are kept. Pivot (k,+) updates them from
+    column k of A and row k of A and B; pivot (k,-) needs column k of the new
+    B and row (k,-) of the bottom blocks, which are vector updates of rows k
+    of A and B. That is four outer-min and four max passes over n x n per
+    node, O(4 n^3) in all against O(8 n^3) for the expanded closure. Max and
+    min only select values, so the result does not depend on pivot order and
+    equals the expanded closure bit for bit.
     """
     n = g.n
-    p = np.zeros((n, n))
-    m = np.zeros((n, n))
+    a = np.zeros((n, n))
+    b = np.zeros((n, n))
     for (i, j), (rho, q) in g.edges.items():
-        (p if q == POSITIVE else m)[i, j] = rho
-    expanded = np.block([[p, m], [m, p]])
-    closure = _maxmin_closure(expanded)
-    pos = closure[:n, :n].copy()
-    neg = closure[:n, n:].copy()
-    np.fill_diagonal(pos, 0.0)
-    np.fill_diagonal(neg, 0.0)
-    return InfluenceMatrix(pos=pos, neg=neg)
+        (a if q == POSITIVE else b)[i, j] = rho
+    tmp = np.empty((n, n))
+
+    def relax(block: np.ndarray, col: np.ndarray, row: np.ndarray) -> None:
+        np.minimum(col[:, None], row[None, :], out=tmp)
+        np.maximum(block, tmp, out=block)
+
+    for k in range(n):
+        # pivot (k,+): column (k,+) and row (k,+) are left unchanged by it
+        a_col, a_row, b_row = a[:, k].copy(), a[k].copy(), b[k].copy()
+        bkk = b[k, k]
+        relax(a, a_col, a_row)
+        relax(b, a_col, b_row)
+        # pivot (k,-): column (k,-) of the top half is column k of the new b;
+        # row (k,-) of the bottom blocks after pivot (k,+) follows in closed form
+        minus_col = b[:, k].copy()
+        minus_left = np.maximum(b_row, np.minimum(bkk, a_row))
+        minus_right = np.maximum(a_row, np.minimum(bkk, b_row))
+        relax(a, minus_col, minus_left)
+        relax(b, minus_col, minus_right)
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(b, 0.0)
+    return InfluenceMatrix(pos=a, neg=b)
 
 
 def alg2_reference(g: ValueDependencyGraph) -> InfluenceMatrix:

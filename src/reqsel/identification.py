@@ -28,6 +28,16 @@ is significant iff the exponentiated interval excludes 1. Zero cells take
 the Haldane-Anscombe correction (+0.5 on all four cells). Surviving pairs
 map into graph edges with strength membership(|eta|) and quality given by
 the sign of eta.
+
+`build_vdg` runs that filter on whole n x n arrays: the corrected cells,
+log omega and the radius, and the verdict as the signs of
+log omega -/+ radius (the interval excludes 1 iff its lower log end is
+positive or its upper log end negative). The array logarithm may differ
+from `math.log` by an ulp, so a pair with either log end within 1e-9 of 0
+is re-decided by the scalar `significance_test`; outside that band both
+agree on the sign, and the edge set equals the per-pair filter's exactly.
+`odds_ratio` and `significance_test` stay scalar: the all-pairs report is
+written from them.
 """
 
 from __future__ import annotations
@@ -40,6 +50,11 @@ import numpy as np
 from .dependency_graph import NEGATIVE, POSITIVE, ValueDependencyGraph
 from .errors import ValidationError
 from .preferences import PreferenceMatrix
+
+
+# Pairs whose log interval end lies this close to 0 are re-decided by the
+# scalar significance_test (see the module docstring).
+_RECHECK_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -91,15 +106,16 @@ class MembershipConfig:
 def compute_eells(m: PreferenceMatrix) -> CausalAnalysis:
     """One tally pass over the matrix, then element-wise ratios.
 
-    The two count blocks come from matrix products (selected x selected and
-    selected x ignored), so the whole analysis is O(k n^2).
+    The selected x selected block is one float64 matrix product (0/1 sums
+    stay exact below 2^53), and selected x ignored is the row totals minus
+    it, so the whole analysis is O(k n^2). Counts are returned as int64.
     """
-    x = m.cells.astype(np.int64)
+    x = m.cells.astype(np.float64)
     k = m.k
     co = x @ x.T
-    anti = x @ (1 - x).T
-    counts = np.hstack([co, anti])
-    wanted = np.diag(co).astype(np.float64)
+    anti = x.sum(axis=1)[:, None] - co
+    counts = np.hstack([co, anti]).astype(np.int64)
+    wanted = np.diag(co).copy()
 
     pos_ok = wanted > 0
     neg_ok = wanted < k
@@ -153,18 +169,39 @@ def significance_test(
     return lower, upper, not (lower <= 1.0 <= upper)
 
 
+def _membership(eta: np.ndarray, cfg: MembershipConfig) -> np.ndarray:
+    s = np.abs(eta)
+    width = cfg.upper_cut - cfg.lower_cut
+    linear = (s - cfg.lower_cut) / (width if width > 0.0 else 1.0)
+    return np.where(s <= cfg.lower_cut, 0.0, np.where(s >= cfg.upper_cut, 1.0, linear))
+
+
 def membership(eta: float, cfg: MembershipConfig) -> float:
     """Map |eta| through the piecewise-linear membership function.
 
     With cuts (a, b): 0 at or below a, 1 at or above b, linear in between.
-    The defaults (0, 1) reduce to rho = |eta|.
+    The defaults (0, 1) reduce to rho = |eta|. `build_vdg` applies the same
+    map to the whole eta matrix.
     """
-    s = abs(eta)
-    if s <= cfg.lower_cut:
-        return 0.0
-    if s >= cfg.upper_cut:
-        return 1.0
-    return (s - cfg.lower_cut) / (cfg.upper_cut - cfg.lower_cut)
+    return float(_membership(eta, cfg))
+
+
+def _log_interval_ends(
+    analysis: CausalAnalysis, sig: SignificanceConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """log omega - radius and log omega + radius for every ordered pair, from
+    the same corrected cells and operation order as `significance_test`."""
+    n = analysis.n
+    n11 = analysis.counts[:, :n].astype(np.float64)
+    n10 = analysis.counts[:, n:].astype(np.float64)
+    n01 = n10.T
+    n00 = float(analysis.user_count) - n11 - n10 - n01
+    zero = (n11 == 0.0) | (n10 == 0.0) | (n01 == 0.0) | (n00 == 0.0)
+    half = np.where(zero, 0.5, 0.0)
+    n11, n10, n01, n00 = n11 + half, n10 + half, n01 + half, n00 + half
+    log_omega = np.log((n11 * n00) / (n10 * n01))
+    radius = sig.z_prime * np.sqrt(1.0 / n11 + 1.0 / n00 + 1.0 / n10 + 1.0 / n01)
+    return log_omega - radius, log_omega + radius
 
 
 def build_vdg(
@@ -176,17 +213,19 @@ def build_vdg(
     sign of eta(i, j). Insignificant pairs and strengths mapped to zero emit
     no edge (absence means strength 0 with non-specified quality).
     """
-    edges: dict[tuple[int, int], tuple[float, str]] = {}
-    for i in range(analysis.n):
-        for j in range(analysis.n):
-            if i == j or not analysis.pair_defined(i, j):
-                continue
-            _, _, significant = significance_test(analysis, i, j, sig)
-            if not significant:
-                continue
-            eta = float(analysis.eells[i, j])
-            rho = membership(eta, mem)
-            if rho <= 0.0:
-                continue
-            edges[(i, j)] = (rho, POSITIVE if eta > 0 else NEGATIVE)
-    return ValueDependencyGraph(n=analysis.n, edges=edges)
+    n = analysis.n
+    wanted = np.diag(analysis.counts[:, :n])
+    defined = ((wanted > 0) & (wanted < analysis.user_count))[None, :] & ~np.eye(n, dtype=bool)
+    lower, upper = _log_interval_ends(analysis, sig)
+    significant = (lower > 0.0) | (upper < 0.0)
+    band = defined & ((np.abs(lower) < _RECHECK_BAND) | (np.abs(upper) < _RECHECK_BAND))
+    for i, j in zip(*np.nonzero(band)):
+        significant[i, j] = significance_test(analysis, int(i), int(j), sig)[2]
+    rho = _membership(analysis.eells, mem)
+    rows, cols = np.nonzero(defined & significant & (rho > 0.0))
+    eta = analysis.eells[rows, cols]
+    qualities = np.where(eta > 0, POSITIVE, NEGATIVE).tolist()
+    edges = dict(
+        zip(zip(rows.tolist(), cols.tolist()), zip(rho[rows, cols].tolist(), qualities))
+    )
+    return ValueDependencyGraph(n=n, edges=edges)

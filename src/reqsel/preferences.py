@@ -15,9 +15,11 @@ solution of
 
     Phi2(gamma_i, gamma_j; Lambda_ij) = mean_i * mean_j + cov_ij
 
-where Phi2 is the standard bivariate normal CDF. The left side is continuous
-and non-decreasing in Lambda_ij, so bisection converges; the right side is a
-joint probability and must lie inside the Frechet bounds
+where Phi2 is the standard bivariate normal CDF, evaluated through Owen's T
+function (Owen 1956; Genz 2004). The left side is continuous and
+non-decreasing in Lambda_ij, so bisection converges, and all pairs are
+bisected together as arrays; the right side is a joint probability and must
+lie inside the Frechet bounds
 
     max(0, mean_i + mean_j - 1) <= p <= min(mean_i, mean_j)
 
@@ -34,8 +36,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
-from scipy import integrate
-from scipy.stats import norm
+from scipy import special
 
 from .errors import (
     DegenerateMarginalError,
@@ -45,19 +46,10 @@ from .errors import (
 )
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _phi(t: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * t * t)
 
 
 def _std_normal_cdf(t: float) -> float:
     return 0.5 * math.erfc(-t / _SQRT2)
-
-
-def _std_normal_ppf(p: float) -> float:
-    return float(norm.ppf(p))
 
 
 @dataclass(frozen=True)
@@ -236,61 +228,68 @@ def binary_stats(m: PreferenceMatrix) -> BinaryStats:
     return BinaryStats(means=means, covariance=cov)
 
 
+def _phi2(
+    a: np.ndarray, b: np.ndarray, rho: np.ndarray, pa: np.ndarray, pb: np.ndarray
+) -> np.ndarray:
+    """Element-wise Phi2(a, b; rho), given pa = Phi(a) and pb = Phi(b), by
+    Owen's T function (Owen 1956):
+
+        Phi2 = (Phi(a) + Phi(b)) / 2 - T(a, alpha_a) - T(b, alpha_b) - beta,
+        alpha_a = (b - rho a) / (a sqrt(1 - rho^2)),  alpha_b likewise,
+
+    with beta = 1/2 when a b < 0, or a b = 0 and a + b < 0, else 0 (see
+    Genz 2004, Stat. Comput. 14, for this and other Phi2 algorithms). At a
+    zero threshold T(0, alpha) = atan(alpha) / 2 pi, so alpha = +-inf gives
+    T = +-1/4; with both thresholds zero, alpha_a = alpha_b = (1 - rho) /
+    sqrt(1 - rho^2), the a = b limit. rho = 0 is the product Phi(a) Phi(b),
+    and |rho| within 1e-12 of 1 takes the closed-form limits Phi(min(a, b))
+    and max(0, Phi(a) + Phi(b) - 1).
+    """
+    a, b, rho, pa, pb = np.broadcast_arrays(
+        *(np.asarray(v, dtype=np.float64) for v in (a, b, rho, pa, pb))
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sqrt(1.0 - rho * rho)
+        both_zero = (a == 0.0) & (b == 0.0)
+        alpha_a = np.where(both_zero, (1.0 - rho) / s, (b - rho * a) / (a * s))
+        alpha_b = np.where(both_zero, (1.0 - rho) / s, (a - rho * b) / (b * s))
+        alpha_a = np.where((a == 0.0) & ~both_zero, np.copysign(np.inf, b), alpha_a)
+        alpha_b = np.where((b == 0.0) & ~both_zero, np.copysign(np.inf, a), alpha_b)
+        ab = a * b
+        beta = np.where((ab < 0.0) | ((ab == 0.0) & (a + b < 0.0)), 0.5, 0.0)
+        value = 0.5 * (pa + pb) - special.owens_t(a, alpha_a) - special.owens_t(b, alpha_b) - beta
+    value = np.where(rho == 0.0, pa * pb, value)
+    value = np.where(rho >= 1.0 - 1e-12, np.minimum(pa, pb), value)
+    value = np.where(rho <= -1.0 + 1e-12, np.maximum(0.0, pa + pb - 1.0), value)
+    return np.clip(value, 0.0, 1.0)
+
+
 def bivariate_normal_cdf(a: float, b: float, rho: float) -> float:
     """Phi2(a, b; rho) = P(Z1 <= a, Z2 <= b), standard normals, corr rho.
 
-    Evaluated by adaptive quadrature over the conditional form
-
-        integral_-inf^a  phi(t) * Phi((b - rho t) / sqrt(1 - rho^2)) dt,
-
-    which is smooth and strictly increasing in rho for fixed (a, b). The
-    degenerate correlations have closed forms: Phi(min(a, b)) at rho = 1 and
+    Evaluated through Owen's T function (Owen 1956; Genz 2004), the same
+    kernel `fit_dichotomized_gaussian` runs on whole arrays. It is smooth
+    and strictly increasing in rho for fixed (a, b); the degenerate
+    correlations have closed forms: Phi(min(a, b)) at rho = 1 and
     max(0, Phi(a) + Phi(b) - 1) at rho = -1.
     """
     if not -1.0 <= rho <= 1.0:
         raise ValidationError(f"correlation {rho} outside [-1, 1]")
-    if rho == 0.0:
-        return _std_normal_cdf(a) * _std_normal_cdf(b)
-    if rho >= 1.0 - 1e-12:
-        return _std_normal_cdf(min(a, b))
-    if rho <= -1.0 + 1e-12:
-        return max(0.0, _std_normal_cdf(a) + _std_normal_cdf(b) - 1.0)
-    denom = math.sqrt(1.0 - rho * rho)
-
-    def integrand(t: float) -> float:
-        return _phi(t) * _std_normal_cdf((b - rho * t) / denom)
-
-    value, _ = integrate.quad(integrand, -np.inf, a, epsabs=1e-12, epsrel=1e-10, limit=200)
-    return min(1.0, max(0.0, float(value)))
-
-
-def _solve_latent_correlation(gi: float, gj: float, target: float, tol: float = 1e-6) -> float:
-    lo, hi = -1.0 + 1e-9, 1.0 - 1e-9
-    f_lo = bivariate_normal_cdf(gi, gj, lo)
-    f_hi = bivariate_normal_cdf(gi, gj, hi)
-    if target < f_lo - 1e-9 or target > f_hi + 1e-9:
-        mi, mj = _std_normal_cdf(gi), _std_normal_cdf(gj)
-        raise InfeasibleCovarianceError(
-            f"joint probability {target:.6f} outside the Frechet bounds "
-            f"[{max(0.0, mi + mj - 1.0):.6f}, {min(mi, mj):.6f}] "
-            "(or representable only by a perfectly dependent latent pair)"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if bivariate_normal_cdf(gi, gj, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(_phi2(a, b, rho, _std_normal_cdf(a), _std_normal_cdf(b)))
 
 
 def fit_dichotomized_gaussian(stats: BinaryStats) -> DichotomizedGaussianModel:
     """Latent thresholds from the means, latent correlations by bisection.
 
+    Every pair i < j is bisected at once on Phi2 (Owen's T form) over
+    [-1 + 1e-9, 1 - 1e-9] down to a width of 1e-6, and the midpoint of the
+    last bracket is the latent correlation.
+
     Raises DegenerateMarginalError for means of 0 or 1 (infinite threshold)
-    and InfeasibleCovarianceError when a pairwise joint probability violates
-    the Frechet bounds. The pairwise matrix is repaired to PSD by clipping
-    negative eigenvalues at 1e-9 and renormalizing the diagonal.
+    and InfeasibleCovarianceError when a pairwise joint probability lies
+    more than 1e-9 outside its closed-form Frechet bounds. The pairwise
+    matrix is repaired to PSD by clipping negative eigenvalues at 1e-9 and
+    renormalizing the diagonal.
     """
     means = stats.means
     for idx, mean in enumerate(means):
@@ -298,14 +297,33 @@ def fit_dichotomized_gaussian(stats: BinaryStats) -> DichotomizedGaussianModel:
             raise DegenerateMarginalError(
                 f"requirement index {idx}: mean {mean} is degenerate; drop the row before fitting"
             )
-    gamma = np.array([_std_normal_ppf(m) for m in means])
+    gamma = special.ndtri(means)
     n = stats.n
+    iu, ju = np.triu_indices(n, 1)
+    gi, gj = gamma[iu], gamma[ju]
+    target = means[iu] * means[ju] + stats.covariance[iu, ju]
+    cdf = np.array([_std_normal_cdf(g) for g in gamma])
+    mi, mj = cdf[iu], cdf[ju]
+    floor = np.maximum(0.0, mi + mj - 1.0)
+    ceiling = np.minimum(mi, mj)
+    infeasible = np.nonzero((target < floor - 1e-9) | (target > ceiling + 1e-9))[0]
+    if infeasible.size:
+        p = infeasible[0]
+        raise InfeasibleCovarianceError(
+            f"joint probability {target[p]:.6f} outside the Frechet bounds "
+            f"[{floor[p]:.6f}, {ceiling[p]:.6f}]"
+        )
+    lo = np.full(target.shape, -1.0 + 1e-9)
+    hi = np.full(target.shape, 1.0 - 1e-9)
+    active = hi - lo > 1e-6
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        below = _phi2(gi, gj, mid, mi, mj) < target
+        lo = np.where(active & below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
+        active = hi - lo > 1e-6
     lam = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            target = means[i] * means[j] + stats.covariance[i, j]
-            rho = _solve_latent_correlation(gamma[i], gamma[j], target)
-            lam[i, j] = lam[j, i] = rho
+    lam[iu, ju] = lam[ju, iu] = 0.5 * (lo + hi)
 
     repaired = False
     shift = 0.0

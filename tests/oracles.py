@@ -10,7 +10,8 @@ import itertools
 import math
 
 import numpy as np
-from scipy.stats import multivariate_normal
+from scipy import integrate
+from scipy.stats import multivariate_normal, norm
 
 from reqsel import (
     BK,
@@ -23,7 +24,10 @@ from reqsel import (
     RequiresAll,
     RequiresAny,
     SelectionProblem,
+    ValueDependencyGraph,
+    significance_test,
 )
+from reqsel.dependency_graph import NEGATIVE, POSITIVE
 
 
 def contingency(cells: np.ndarray, i: int, j: int) -> tuple[int, int, int, int]:
@@ -68,6 +72,95 @@ def phi2(a: float, b: float, rho: float) -> float:
     """Standard bivariate normal CDF via scipy."""
     dist = multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]])
     return float(dist.cdf([a, b]))
+
+
+def std_normal_cdf(t: float) -> float:
+    """Phi(t) through math.erfc."""
+    return 0.5 * math.erfc(-t / math.sqrt(2.0))
+
+
+def quad_phi2(a: float, b: float, rho: float) -> float:
+    """Phi2 by adaptive quadrature over the conditional form
+
+        integral_-inf^a  phi(t) * Phi((b - rho t) / sqrt(1 - rho^2)) dt,
+
+    with the product at rho = 0 and the closed-form limits within 1e-12 of
+    rho = +-1. Accurate to about 1e-10 except close to |rho| = 1, where the
+    integrand becomes a step and quadrature can miss by 1e-3.
+    """
+    if rho == 0.0:
+        return std_normal_cdf(a) * std_normal_cdf(b)
+    if rho >= 1.0 - 1e-12:
+        return std_normal_cdf(min(a, b))
+    if rho <= -1.0 + 1e-12:
+        return max(0.0, std_normal_cdf(a) + std_normal_cdf(b) - 1.0)
+    denom = math.sqrt(1.0 - rho * rho)
+
+    def integrand(t: float) -> float:
+        density = math.exp(-0.5 * t * t) * (1.0 / math.sqrt(2.0 * math.pi))
+        return density * std_normal_cdf((b - rho * t) / denom)
+
+    value, _ = integrate.quad(integrand, -np.inf, a, epsabs=1e-12, epsrel=1e-10, limit=200)
+    return min(1.0, max(0.0, float(value)))
+
+
+def bisected_latent_correlation(means: np.ndarray, covariance: np.ndarray) -> np.ndarray:
+    """Pairwise latent correlations, one scalar bisection per pair on
+    quad_phi2 over [-1 + 1e-9, 1 - 1e-9] down to a width of 1e-6 (no PSD
+    repair, no feasibility check)."""
+    n = len(means)
+    gamma = [float(norm.ppf(m)) for m in means]
+    lam = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            target = means[i] * means[j] + covariance[i, j]
+            lo, hi = -1.0 + 1e-9, 1.0 - 1e-9
+            while hi - lo > 1e-6:
+                mid = 0.5 * (lo + hi)
+                if quad_phi2(gamma[i], gamma[j], mid) < target:
+                    lo = mid
+                else:
+                    hi = mid
+            lam[i, j] = lam[j, i] = 0.5 * (lo + hi)
+    return lam
+
+
+def expanded_closure(g: ValueDependencyGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(pos, neg) from a max-min Floyd-Warshall closure of the full 2n x 2n
+    parity-expanded adjacency [[P, N], [N, P]], pivots in state order."""
+    n = g.n
+    p = np.zeros((n, n))
+    m = np.zeros((n, n))
+    for (i, j), (rho, q) in g.edges.items():
+        (p if q == POSITIVE else m)[i, j] = rho
+    c = np.block([[p, m], [m, p]])
+    for k in range(2 * n):
+        np.maximum(c, np.minimum(c[:, k : k + 1], c[k : k + 1, :]), out=c)
+    pos = c[:n, :n].copy()
+    neg = c[:n, n:].copy()
+    np.fill_diagonal(pos, 0.0)
+    np.fill_diagonal(neg, 0.0)
+    return pos, neg
+
+
+def per_pair_vdg_edges(analysis, sig, mem) -> dict[tuple[int, int], tuple[float, str]]:
+    """The VDG edge dict from one scalar significance_test per ordered pair
+    and the membership map written out per pair."""
+    edges: dict[tuple[int, int], tuple[float, str]] = {}
+    for i in range(analysis.n):
+        for j in range(analysis.n):
+            if i == j or not analysis.pair_defined(i, j):
+                continue
+            _, _, significant = significance_test(analysis, i, j, sig)
+            if not significant:
+                continue
+            eta = float(analysis.eells[i, j])
+            s = abs(eta)
+            if s <= mem.lower_cut:
+                continue
+            rho = 1.0 if s >= mem.upper_cut else (s - mem.lower_cut) / (mem.upper_cut - mem.lower_cut)
+            edges[(i, j)] = (rho, POSITIVE if eta > 0 else NEGATIVE)
+    return edges
 
 
 def binary_moments(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

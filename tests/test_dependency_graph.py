@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import expanded_closure
 from reqsel import (
     Conflicts,
     ExactlyOne,
@@ -224,6 +225,25 @@ class TestPropagation:
             cap = max(outgoing, default=0.0)
             assert inf.pos[i].max() <= cap
             assert inf.neg[i].max() <= cap
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_block_closure_matches_expanded_closure(self, seed):
+        # random signed graphs with n = 1..60, each threaded by a directed
+        # cycle through every node whose edge signs are mixed
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 60
+        g = random_graph(n, float(rng.uniform(0.0, 0.3)), float(rng.uniform(0.0, 0.7)), seed)
+        edges = dict(g.edges)
+        order = rng.permutation(n)
+        if n > 1:
+            for a, b in zip(order, np.roll(order, -1)):
+                quality = NEGATIVE if rng.random() < 0.5 else POSITIVE
+                edges[(int(a), int(b))] = (float(rng.choice([0.25, 0.5, 1.0 - rng.random()])), quality)
+        g = ValueDependencyGraph(n=n, edges=edges)
+        inf = propagate_strengths(g)
+        pos, neg = expanded_closure(g)
+        assert np.array_equal(inf.pos, pos)
+        assert np.array_equal(inf.neg, neg)
 
     def test_brute_force_guards(self):
         with pytest.raises(ValidationError):

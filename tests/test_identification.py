@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import causal_strength, woolf_interval
+from oracles import causal_strength, per_pair_vdg_edges, woolf_interval
 from reqsel import (
     MembershipConfig,
     PreferenceMatrix,
@@ -229,3 +229,31 @@ class TestBuildVdg:
         m = matrix_from_cells([[1, 1, 1, 1], [0, 0, 0, 0], [1, 0, 1, 0]])
         g = build_vdg(compute_eells(m), SignificanceConfig(), MembershipConfig())
         assert g.edge_count == 0
+
+    @pytest.mark.parametrize("cuts", [(0.0, 1.0), (0.1, 0.6), (0.3, 0.3)])
+    @pytest.mark.parametrize("z", [1.0, 1.96, 3.29])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_pair_filter(self, seed, z, cuts):
+        # unanimous rows, sparse rows (zero cells, Haldane correction) and
+        # dense rows; tiny user counts leave many pairs undefined
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 16))
+        k = int(rng.integers(1, 60))
+        cells = (rng.random((n, k)) < rng.uniform(0.05, 0.95, (n, 1))).astype(np.int8)
+        cells[0] = 0
+        if n > 2:
+            cells[1] = 1
+        analysis = compute_eells(matrix_from_cells(cells))
+        sig = SignificanceConfig(z_prime=z)
+        mem = MembershipConfig(lower_cut=cuts[0], upper_cut=cuts[1])
+        assert build_vdg(analysis, sig, mem).edges == per_pair_vdg_edges(analysis, sig, mem)
+
+    def test_interval_end_at_one_takes_the_scalar_verdict(self):
+        # z' = log(16) / 0.5 puts the lower end of the fixture's interval on
+        # 1 (radius 0.5 z'), inside the band the array filter re-decides
+        analysis = compute_eells(WOOLF_FIXTURE)
+        sig = SignificanceConfig(z_prime=math.log(16.0) / 0.5)
+        lower, _, _ = significance_test(analysis, 0, 1, sig)
+        assert abs(math.log(lower)) < 1e-9
+        mem = MembershipConfig()
+        assert build_vdg(analysis, sig, mem).edges == per_pair_vdg_edges(analysis, sig, mem)

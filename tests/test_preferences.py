@@ -1,11 +1,12 @@
 import io
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import binary_moments, phi2
+from oracles import bisected_latent_correlation, binary_moments, phi2, quad_phi2
 from reqsel import BinaryStats, PreferenceMatrix, ValidationError
 from reqsel.errors import InputFormatError
 from reqsel.preferences import (
@@ -117,6 +118,28 @@ class TestBivariateNormalCdf:
             max(0.0, norm.cdf(0.3) + norm.cdf(-0.3) - 1.0), abs=1e-12
         )
 
+    @pytest.mark.parametrize("rho", [-0.95, -0.3, 0.0, 0.45, 0.99])
+    def test_zero_thresholds_match_quadrature(self, rho):
+        # a zero threshold sends Owen's T argument to +-inf (T = +-1/4); two
+        # zero thresholds have the closed form 1/4 + asin(rho) / (2 pi)
+        for a, b in ((0.0, 0.0), (0.0, 1.3), (0.0, -0.8), (-2.1, 0.0), (0.6, 0.0)):
+            assert bivariate_normal_cdf(a, b, rho) == pytest.approx(
+                quad_phi2(a, b, rho), abs=1e-9
+            )
+        assert bivariate_normal_cdf(0.0, 0.0, rho) == pytest.approx(
+            0.25 + math.asin(rho) / (2.0 * math.pi), abs=1e-15
+        )
+
+    def test_near_unit_correlation_meets_closed_form_limits(self):
+        from scipy.stats import norm
+
+        for a in (-2.0, -0.7, 0.0, 0.4, 1.5):
+            for b in (-1.2, 0.0, 0.4, 2.2):
+                upper = norm.cdf(min(a, b))
+                lower = max(0.0, norm.cdf(a) + norm.cdf(b) - 1.0)
+                assert bivariate_normal_cdf(a, b, 1.0 - 1e-9) == pytest.approx(upper, abs=1e-5)
+                assert bivariate_normal_cdf(a, b, -1.0 + 1e-9) == pytest.approx(lower, abs=1e-5)
+
     def test_rejects_out_of_range_correlation(self):
         with pytest.raises(ValidationError):
             bivariate_normal_cdf(0.0, 0.0, 1.5)
@@ -144,6 +167,62 @@ class TestFit:
                     model.latent_correlation[i, j],
                 )
                 assert got == pytest.approx(target, abs=1e-5)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_scalar_quadrature_bisection(self, seed):
+        # two rows at a mean of exactly 0.5 (zero thresholds); 200 users keep
+        # every pair clear of the Frechet bounds
+        rng = np.random.default_rng(seed)
+        n, k = 3 + seed % 3, 200
+        cells = (rng.random((n, k)) < rng.uniform(0.3, 0.7, (n, 1))).astype(np.int8)
+        for row in (0, 1):
+            cells[row] = 0
+            cells[row, rng.permutation(k)[: k // 2]] = 1
+        stats = binary_stats(
+            PreferenceMatrix(tuple(f"r{i}" for i in range(n)), tuple(f"u{j}" for j in range(k)), cells)
+        )
+        model = fit_dichotomized_gaussian(stats)
+        assert not model.psd_repaired
+        assert np.array_equal(
+            model.latent_correlation, bisected_latent_correlation(stats.means, stats.covariance)
+        )
+
+    def test_independent_zero_threshold_pair_matches_bisection(self):
+        # every mean is 0.5 and rows 1 and 3 are uncorrelated: the target
+        # equals Phi2 at the first midpoint, rho = 0, exactly
+        r1 = [1] * 50 + [0] * 50
+        r2 = [1] * 40 + [0] * 10 + [1] * 10 + [0] * 40
+        r3 = [i % 2 for i in range(100)]
+        stats = binary_stats(
+            PreferenceMatrix(("r1", "r2", "r3"), tuple(f"u{j}" for j in range(100)), [r1, r2, r3])
+        )
+        assert stats.covariance[0, 2] == 0.0
+        model = fit_dichotomized_gaussian(stats)
+        assert np.array_equal(
+            model.latent_correlation, bisected_latent_correlation(stats.means, stats.covariance)
+        )
+
+    def test_nested_pair_fits_near_one(self):
+        # every user who wants r1 also wants r2: the joint probability sits
+        # on the upper Frechet bound, which is feasible
+        r1 = [1] * 30 + [0] * 70
+        r2 = [1] * 60 + [0] * 40
+        stats = binary_stats(
+            PreferenceMatrix(("r1", "r2"), tuple(f"u{j}" for j in range(100)), [r1, r2])
+        )
+        model = fit_dichotomized_gaussian(stats)
+        assert 0.99 < model.latent_correlation[0, 1] < 1.0
+
+    def test_covering_pair_fits_near_minus_one(self):
+        # every user wants r1 or r2: the joint probability 0.3 sits on the
+        # lower Frechet bound 0.6 + 0.7 - 1, which is feasible
+        r1 = [1] * 60 + [0] * 40
+        r2 = [0] * 30 + [1] * 70
+        stats = binary_stats(
+            PreferenceMatrix(("r1", "r2"), tuple(f"u{j}" for j in range(100)), [r1, r2])
+        )
+        model = fit_dichotomized_gaussian(stats)
+        assert -1.0 < model.latent_correlation[0, 1] < -0.99
 
     def test_degenerate_marginal_raises(self):
         cells = np.ones((2, 10), dtype=np.int8)
