@@ -140,8 +140,10 @@ def sweep(
 ) -> SweepReport:
     """One solve per (percent, method) under the price constraint.
 
-    Infeasible cells are recorded with empty selections and zero metrics;
-    the sweep continues.
+    A cell stopped by a solver limit (status FEASIBLE) records its incumbent
+    selection and metrics under that status. Infeasible cells, and cells
+    stopped before any incumbent (UNKNOWN), are recorded with empty
+    selections and zero metrics; the sweep continues.
     """
     total = float(sum(r.value for r in p.requirements))
     inf = _normalized_influence(p)
@@ -156,7 +158,7 @@ def sweep(
         for method in methods:
             model = build_model(level, method)
             sol = solve(model, limits)
-            if sol.status == solver.OPTIMAL and sol.objective is not None:
+            if sol.status in (solver.OPTIMAL, solver.FEASIBLE):
                 ev = evaluate_selection(p.requirements, inf, sol.x)
                 rows.append(
                     SweepRow(

@@ -56,6 +56,9 @@ from .preferences import PreferenceMatrix
 # scalar significance_test (see the module docstring).
 _RECHECK_BAND = 1e-9
 
+# Users per compute_eells tally block.
+_EELLS_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class CausalAnalysis:
@@ -106,16 +109,21 @@ class MembershipConfig:
 def compute_eells(m: PreferenceMatrix) -> CausalAnalysis:
     """One tally pass over the matrix, then element-wise ratios.
 
-    The selected x selected block is one float64 matrix product (0/1 sums
-    stay exact below 2^53), and selected x ignored is the row totals minus
-    it, so the whole analysis is O(k n^2). Counts are returned as int64.
+    The selected x selected block is a float64 matrix product summed over
+    blocks of _EELLS_BLOCK users, so the float64 copy never exceeds
+    n x _EELLS_BLOCK and the time stays linear in k (0/1 sums are exact
+    below 2^53 in any order). Its diagonal holds the row totals, and
+    selected x ignored is those totals minus it, so the whole analysis is
+    O(k n^2). Counts are returned as int64.
     """
-    x = m.cells.astype(np.float64)
     k = m.k
-    co = x @ x.T
-    anti = x.sum(axis=1)[:, None] - co
-    counts = np.hstack([co, anti]).astype(np.int64)
+    co = np.zeros((m.n, m.n))
+    for start in range(0, k, _EELLS_BLOCK):
+        x = m.cells[:, start : start + _EELLS_BLOCK].astype(np.float64)
+        co += x @ x.T
     wanted = np.diag(co).copy()
+    anti = wanted[:, None] - co
+    counts = np.hstack([co, anti]).astype(np.int64)
 
     pos_ok = wanted > 0
     neg_ok = wanted < k

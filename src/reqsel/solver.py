@@ -7,9 +7,17 @@ Branch and bound over the binary variables:
     first;
   * at every node a unit-propagation pass over the all-binary rows fixes
     implied variables (precedence chains, g == x linking, exhausted budget)
-    and detects infeasible subtrees early;
-  * bounds are admissible: a fractional knapsack relaxation over the budget
-    (or price) row of the objective still obtainable, with the dependency
+    and detects infeasible subtrees early. Node state is plain Python: a
+    bytearray of fixings and float lists of row activities;
+  * the knapsack row is the first widest non-">=" all-binary row with
+    non-negative coefficients (the budget or price row of every builder).
+    When it is a "<=" row its entries are kept sorted by weight, heaviest
+    first, and a scan stops at the first weight that still fits the
+    residual capacity; the free entries passed over are fixed to 0 in row
+    order, so propagation fixes the same variables in the same order as a
+    full rescan of the row;
+  * bounds are admissible: a fractional knapsack relaxation over the
+    knapsack row of the objective still obtainable, with the dependency
     model additionally discounting each requirement by the penalty floor
     already implied by the fixed part of the selection;
   * continuous variables never branch. They are minimal-cost slack: theta
@@ -51,6 +59,8 @@ UNKNOWN = "UNKNOWN"
 FEAS_EPS = 1e-9
 PRUNE_EPS = 1e-9
 TIE_EPS = 1e-12
+
+FREE = 255  # an unfixed binary in the bytearray state; an int8 view reads it as -1
 
 _DENSE_PENALTY_LIMIT = 2048
 
@@ -96,13 +106,15 @@ class VerificationReport:
 
 
 class _Row:
-    __slots__ = ("vars", "coefs", "relation", "rhs")
+    __slots__ = ("vars", "coefs", "relation", "rhs", "by_weight")
 
     def __init__(self, vars_: list[int], coefs: list[float], relation: str, rhs: float):
         self.vars = vars_
         self.coefs = coefs
         self.relation = relation
         self.rhs = rhs
+        # (position, weight) by weight descending, set for a <= knapsack row
+        self.by_weight: list[tuple[int, float]] | None = None
 
 
 class _Compiled:
@@ -186,12 +198,6 @@ class _Compiled:
         self.w_bin = np.zeros(self.nbin)
         self.kn_rhs = math.inf
         self.kn_row: int | None = None
-        name_of: dict[int, str] = {}
-        rid = 0
-        for con in self.model.constraints:
-            if all(self.index[nm] in self.bpos for nm in con.coeffs):
-                name_of[rid] = con.name
-                rid += 1
         candidates = [
             rid
             for rid, row in enumerate(self.binrows)
@@ -199,14 +205,15 @@ class _Compiled:
         ]
         if not candidates:
             return
-        # prefer the row the builders name budget/price, else the widest row
-        named = [r for r in candidates if name_of.get(r) in ("budget", "price")]
-        chosen = named[0] if named else max(candidates, key=lambda r: len(self.binrows[r].vars))
+        # the first widest one: every builder emits its budget/price row first
+        chosen = max(candidates, key=lambda r: len(self.binrows[r].vars))
         row = self.binrows[chosen]
         for b, a in zip(row.vars, row.coefs):
             self.w_bin[b] = a
         self.kn_rhs = row.rhs
         self.kn_row = chosen
+        if row.relation == "<=":
+            row.by_weight = sorted(enumerate(row.coefs), key=lambda t: (-t[1], t[0]))
 
     def _detect_objective_quantum(self) -> None:
         """Find a common quantum of the objective coefficients, if any.
@@ -341,8 +348,21 @@ class _Search:
             if lo > rhs + FEAS_EPS:
                 return False
             if hi > rhs + FEAS_EPS:  # slack rows cannot force anything
+                if row.by_weight is not None:
+                    # weights descend and float addition is monotone, so the
+                    # first weight that fits ends the scan; fixings keep row order
+                    forced = []
+                    for p, au in row.by_weight:
+                        if not lo + au > rhs + FEAS_EPS:
+                            break
+                        if fixed[row.vars[p]] == FREE:
+                            forced.append(p)
+                    for p in sorted(forced):
+                        fixed[row.vars[p]] = 0
+                        queue.append(row.vars[p])
+                    return True
                 for u, au in zip(row.vars, row.coefs):
-                    if fixed[u] != -1:
+                    if fixed[u] != FREE:
                         continue
                     if au > 0:
                         if lo + au > rhs + FEAS_EPS:
@@ -356,7 +376,7 @@ class _Search:
                 return False
             if lo < rhs - FEAS_EPS:
                 for u, au in zip(row.vars, row.coefs):
-                    if fixed[u] != -1:
+                    if fixed[u] != FREE:
                         continue
                     if au > 0:
                         if hi - au < rhs - FEAS_EPS:
@@ -386,22 +406,22 @@ class _Search:
                     return False
         return True
 
-    def _activities(self, fixed) -> tuple[np.ndarray, np.ndarray]:
+    def _activities(self, fv) -> tuple[list[float], list[float]]:
         comp = self.comp
         if comp.A is None:
-            return np.zeros(comp.nbinrows), np.zeros(comp.nbinrows)
-        sel = (fixed == 1).astype(np.float64)
-        free = (fixed == -1).astype(np.float64)
+            return [0.0] * comp.nbinrows, [0.0] * comp.nbinrows
+        sel = (fv == 1).astype(np.float64)
+        free = (fv == -1).astype(np.float64)
         act = comp.A @ sel
-        return act + comp.A_neg @ free, act + comp.A_pos @ free
+        return (act + comp.A_neg @ free).tolist(), (act + comp.A_pos @ free).tolist()
 
     # ---- bounds ----
 
-    def _theta_floor(self, fixed) -> np.ndarray | None:
+    def _theta_floor(self, fv) -> np.ndarray | None:
         comp = self.comp
         if not comp.dars:
             return None
-        fx = fixed[comp.x_compact]
+        fx = fv[comp.x_compact]
         th = np.zeros(comp.nx)
         if comp.pen_dense:
             m1 = fx == 1
@@ -428,10 +448,10 @@ class _Search:
             return bound
         return math.floor(bound / q + 1e-5) * q
 
-    def _bound(self, fixed, theta_floor) -> float:
+    def _bound(self, fv, theta_floor) -> float:
         comp = self.comp
         if comp.dars:
-            fx = fixed[comp.x_compact]
+            fx = fv[comp.x_compact]
             ehat = comp.E * (1.0 - theta_floor)
             sel = fx == 1
             base = float(ehat[sel].sum())
@@ -440,22 +460,22 @@ class _Search:
                 return -math.inf
             mask = (fx == -1) & (ehat > 0)
             return base + _frac_knapsack(comp.w_x[mask], ehat[mask], cap)
-        sel = fixed == 1
+        sel = fv == 1
         base = float(comp.c_bin[sel].sum()) + comp.cont_best
         if comp.kn_row is None:
-            free_pos = (fixed == -1) & (comp.c_bin > 0)
+            free_pos = (fv == -1) & (comp.c_bin > 0)
             return self._grid_floor(base + float(comp.c_bin[free_pos].sum()))
         cap = comp.kn_rhs - float(comp.w_bin[sel].sum())
         if cap < -FEAS_EPS:
             return -math.inf
-        mask = (fixed == -1) & (comp.c_bin > 0)
+        mask = (fv == -1) & (comp.c_bin > 0)
         return self._grid_floor(
             base + _frac_knapsack(comp.w_bin[mask], comp.c_bin[mask], cap)
         )
 
     # ---- leaves ----
 
-    def _resolve_continuous(self, fixed) -> np.ndarray | None:
+    def _resolve_continuous(self, fv) -> np.ndarray | None:
         """Raise continuous variables to the lowest feasible point.
 
         Sound for models whose continuous part is forced only from below
@@ -464,8 +484,7 @@ class _Search:
         """
         comp = self.comp
         vals = comp.lower.copy()
-        for b, v in enumerate(comp.bin_vars):
-            vals[v] = float(fixed[b])
+        vals[comp.bin_vars] = fv
         contset = set(comp.cont_vars)
         for _ in range(len(comp.cont_vars) + 3):
             changed = False
@@ -500,36 +519,34 @@ class _Search:
                 return None
         return vals
 
-    def _leaf(self, fixed, theta_floor) -> None:
+    def _leaf(self, fv, theta_floor) -> None:
         comp = self.comp
         if comp.dars:
-            fx = fixed[comp.x_compact]
+            fx = fv[comp.x_compact]
             selmask = fx == 1
             obj = float(np.dot(comp.E[selmask], 1.0 - theta_floor[selmask]))
-            key = tuple(int(v) for v in fx)
+            key = tuple(fx.tolist())
             if not self._improves(obj, key):
                 return
             vals = np.zeros(comp.nvars)
-            for b, v in enumerate(comp.bin_vars):
-                vals[v] = float(fixed[b])
+            vals[comp.bin_vars] = fv
             vals[comp.theta_idx] = theta_floor
             vals[comp.y_idx] = theta_floor * selmask
         else:
             if comp.cont_vars:
-                vals = self._resolve_continuous(fixed)
+                vals = self._resolve_continuous(fv)
                 if vals is None:
                     return
                 obj = float(np.dot(comp.c, vals))
             else:
-                obj = float(np.dot(comp.c_bin, (fixed == 1).astype(np.float64)))
+                obj = float(np.dot(comp.c_bin, (fv == 1).astype(np.float64)))
                 vals = None
-            key = tuple(int(fixed[b]) for b in comp.x_compact)
+            key = tuple(fv[comp.x_compact].tolist())
             if not self._improves(obj, key):
                 return
             if vals is None:
                 vals = np.zeros(comp.nvars)
-                for b, v in enumerate(comp.bin_vars):
-                    vals[v] = float(fixed[b])
+                vals[comp.bin_vars] = fv
         self.inc_obj = obj
         self.inc_key = key
         self.inc_vals = vals
@@ -541,28 +558,28 @@ class _Search:
             return True
         return False
 
-    def _tie_dominated(self, bound: float, fixed) -> bool:
+    def _tie_dominated(self, bound: float, fv) -> bool:
         # a subtree that can at best tie the incumbent is useful only for
         # the lexicographic tie-break. Every completion's selection string
         # dominates the zero-filled one bitwise, so when even that floor is
         # not smaller than the incumbent key the subtree cannot win a tie.
         if self.inc_key is None or bound > self.inc_obj + TIE_EPS:
             return False
-        zf = tuple(int(v == 1) for v in fixed[self.comp.x_compact])
+        zf = tuple((fv[self.comp.x_compact] == 1).astype(np.int8).tolist())
         return zf >= self.inc_key
 
     # ---- tree ----
 
     def _branch_var(self, fixed) -> int:
         for b in self.comp.branch_order:
-            if fixed[b] == -1:
+            if fixed[b] == FREE:
                 return b
         return -1
 
     def _try_child(self, fixed, minact, maxact, b: int, val: int):
-        f = fixed.copy()
-        mi = minact.copy()
-        ma = maxact.copy()
+        f = fixed[:]
+        mi = minact[:]
+        ma = maxact[:]
         f[b] = val
         self.nodes += 1
         if not self._propagate(f, mi, ma, [b]):
@@ -570,25 +587,25 @@ class _Search:
         return f, mi, ma
 
     def _enter(self, f, mi, ma) -> None:
-        theta = self._theta_floor(f)
+        fv = np.frombuffer(f, np.int8)
+        theta = self._theta_floor(fv)
         bvar = self._branch_var(f)
         if bvar == -1:
-            self._leaf(f, theta)
+            self._leaf(fv, theta)
             return
-        bound = self._bound(f, theta)
-        if bound < self.inc_obj - PRUNE_EPS or self._tie_dominated(bound, f):
+        bound = self._bound(fv, theta)
+        if bound < self.inc_obj - PRUNE_EPS or self._tie_dominated(bound, fv):
             return
         self.seq += 1
-        heapq.heappush(
-            self.heap, (-bound, self.comp.bin_vars[bvar], self.seq, bvar, f.tobytes())
-        )
+        heapq.heappush(self.heap, (-bound, self.comp.bin_vars[bvar], self.seq, bvar, bytes(f)))
 
     def _dive(self, fixed, minact, maxact) -> None:
-        f, mi, ma = fixed.copy(), minact.copy(), maxact.copy()
+        f, mi, ma = fixed[:], minact[:], maxact[:]
         while True:
             b = self._branch_var(f)
             if b == -1:
-                self._leaf(f, self._theta_floor(f))
+                fv = np.frombuffer(f, np.int8)
+                self._leaf(fv, self._theta_floor(fv))
                 return
             child = self._try_child(f, mi, ma, b, 1)
             if child is None:
@@ -611,8 +628,9 @@ class _Search:
 
     def run(self) -> float | None:
         comp = self.comp
-        fixed = np.full(comp.nbin, -1, dtype=np.int8)
-        minact, maxact = self._activities(fixed)
+        fixed = bytearray([FREE]) * comp.nbin
+        fv = np.frombuffer(fixed, np.int8)
+        minact, maxact = self._activities(fv)
         queue: list[int] = []
         self.nodes = 1
         ok = all(
@@ -620,16 +638,16 @@ class _Search:
         ) and self._propagate(fixed, minact, maxact, queue)
         if not ok:
             return None
-        root_theta = self._theta_floor(fixed)
+        root_theta = self._theta_floor(fv)
         if self._branch_var(fixed) == -1:
-            self._leaf(fixed, root_theta)
+            self._leaf(fv, root_theta)
             return self.inc_obj if self.inc_vals is not None else None
-        root_bound = self._bound(fixed, root_theta)
+        root_bound = self._bound(fv, root_theta)
         self._dive(fixed, minact, maxact)
         bvar = self._branch_var(fixed)
         self.seq += 1
         heapq.heappush(
-            self.heap, (-root_bound, self.comp.bin_vars[bvar], self.seq, bvar, fixed.tobytes())
+            self.heap, (-root_bound, self.comp.bin_vars[bvar], self.seq, bvar, bytes(fixed))
         )
         ticks = 0
         while self.heap:
@@ -641,15 +659,16 @@ class _Search:
             bound = -negb
             if bound < self.inc_obj - PRUNE_EPS:
                 continue
-            f = np.frombuffer(blob, dtype=np.int8).copy()
-            if self._tie_dominated(bound, f):
+            f = bytearray(blob)
+            fv = np.frombuffer(f, np.int8)
+            if self._tie_dominated(bound, fv):
                 continue
-            mi, ma = self._activities(f)
+            mi, ma = self._activities(fv)
             # plunge: a greedy dive from every expanded node keeps the
             # incumbent close to the best bound instead of waiting for the
             # breadth-dominated heap to reach leaves on its own
             self._dive(f, mi, ma)
-            if bound < self.inc_obj - PRUNE_EPS or self._tie_dominated(bound, f):
+            if bound < self.inc_obj - PRUNE_EPS or self._tie_dominated(bound, fv):
                 continue
             for val in (1, 0):
                 child = self._try_child(f, mi, ma, bvar, val)

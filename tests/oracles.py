@@ -255,3 +255,73 @@ def enumerate_optimum(
     if best_x is None:
         return None
     return best_x, best_obj
+
+
+def reference_propagate(rows, fixed, minact, maxact, feas_eps: float = 1e-9):
+    """Unit propagation over all-binary rows with a full rescan of every row.
+
+    The solver's kernel before its knapsack-row scan and bytearray state:
+    every row is scanned in order, then each queued fixing is folded into
+    the activities of its rows, which are rescanned entry by entry.
+    `rows` holds (vars, coefs, relation, rhs) tuples, `fixed` is an int8
+    array with -1 for free, and `minact`/`maxact` are the float64 row
+    activities of `fixed`; all three are updated in place. Returns
+    (feasible, queue) with the fixed variables in fixing order.
+    """
+    occ: list[list[tuple[int, float]]] = [[] for _ in range(len(fixed))]
+    for rid, (vars_, coefs, _, _) in enumerate(rows):
+        for b, a in zip(vars_, coefs):
+            occ[b].append((rid, a))
+
+    def scan(rid: int, queue: list[int]) -> bool:
+        vars_, coefs, rel, rhs = rows[rid]
+        lo = minact[rid]
+        hi = maxact[rid]
+        if rel != ">=":
+            if lo > rhs + feas_eps:
+                return False
+            if hi > rhs + feas_eps:
+                for u, au in zip(vars_, coefs):
+                    if fixed[u] != -1:
+                        continue
+                    if au > 0:
+                        if lo + au > rhs + feas_eps:
+                            fixed[u] = 0
+                            queue.append(u)
+                    elif lo - au > rhs + feas_eps:
+                        fixed[u] = 1
+                        queue.append(u)
+        if rel != "<=":
+            if hi < rhs - feas_eps:
+                return False
+            if lo < rhs - feas_eps:
+                for u, au in zip(vars_, coefs):
+                    if fixed[u] != -1:
+                        continue
+                    if au > 0:
+                        if hi - au < rhs - feas_eps:
+                            fixed[u] = 1
+                            queue.append(u)
+                    elif hi + au < rhs - feas_eps:
+                        fixed[u] = 0
+                        queue.append(u)
+        return True
+
+    queue: list[int] = []
+    if not all(scan(rid, queue) for rid in range(len(rows))):
+        return False, queue
+    head = 0
+    while head < len(queue):
+        b = queue[head]
+        head += 1
+        val = fixed[b]
+        for rid, a in occ[b]:
+            if val == 1:
+                minact[rid] += a - (a if a < 0 else 0.0)
+                maxact[rid] += a - (a if a > 0 else 0.0)
+            else:
+                minact[rid] -= a if a < 0 else 0.0
+                maxact[rid] -= a if a > 0 else 0.0
+            if not scan(rid, queue):
+                return False, queue
+    return True, queue

@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from reqsel import (
     DARS,
     PCBK,
+    PRICE_VALUE,
     SBK,
     Conflicts,
     ExactlyOne,
@@ -15,20 +17,23 @@ from reqsel import (
     Requirement,
     RequiresAll,
     SelectionProblem,
+    SolverLimits,
     SweepReport,
     SyntheticSpec,
     ValidationError,
     benchmark,
+    build_model,
     compare_selections,
     evaluate_selection,
     frequency_profile,
     generate_synthetic,
     risk_of_value_loss,
+    solve,
     sweep,
 )
 from reqsel.analysis import SweepRow
 from reqsel.dependency_graph import NEGATIVE, vdl_nvdl, pdl_npdl
-from reqsel.solver import INFEASIBLE, OPTIMAL
+from reqsel.solver import FEASIBLE, INFEASIBLE, OPTIMAL
 
 
 class TestSyntheticGeneration:
@@ -154,6 +159,20 @@ class TestSweep:
         assert zero.selection == (0, 0, 0)
         assert zero.av == zero.ev == zero.ov == 0.0
         assert full.status == OPTIMAL
+
+    def test_limit_hit_cells_keep_the_incumbent(self):
+        problem, _ = generate_synthetic(SyntheticSpec(n=12, vdl=0.2, nvdl=0.3, seed=4))
+        limits = SolverLimits(max_nodes=1)
+        report = sweep(problem, (50.0,), (PCBK, SBK, DARS), limits)
+        level = replace(problem, budget=0.5 * report.total_value, constraint_mode=PRICE_VALUE)
+        for row in report.rows:
+            sol = solve(build_model(level, row.method), limits)
+            assert sol.status == FEASIBLE
+            assert row.status == FEASIBLE
+            assert row.selection == sol.x
+            assert any(sol.x)
+            ev = evaluate_selection(problem.requirements, problem.influence, sol.x)
+            assert (row.av, row.ev, row.ov) == (ev.av, ev.ev, ev.ov)
 
     def test_metrics_recomputed_on_common_footing(self):
         problem = forced_pick_problem()

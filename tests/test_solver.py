@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from oracles import enumerate_optimum, objective_value
+from oracles import enumerate_optimum, objective_value, reference_propagate
 from reqsel import (
     BK,
     BUDGET_COST,
@@ -21,14 +21,25 @@ from reqsel import (
     RequiresAny,
     SelectionProblem,
     SolverLimits,
+    SyntheticSpec,
     build_model,
     evaluate_selection,
+    export_lp,
+    generate_synthetic,
     parse_lp,
     solution_report,
     solve,
     verify_solution,
 )
-from reqsel.solver import FEASIBLE, INFEASIBLE, OPTIMAL, UNKNOWN
+from reqsel.selection_models import (
+    BINARY,
+    INCREASE_DECREASE,
+    LinearConstraint,
+    LinearModel,
+    SubsetEstimate,
+    Variable,
+)
+from reqsel.solver import FEASIBLE, FREE, INFEASIBLE, OPTIMAL, UNKNOWN, _Compiled, _Search
 
 METHODS = (BK, PCBK, SBK, DARS)
 
@@ -187,6 +198,7 @@ class TestOracleEquivalence:
         problem = random_problem(seed + 300, with_precedence=True)
         plain = assert_matches_oracle(problem, DARS, simplify=False)
         slim = assert_matches_oracle(problem, DARS, simplify=True)
+        assert plain.stats.nodes == slim.stats.nodes
         if plain.status == OPTIMAL:
             assert plain.x == slim.x
             assert plain.objective == pytest.approx(slim.objective, abs=1e-9)
@@ -450,3 +462,92 @@ class TestObjectiveIdentity:
         assert got.objective == pytest.approx(
             objective_value(problem, method, got.x), abs=1e-9
         )
+
+
+def random_row_set(seed):
+    """All-binary rows: a widest <= knapsack row first (tied and zero
+    weights, rhs an exact partial sum, just off one, or inside the
+    feasibility tolerance below one), then narrower <=/>=/= rows with
+    mixed-sign integer coefficients that one random selection satisfies,
+    tight or with one unit of slack. Also a random partial fixing."""
+    rng = np.random.default_rng(seed)
+    nb = int(rng.integers(3, 16))
+    names = [f"b{i}" for i in range(nb)]
+    weights = rng.choice([0.0, 0.25, 0.5, 1.0, 1.0, 2.0, 3.0, 3.0], size=nb)
+    rhs = float(weights[rng.random(nb) < 0.5].sum()) + float(rng.choice([0.0, 0.0, 0.25, -0.25, -5e-10]))
+    rows = [LinearConstraint("knap", dict(zip(names, weights.tolist())), "<=", rhs)]
+    witness = rng.random(nb) < 0.5
+    for r in range(int(rng.integers(1, 6))):
+        members = rng.choice(nb, size=int(rng.integers(1, nb)), replace=False)
+        coefs = rng.choice([-3.0, -2.0, -1.0, -1.0, 1.0, 1.0, 2.0, 3.0], size=members.size)
+        relation = str(rng.choice(["<=", "<=", ">=", ">=", "="]))
+        slack = 0.0 if relation == "=" else float(rng.choice([0.0, 1.0]))
+        row_rhs = float(coefs[witness[members]].sum()) + (slack if relation == "<=" else -slack)
+        rows.append(
+            LinearConstraint(f"r{r}", {names[m]: c for m, c in zip(members, coefs)}, relation, row_rhs)
+        )
+    variables = tuple(Variable(name, BINARY) for name in names)
+    start = np.where(rng.random(nb) < 0.6, -1, rng.integers(0, 2, nb)).astype(np.int8)
+    return LinearModel(variables, "max", {names[0]: 1.0}, tuple(rows)), start
+
+
+class TestSearchParity:
+    """The node kernel (bytearray state, sorted knapsack-row scan) against
+    the full-rescan reference, and the search against pinned node counts."""
+
+    def test_propagation_matches_full_rescan(self):
+        verdicts = set()
+        forced = 0
+        for seed in range(300):
+            model, start = random_row_set(seed)
+            comp = _Compiled(model)
+            assert comp.kn_row == 0 and comp.binrows[0].by_weight is not None
+            search = _Search(comp, SolverLimits())
+            f = bytearray(FREE if v == -1 else int(v) for v in start)
+            fv = np.frombuffer(f, np.int8)
+            mi, ma = search._activities(fv)
+            ref_fixed = start.copy()
+            ref_min, ref_max = np.array(mi), np.array(ma)
+            rows = [(row.vars, row.coefs, row.relation, row.rhs) for row in comp.binrows]
+            queue = []
+            ok = all(
+                search._scan_row(rid, f, mi, ma, queue) for rid in range(comp.nbinrows)
+            ) and search._propagate(f, mi, ma, queue)
+            ref_ok, ref_queue = reference_propagate(rows, ref_fixed, ref_min, ref_max)
+            assert ok == ref_ok, seed
+            assert queue == ref_queue, seed
+            assert np.array_equal(fv, ref_fixed), seed
+            if ok:
+                assert mi == ref_min.tolist() and ma == ref_max.tolist(), seed
+            verdicts.add(ok)
+            forced += bool(queue)
+        assert verdicts == {True, False}
+        assert forced > 100
+
+    @pytest.mark.parametrize("method", (BK, PCBK, SBK, DARS, INCREASE_DECREASE))
+    @pytest.mark.parametrize("mode", (BUDGET_COST, PRICE_VALUE))
+    def test_knapsack_row_is_the_budget_row(self, method, mode):
+        problem = random_problem(41, n=7, mode=mode)
+        if method == INCREASE_DECREASE:
+            subsets = (SubsetEstimate(members=(0, 1), estimated_value=3.0),)
+            model = build_model(problem, method, subsets=subsets)
+        else:
+            model = build_model(problem, method)
+        buf = io.StringIO()
+        export_lp(model, buf)
+        for m in (model, parse_lp(io.StringIO(buf.getvalue()))):
+            comp = _Compiled(m)
+            assert m.constraints[0].name == ("budget" if mode == BUDGET_COST else "price")
+            assert comp.kn_row == 0
+            assert comp.kn_rhs == m.constraints[0].rhs
+
+    @pytest.mark.parametrize(
+        "n, pdl, seed, nodes",
+        [(100, 0.02, 1, 6_322), (100, 0.02, 2, 1_277), (30, 0.0, 1, 1_831)],
+    )
+    def test_select_node_counts_pinned(self, n, pdl, seed, nodes):
+        spec = SyntheticSpec(n=n, vdl=0.05, nvdl=0.2, pdl=pdl, npdl=0.2 if pdl else 0.0, seed=seed)
+        problem, _ = generate_synthetic(spec, budget_fraction=0.5)
+        got = solve(build_model(problem, DARS))
+        assert got.status == OPTIMAL
+        assert got.stats.nodes == nodes
