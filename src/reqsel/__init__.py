@@ -32,7 +32,6 @@ from .dependency_graph import (
     RequiresAll,
     RequiresAny,
     ValueDependencyGraph,
-    brute_force_influence,
     propagate_strengths,
 )
 from .errors import InputFormatError, ReqselError, ValidationError
@@ -104,7 +103,6 @@ __all__ = [
     "ValueDependencyGraph",
     "benchmark",
     "binary_stats",
-    "brute_force_influence",
     "build_model",
     "build_vdg",
     "case_study_precedence",

@@ -2,28 +2,33 @@
 
 Branch and bound over the binary variables:
 
+  * a dependency-aware (DARS) model is searched on its x core: the x
+    binaries and the rows over x alone (budget and precedence). Its g, theta
+    and y variables and their penalty and linking rows only linearize the
+    penalty; leaves fill them in closed form (g = x, theta = the penalty
+    floor, y = theta x). Penalty rows are recognized by their shape, a ">="
+    row with one theta entry and one x entry, and become a dense floor
+    table;
   * node order: best bound first, ties by lowest branching-variable index,
     then by creation order; the child fixing the variable to 1 is created
     first;
   * at every node a unit-propagation pass over the all-binary rows fixes
-    implied variables (precedence chains, g == x linking, exhausted budget)
-    and detects infeasible subtrees early. Node state is plain Python: a
-    bytearray of fixings and float lists of row activities;
-  * the knapsack row is the first widest non-">=" all-binary row with
-    non-negative coefficients (the budget or price row of every builder).
+    implied variables (precedence chains, exhausted budget) and detects
+    infeasible subtrees early. Node state is plain Python: a bytearray of
+    fixings and float lists of row activities;
+  * the knapsack row is the first non-">=" all-binary row with non-negative
+    coefficients (the budget or price row every builder emits first).
     When it is a "<=" row its entries are kept sorted by weight, heaviest
     first, and a scan stops at the first weight that still fits the
     residual capacity; the free entries passed over are fixed to 0 in row
     order, so propagation fixes the same variables in the same order as a
     full rescan of the row;
   * bounds are admissible: a fractional knapsack relaxation over the
-    knapsack row of the objective still obtainable, with the dependency
-    model additionally discounting each requirement by the penalty floor
-    already implied by the fixed part of the selection;
-  * continuous variables never branch. They are minimal-cost slack: theta
-    sits at the largest penalty row implication and y at max(0, theta+g-1),
-    so leaves resolve in closed form; foreign models parsed from LP files
-    fall back to an iterative lower-bound-raising pass.
+    knapsack row of the objective still obtainable, each value discounted
+    by the penalty floor already implied by the fixed part of the selection;
+  * other continuous variables never branch. At a leaf they are raised to
+    the lowest feasible point by an iterative pass, which serves models
+    parsed from LP files.
 
 Ties between equal-objective optima (within 1e-12) break lexicographically:
 the smallest selection vector read as a binary string, x1 most significant.
@@ -61,9 +66,6 @@ PRUNE_EPS = 1e-9
 TIE_EPS = 1e-12
 
 FREE = 255  # an unfixed binary in the bytearray state; an int8 view reads it as -1
-
-_DENSE_PENALTY_LIMIT = 2048
-
 
 @dataclass(frozen=True)
 class SolverLimits:
@@ -119,10 +121,14 @@ class _Row:
 
 class _Compiled:
     """Model preprocessed for search: compact binary indexing, row split,
-    sparse activity operators, knapsack-row detection, penalty-row tables."""
+    sparse activity operators, knapsack-row detection, penalty-floor table.
+
+    The g, theta and y variables a DARS model names in its metadata, and
+    every row over them, stay out of the search (the model's x core)."""
 
     def __init__(self, m: LinearModel):
         self.model = m
+        meta = m.metadata
         self.names = [v.name for v in m.variables]
         self.index = {name: i for i, name in enumerate(self.names)}
         self.nvars = len(self.names)
@@ -134,8 +140,17 @@ class _Compiled:
             c[self.index[name]] = coef
         self.c = c if self.maximize else -c
 
-        self.bin_vars = [i for i, v in enumerate(m.variables) if v.kind == BINARY]
-        self.cont_vars = [i for i, v in enumerate(m.variables) if v.kind == CONTINUOUS]
+        self.theta_idx = self._indices(meta.get("theta_names", ()))
+        self.y_idx = self._indices(meta.get("y_names", ()))
+        self.g_idx = self._indices(meta.get("g_names", ()))
+        linear = set(np.concatenate([self.theta_idx, self.y_idx, self.g_idx]).tolist())
+
+        self.bin_vars = [
+            i for i, v in enumerate(m.variables) if v.kind == BINARY and i not in linear
+        ]
+        self.cont_vars = [
+            i for i, v in enumerate(m.variables) if v.kind == CONTINUOUS and i not in linear
+        ]
         self.nbin = len(self.bin_vars)
         self.bpos = {v: b for b, v in enumerate(self.bin_vars)}
         self.c_bin = self.c[self.bin_vars] if self.nbin else np.zeros(0)
@@ -143,6 +158,7 @@ class _Compiled:
         binset = set(self.bin_vars)
         self.binrows: list[_Row] = []
         self.cont_rows: list[_Row] = []  # var entries are model indices here
+        linear_rows: list[_Row] = []
         for con in m.constraints:
             idxs = [self.index[name] for name in con.coeffs]
             coefs = [float(con.coeffs[name]) for name in con.coeffs]
@@ -150,8 +166,10 @@ class _Compiled:
                 self.binrows.append(
                     _Row([self.bpos[i] for i in idxs], coefs, con.relation, float(con.rhs))
                 )
-            else:
+            elif linear.isdisjoint(idxs):
                 self.cont_rows.append(_Row(idxs, coefs, con.relation, float(con.rhs)))
+            else:
+                linear_rows.append(_Row(idxs, coefs, con.relation, float(con.rhs)))
         self.nbinrows = len(self.binrows)
 
         self.occ: list[list[tuple[int, float]]] = [[] for _ in range(self.nbin)]
@@ -178,7 +196,7 @@ class _Compiled:
 
         self._detect_knapsack_row()
         self._detect_objective_quantum()
-        self._prepare_metadata_tables()
+        self._prepare_metadata_tables(linear_rows)
 
         # best case of the continuous part, constant over the whole tree
         best = 0.0
@@ -194,24 +212,27 @@ class _Compiled:
         ratio = self.c_bin / np.maximum(self.w_bin, tiny)
         self.branch_order = sorted(range(self.nbin), key=lambda b: (-ratio[b], b))
 
+    def _indices(self, names) -> np.ndarray:
+        return np.array([self.index[nm] for nm in names], dtype=np.intp)
+
     def _detect_knapsack_row(self) -> None:
         self.w_bin = np.zeros(self.nbin)
         self.kn_rhs = math.inf
-        self.kn_row: int | None = None
-        candidates = [
-            rid
-            for rid, row in enumerate(self.binrows)
-            if row.relation != ">=" and all(a >= 0 for a in row.coefs)
-        ]
-        if not candidates:
+        # the first one: every builder emits its budget/price row first
+        self.kn_row = next(
+            (
+                rid
+                for rid, row in enumerate(self.binrows)
+                if row.relation != ">=" and all(a >= 0 for a in row.coefs)
+            ),
+            None,
+        )
+        if self.kn_row is None:
             return
-        # the first widest one: every builder emits its budget/price row first
-        chosen = max(candidates, key=lambda r: len(self.binrows[r].vars))
-        row = self.binrows[chosen]
+        row = self.binrows[self.kn_row]
         for b, a in zip(row.vars, row.coefs):
             self.w_bin[b] = a
         self.kn_rhs = row.rhs
-        self.kn_row = chosen
         if row.relation == "<=":
             row.by_weight = sorted(enumerate(row.coefs), key=lambda t: (-t[1], t[0]))
 
@@ -224,12 +245,14 @@ class _Compiled:
         prunes the plateau of a budget row whose weights equal the objective
         (pure price models): the relaxation sticks at the budget while the
         floored bound drops to the best reachable grid point. Models with an
-        objective term on a continuous variable get no grid. Quanta tiny
+        objective term outside the search binaries get no grid. Quanta tiny
         relative to the coefficient mass are rejected: flooring would then
         sit inside floating-point noise.
         """
         self.obj_quantum: float | None = None
-        if any(self.c[i] != 0.0 for i in self.cont_vars):
+        outside = np.ones(self.nvars, dtype=bool)
+        outside[self.bin_vars] = False
+        if np.any(self.c[outside] != 0.0):
             return
         nz = np.abs(self.c_bin[self.c_bin != 0.0])
         if nz.size == 0:
@@ -249,7 +272,7 @@ class _Compiled:
                     self.obj_quantum = q
                 return
 
-    def _prepare_metadata_tables(self) -> None:
+    def _prepare_metadata_tables(self, linear_rows: list[_Row]) -> None:
         meta = self.model.metadata
         x_names = meta.get("x_names")
         if x_names and all(nm in self.index for nm in x_names):
@@ -257,53 +280,26 @@ class _Compiled:
         else:
             self.x_compact = np.arange(self.nbin, dtype=np.intp)
         self.x_var_idx = np.array([self.bin_vars[b] for b in self.x_compact], dtype=np.intp)
+        # theta_i, y_i and g_i belong to x_i: the binary at compact position theta_pos[i]
+        self.theta_pos = self.x_compact[: self.theta_idx.size]
+        self.g_src = self.x_var_idx[: self.g_idx.size]
 
-        self.dars = meta.get("kind") == "DARS"
-        if not self.dars:
+        # penalty rows theta_i + w x_j >= rhs floor theta_i at rhs while x_j = 0
+        # and at rhs - w once x_j = 1; they are the ">=" rows of one theta
+        # entry (coefficient 1 in every DARS model) and one search binary
+        self.B0 = self.B1 = None
+        if not self.theta_idx.size:
             return
-        nx = len(self.x_compact)
-        self.nx = nx
-        self.E = self.c[self.x_var_idx]
-        self.w_x = self.w_bin[self.x_compact]
-        self.theta_idx = np.array([self.index[nm] for nm in meta["theta_names"]], dtype=np.intp)
-        self.y_idx = np.array([self.index[nm] for nm in meta["y_names"]], dtype=np.intp)
-        theta_pos = {int(i): k for k, i in enumerate(self.theta_idx)}
-        x_pos = {int(self.x_var_idx[k]): k for k in range(nx)}
-        entries = []  # (i, j, rhs, w)
-        for con in self.model.constraints:
-            if not con.name.startswith("penalty_"):
+        owner = dict(zip(self.theta_idx.tolist(), self.theta_pos.tolist()))
+        self.B0 = np.zeros((self.nbin, self.nbin))
+        self.B1 = np.zeros((self.nbin, self.nbin))
+        for row in linear_rows:
+            if row.relation != ">=" or len(row.vars) != 2:
                 continue
-            ti = xj = None
-            w = 0.0
-            for nm, a in con.coeffs.items():
-                idx = self.index[nm]
-                if idx in theta_pos:
-                    ti = theta_pos[idx]
-                elif idx in x_pos:
-                    xj = x_pos[idx]
-                    w = a
-            if ti is None or xj is None:
-                continue
-            entries.append((ti, xj, float(con.rhs), w))
-        self.pen_dense = nx <= _DENSE_PENALTY_LIMIT
-        if self.pen_dense:
-            self.B0 = np.zeros((nx, nx))
-            self.B1 = np.zeros((nx, nx))
-            for i, j, rhs, w in entries:
-                self.B0[i, j] = rhs
-                self.B1[i, j] = rhs - w
-        else:
-            by_j: dict[int, list[tuple[int, float, float]]] = {}
-            for i, j, rhs, w in entries:
-                by_j.setdefault(j, []).append((i, rhs, rhs - w))
-            self.pen_by_j = {
-                j: (
-                    np.array([t[0] for t in lst], dtype=np.intp),
-                    np.array([t[1] for t in lst]),
-                    np.array([t[2] for t in lst]),
-                )
-                for j, lst in by_j.items()
-            }
+            (t, _), (x, w) = sorted(zip(row.vars, row.coefs), key=lambda e: e[0] not in owner)
+            if t in owner and x in self.bpos:
+                self.B0[owner[t], self.bpos[x]] = row.rhs
+                self.B1[owner[t], self.bpos[x]] = row.rhs - w
 
 
 def _frac_knapsack(w: np.ndarray, p: np.ndarray, cap: float) -> float:
@@ -417,26 +413,19 @@ class _Search:
 
     # ---- bounds ----
 
-    def _theta_floor(self, fv) -> np.ndarray | None:
+    def _floor(self, fv) -> np.ndarray | None:
+        """Penalty floor of each binary's requirement implied by the fixed
+        binaries, or None for a model without penalty rows."""
         comp = self.comp
-        if not comp.dars:
+        if comp.B0 is None:
             return None
-        fx = fv[comp.x_compact]
-        th = np.zeros(comp.nx)
-        if comp.pen_dense:
-            m1 = fx == 1
-            m0 = fx == 0
-            if m1.any():
-                np.maximum(th, comp.B1[:, m1].max(axis=1), out=th)
-            if m0.any():
-                np.maximum(th, comp.B0[:, m0].max(axis=1), out=th)
-        else:
-            for j, (targets, b0, b1) in comp.pen_by_j.items():
-                v = fx[j]
-                if v == 1:
-                    th[targets] = np.maximum(th[targets], b1)
-                elif v == 0:
-                    th[targets] = np.maximum(th[targets], b0)
+        th = np.zeros(comp.nbin)
+        m1 = fv == 1
+        m0 = fv == 0
+        if m1.any():
+            np.maximum(th, comp.B1[:, m1].max(axis=1), out=th)
+        if m0.any():
+            np.maximum(th, comp.B0[:, m0].max(axis=1), out=th)
         return th
 
     def _grid_floor(self, bound: float) -> float:
@@ -448,30 +437,19 @@ class _Search:
             return bound
         return math.floor(bound / q + 1e-5) * q
 
-    def _bound(self, fv, theta_floor) -> float:
+    def _bound(self, fv, floor) -> float:
         comp = self.comp
-        if comp.dars:
-            fx = fv[comp.x_compact]
-            ehat = comp.E * (1.0 - theta_floor)
-            sel = fx == 1
-            base = float(ehat[sel].sum())
-            cap = comp.kn_rhs - float(comp.w_x[sel].sum())
-            if cap < -FEAS_EPS:
-                return -math.inf
-            mask = (fx == -1) & (ehat > 0)
-            return base + _frac_knapsack(comp.w_x[mask], ehat[mask], cap)
+        # a selected requirement is worth at most its value past the floor
+        v = comp.c_bin if floor is None else comp.c_bin * (1.0 - floor)
         sel = fv == 1
-        base = float(comp.c_bin[sel].sum()) + comp.cont_best
+        base = float(v[sel].sum()) + comp.cont_best
+        mask = (fv == -1) & (v > 0)
         if comp.kn_row is None:
-            free_pos = (fv == -1) & (comp.c_bin > 0)
-            return self._grid_floor(base + float(comp.c_bin[free_pos].sum()))
+            return self._grid_floor(base + float(v[mask].sum()))
         cap = comp.kn_rhs - float(comp.w_bin[sel].sum())
         if cap < -FEAS_EPS:
             return -math.inf
-        mask = (fv == -1) & (comp.c_bin > 0)
-        return self._grid_floor(
-            base + _frac_knapsack(comp.w_bin[mask], comp.c_bin[mask], cap)
-        )
+        return self._grid_floor(base + _frac_knapsack(comp.w_bin[mask], v[mask], cap))
 
     # ---- leaves ----
 
@@ -519,34 +497,31 @@ class _Search:
                 return None
         return vals
 
-    def _leaf(self, fv, theta_floor) -> None:
+    def _leaf(self, fv, floor) -> None:
         comp = self.comp
-        if comp.dars:
-            fx = fv[comp.x_compact]
-            selmask = fx == 1
-            obj = float(np.dot(comp.E[selmask], 1.0 - theta_floor[selmask]))
-            key = tuple(fx.tolist())
-            if not self._improves(obj, key):
+        sel = fv == 1
+        vals = None
+        if floor is not None:
+            obj = float(np.dot(comp.c_bin[sel], 1.0 - floor[sel]))
+        elif comp.cont_vars:
+            vals = self._resolve_continuous(fv)
+            if vals is None:
                 return
+            obj = float(np.dot(comp.c, vals))
+        else:
+            obj = float(np.dot(comp.c_bin, sel.astype(np.float64)))
+        key = tuple(fv[comp.x_compact].tolist())
+        if not self._improves(obj, key):
+            return
+        if vals is None:
             vals = np.zeros(comp.nvars)
             vals[comp.bin_vars] = fv
-            vals[comp.theta_idx] = theta_floor
-            vals[comp.y_idx] = theta_floor * selmask
-        else:
-            if comp.cont_vars:
-                vals = self._resolve_continuous(fv)
-                if vals is None:
-                    return
-                obj = float(np.dot(comp.c, vals))
-            else:
-                obj = float(np.dot(comp.c_bin, (fv == 1).astype(np.float64)))
-                vals = None
-            key = tuple(fv[comp.x_compact].tolist())
-            if not self._improves(obj, key):
-                return
-            if vals is None:
-                vals = np.zeros(comp.nvars)
-                vals[comp.bin_vars] = fv
+            # the linearization in closed form: g = x, theta = floor, y = theta x
+            vals[comp.g_idx] = vals[comp.g_src]
+            if floor is not None:
+                theta = floor[comp.theta_pos]
+                vals[comp.theta_idx] = theta
+                vals[comp.y_idx] = theta * sel[comp.theta_pos]
         self.inc_obj = obj
         self.inc_key = key
         self.inc_vals = vals
@@ -588,12 +563,12 @@ class _Search:
 
     def _enter(self, f, mi, ma) -> None:
         fv = np.frombuffer(f, np.int8)
-        theta = self._theta_floor(fv)
+        floor = self._floor(fv)
         bvar = self._branch_var(f)
         if bvar == -1:
-            self._leaf(fv, theta)
+            self._leaf(fv, floor)
             return
-        bound = self._bound(fv, theta)
+        bound = self._bound(fv, floor)
         if bound < self.inc_obj - PRUNE_EPS or self._tie_dominated(bound, fv):
             return
         self.seq += 1
@@ -605,7 +580,7 @@ class _Search:
             b = self._branch_var(f)
             if b == -1:
                 fv = np.frombuffer(f, np.int8)
-                self._leaf(fv, self._theta_floor(fv))
+                self._leaf(fv, self._floor(fv))
                 return
             child = self._try_child(f, mi, ma, b, 1)
             if child is None:
@@ -638,11 +613,11 @@ class _Search:
         ) and self._propagate(fixed, minact, maxact, queue)
         if not ok:
             return None
-        root_theta = self._theta_floor(fv)
+        root_floor = self._floor(fv)
         if self._branch_var(fixed) == -1:
-            self._leaf(fv, root_theta)
+            self._leaf(fv, root_floor)
             return self.inc_obj if self.inc_vals is not None else None
-        root_bound = self._bound(fv, root_theta)
+        root_bound = self._bound(fv, root_floor)
         self._dive(fixed, minact, maxact)
         bvar = self._branch_var(fixed)
         self.seq += 1
@@ -695,7 +670,7 @@ def solve(m: LinearModel, limits: SolverLimits | None = None) -> Solution:
     values = {comp.names[i]: float(vals[i]) for i in range(comp.nvars)}
     x = tuple(int(round(vals[i])) for i in comp.x_var_idx)
     theta = y = None
-    if comp.dars:
+    if comp.B0 is not None:
         theta = tuple(float(vals[i]) for i in comp.theta_idx)
         y = tuple(float(vals[i]) for i in comp.y_idx)
     objective = sign * search.inc_obj

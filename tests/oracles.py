@@ -21,9 +21,11 @@ from reqsel import (
     SBK,
     Conflicts,
     ExactlyOne,
+    InfluenceMatrix,
     RequiresAll,
     RequiresAny,
     SelectionProblem,
+    ValidationError,
     ValueDependencyGraph,
     significance_test,
 )
@@ -141,6 +143,82 @@ def expanded_closure(g: ValueDependencyGraph) -> tuple[np.ndarray, np.ndarray]:
     np.fill_diagonal(pos, 0.0)
     np.fill_diagonal(neg, 0.0)
     return pos, neg
+
+
+def alg2_reference(g: ValueDependencyGraph) -> InfluenceMatrix:
+    """Verbatim single-pass interleaved Floyd-Warshall (the source method).
+
+    Each node k is processed once, updating the positive and negative
+    matrices from each other with the current values. Sound (every produced
+    value is realized by some walk) but possibly under-converged on cyclic
+    graphs with negative edges; compare against propagate_strengths.
+    """
+    n = g.n
+    pos = np.zeros((n, n))
+    neg = np.zeros((n, n))
+    for (i, j), (rho, q) in g.edges.items():
+        (pos if q == POSITIVE else neg)[i, j] = rho
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                cand = min(pos[i, k], pos[k, j])
+                if cand > pos[i, j]:
+                    pos[i, j] = cand
+                cand = min(neg[i, k], neg[k, j])
+                if cand > pos[i, j]:
+                    pos[i, j] = cand
+                cand = min(pos[i, k], neg[k, j])
+                if cand > neg[i, j]:
+                    neg[i, j] = cand
+                cand = min(neg[i, k], pos[k, j])
+                if cand > neg[i, j]:
+                    neg[i, j] = cand
+    np.fill_diagonal(pos, 0.0)
+    np.fill_diagonal(neg, 0.0)
+    return InfluenceMatrix(pos=pos, neg=neg)
+
+
+def brute_force_influence(g: ValueDependencyGraph, max_len: int) -> InfluenceMatrix:
+    """Oracle: exhaustive DFS over sign-labeled paths up to max_len edges.
+
+    Enumerates state-simple paths in the parity-expanded graph (no repeated
+    (node, sign) state), recording per-sign suprema of min strengths. Since
+    cutting a repeated-state cycle never lowers a walk's min strength, this
+    equals the supremum over all walks once max_len reaches 2n - 1.
+    """
+    if g.n > 10:
+        raise ValidationError("brute-force influence is limited to n <= 10")
+    if max_len < 1:
+        raise ValidationError("max_len must be at least 1")
+    n = g.n
+    adj: list[list[tuple[int, float, bool]]] = [[] for _ in range(n)]
+    for (i, j), (rho, q) in g.edges.items():
+        adj[i].append((j, rho, q == NEGATIVE))
+    for neighbors in adj:
+        neighbors.sort()
+
+    pos = np.zeros((n, n))
+    neg = np.zeros((n, n))
+
+    def walk(start: int, node: int, positive: bool, strength: float, depth: int, seen: int) -> None:
+        if depth == max_len:
+            return
+        for nxt, rho, flips in adj[node]:
+            nxt_positive = positive != flips
+            state = nxt * 2 + (0 if nxt_positive else 1)
+            if seen & (1 << state):
+                continue
+            s = min(strength, rho)
+            target = pos if nxt_positive else neg
+            if s > target[start, nxt]:
+                target[start, nxt] = s
+            walk(start, nxt, nxt_positive, s, depth + 1, seen | (1 << state))
+
+    for start in range(n):
+        walk(start, start, True, 1.0, 0, 1 << (start * 2))
+    np.fill_diagonal(pos, 0.0)
+    np.fill_diagonal(neg, 0.0)
+    return InfluenceMatrix(pos=pos, neg=neg)
 
 
 def per_pair_vdg_edges(analysis, sig, mem) -> dict[tuple[int, int], tuple[float, str]]:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from oracles import causal_strength, enumerate_optimum
+from oracles import brute_force_influence, causal_strength, enumerate_optimum
 from reqsel import (
     InfluenceMatrix,
     MembershipConfig,
@@ -34,7 +34,6 @@ from reqsel.casestudy import (
 from reqsel.dependency_graph import (
     NEGATIVE,
     POSITIVE,
-    brute_force_influence,
     propagate_strengths,
     vdl_nvdl,
 )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import expanded_closure
+from oracles import alg2_reference, brute_force_influence, expanded_closure
 from reqsel import (
     Conflicts,
     ExactlyOne,
@@ -15,14 +15,12 @@ from reqsel import (
     RequiresAny,
     ValidationError,
     ValueDependencyGraph,
-    brute_force_influence,
     propagate_strengths,
 )
 from reqsel.dependency_graph import (
     NEGATIVE,
     POSITIVE,
     UNSPECIFIED,
-    alg2_reference,
     combine_quality,
     load_constraints,
     load_influence_matrix,

@@ -541,6 +541,39 @@ class TestSearchParity:
             assert comp.kn_row == 0
             assert comp.kn_rhs == m.constraints[0].rhs
 
+    def test_knapsack_row_survives_zero_costs(self):
+        # the LP file drops the zero-cost terms, so the parsed budget row is
+        # narrower than the ExactlyOne row and is still the knapsack row
+        reqs = tuple(
+            Requirement(id=f"r{i + 1}", cost=cost, value=value, probability=1.0)
+            for i, (cost, value) in enumerate(((0.0, 5.0), (0.0, 4.0), (3.0, 9.0)))
+        )
+        precedence = PrecedenceGraph(n=3, constraints=(ExactlyOne(members=(0, 1)),))
+        model = build_model(SelectionProblem(reqs, budget=2.0, precedence=precedence), PCBK)
+        buf = io.StringIO()
+        export_lp(model, buf)
+        parsed = parse_lp(io.StringIO(buf.getvalue()))
+        assert len(parsed.constraints[0].coeffs) == 1
+        built, reparsed = solve(model), solve(parsed)
+        for m in (model, parsed):
+            assert _Compiled(m).kn_row == 0
+        assert built.stats.root_bound == reparsed.stats.root_bound == 9.0
+        assert (built.x, built.objective, built.stats.nodes) == (
+            reparsed.x,
+            reparsed.objective,
+            reparsed.stats.nodes,
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dars_searches_the_x_core(self, seed):
+        problem = random_problem(seed + 300, n=4 + seed)
+        core = _Compiled(build_model(problem, PCBK))
+        rows = [(r.vars, r.coefs, r.relation, r.rhs) for r in core.binrows]
+        for simplify in (False, True):
+            comp = _Compiled(build_model(problem, DARS, simplify=simplify))
+            assert comp.nbin == problem.n
+            assert [(r.vars, r.coefs, r.relation, r.rhs) for r in comp.binrows] == rows
+
     @pytest.mark.parametrize(
         "n, pdl, seed, nodes",
         [(100, 0.02, 1, 6_322), (100, 0.02, 2, 1_277), (30, 0.0, 1, 1_831)],
@@ -548,6 +581,7 @@ class TestSearchParity:
     def test_select_node_counts_pinned(self, n, pdl, seed, nodes):
         spec = SyntheticSpec(n=n, vdl=0.05, nvdl=0.2, pdl=pdl, npdl=0.2 if pdl else 0.0, seed=seed)
         problem, _ = generate_synthetic(spec, budget_fraction=0.5)
-        got = solve(build_model(problem, DARS))
-        assert got.status == OPTIMAL
-        assert got.stats.nodes == nodes
+        for simplify in (False, True):
+            got = solve(build_model(problem, DARS, simplify=simplify))
+            assert got.status == OPTIMAL
+            assert got.stats.nodes == nodes
