@@ -289,13 +289,13 @@ def build_model(
 
     if p.influence is None:
         raise ValidationError("the dependency-aware model needs an influence matrix")
-    theta_names = [f"theta{i + 1}" for i in range(n)]
-    y_names = [f"y{i + 1}" for i in range(n)]
-    g_names = x_names if simplify else [f"g{i + 1}" for i in range(n)]
+    thetas = [f"theta{i + 1}" for i in range(n)]
+    ys = [f"y{i + 1}" for i in range(n)]
+    gs = x_names if simplify else [f"g{i + 1}" for i in range(n)]
     if not simplify:
-        variables.extend(Variable(name=name, kind=BINARY) for name in g_names)
-    variables.extend(Variable(name=name, kind=CONTINUOUS, lower=0.0, upper=1.0) for name in theta_names)
-    variables.extend(Variable(name=name, kind=CONTINUOUS, lower=0.0, upper=1.0) for name in y_names)
+        variables.extend(Variable(name=name, kind=BINARY) for name in gs)
+    variables.extend(Variable(name=name, kind=CONTINUOUS, lower=0.0, upper=1.0) for name in thetas)
+    variables.extend(Variable(name=name, kind=CONTINUOUS, lower=0.0, upper=1.0) for name in ys)
 
     influence = p.influence.influence
     for i in range(n):
@@ -309,7 +309,7 @@ def build_model(
             rows.append(
                 LinearConstraint(
                     name=f"penalty_{x_names[i]}_{x_names[j]}",
-                    coeffs={theta_names[i]: 1.0, x_names[j]: w},
+                    coeffs={thetas[i]: 1.0, x_names[j]: w},
                     relation=">=",
                     rhs=(abs(w) + w) / 2.0,
                 )
@@ -319,7 +319,7 @@ def build_model(
             rows.append(
                 LinearConstraint(
                     name=f"link_xg_{i + 1}",
-                    coeffs={x_names[i]: 1.0, g_names[i]: -1.0},
+                    coeffs={x_names[i]: 1.0, gs[i]: -1.0},
                     relation="<=",
                     rhs=0.0,
                 )
@@ -327,7 +327,7 @@ def build_model(
             rows.append(
                 LinearConstraint(
                     name=f"link_gx_{i + 1}",
-                    coeffs={g_names[i]: 1.0, x_names[i]: -1.0},
+                    coeffs={gs[i]: 1.0, x_names[i]: -1.0},
                     relation="<=",
                     rhs=0.0,
                 )
@@ -335,7 +335,7 @@ def build_model(
         rows.append(
             LinearConstraint(
                 name=f"link_yg_{i + 1}",
-                coeffs={y_names[i]: 1.0, g_names[i]: -1.0},
+                coeffs={ys[i]: 1.0, gs[i]: -1.0},
                 relation="<=",
                 rhs=0.0,
             )
@@ -343,21 +343,14 @@ def build_model(
         rows.append(
             LinearConstraint(
                 name=f"link_ty_{i + 1}",
-                coeffs={theta_names[i]: 1.0, y_names[i]: -1.0, g_names[i]: 1.0},
+                coeffs={thetas[i]: 1.0, ys[i]: -1.0, gs[i]: 1.0},
                 relation="<=",
                 rhs=1.0,
             )
         )
     objective = {x_names[i]: expected[i] for i in range(n)}
-    objective.update({y_names[i]: -expected[i] for i in range(n)})
-    metadata.update(
-        {
-            "theta_names": list(theta_names),
-            "y_names": list(y_names),
-            "g_names": list(g_names) if not simplify else [],
-            "simplified": simplify,
-        }
-    )
+    objective.update({ys[i]: -expected[i] for i in range(n)})
+    metadata["simplified"] = simplify
     return LinearModel(tuple(variables), "max", objective, tuple(rows), metadata)
 
 
@@ -516,8 +509,12 @@ def parse_lp(source: IO[str]) -> LinearModel:
     """Minimal LP-format reader for files written by export_lp.
 
     Handles the objective, constraint rows `name: terms rel rhs`, simple
-    two-sided bounds, and Binary/General sections. Variables that appear in
-    rows but in no Bounds/Binary section default to continuous [0, +inf).
+    one- and two-sided bounds (signed numbers, -inf, +inf), and
+    Binary/General sections. Variables that appear in rows but in no
+    Bounds/Binary section default to continuous [0, +inf). The model carries
+    no metadata beyond {"kind": "PARSED"}: the solver reads the roles of a
+    DARS model's variables off the row shapes, so a parsed DARS file is
+    searched like the model it was written from.
     """
     sense = "max"
     section = None
@@ -566,7 +563,12 @@ def parse_lp(source: IO[str]) -> LinearModel:
                     raise InputFormatError("constraint continuation before any named row")
                 constraint_lines[-1][1].extend(_TOKEN.findall(line))
         elif section == "bounds":
-            tokens = _TOKEN.findall(line)
+            tokens = []
+            for tok in _TOKEN.findall(line):
+                # a sign belongs to the number or infinity after it: -inf, +inf, -5
+                if tokens and tokens[-1] in ("+", "-"):
+                    tok = tokens.pop() + tok
+                tokens.append(tok)
             if len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
                 bounds[tokens[2]] = (parse_bound_token(tokens[0]), parse_bound_token(tokens[4]))
             elif len(tokens) == 3 and tokens[1] in ("<=", ">=", "="):

@@ -6,29 +6,30 @@ Branch and bound over the binary variables:
     binaries and the rows over x alone (budget and precedence). Its g, theta
     and y variables and their penalty and linking rows only linearize the
     penalty; leaves fill them in closed form (g = x, theta = the penalty
-    floor, y = theta x). Penalty rows are recognized by their shape, a ">="
-    row with one theta entry and one x entry, and become a dense floor
-    table;
+    floor, y = theta x). All of them are read off the row shapes, so a
+    model parsed from an LP file is searched exactly like a built one: a
+    link row theta - y + b <= 1 names theta, y and b; b is an echo g of x
+    when x - b <= 0 and b - x <= 0 are rows and x owns no link row, else b
+    is x; a penalty row is a ">=" row with one theta entry at 1 and one x
+    entry, and penalty rows become a dense floor table. A continuous
+    variable or a row over theta, y or g that fits none of these shapes is
+    rejected;
   * node order: best bound first, ties by lowest branching-variable index,
     then by creation order; the child fixing the variable to 1 is created
     first;
   * at every node a unit-propagation pass over the all-binary rows fixes
     implied variables (precedence chains, exhausted budget) and detects
     infeasible subtrees early. Node state is plain Python: a bytearray of
-    fixings and float lists of row activities;
+    fixings and float lists of row activities. Each row keeps its entries
+    sorted by |coefficient|, largest first, so a scan stops at the first
+    entry that can still move without breaking the row; the free entries
+    passed over are fixed in row order, so propagation fixes the same
+    variables in the same order as a full rescan of the row;
   * the knapsack row is the first non-">=" all-binary row with non-negative
-    coefficients (the budget or price row every builder emits first).
-    When it is a "<=" row its entries are kept sorted by weight, heaviest
-    first, and a scan stops at the first weight that still fits the
-    residual capacity; the free entries passed over are fixed to 0 in row
-    order, so propagation fixes the same variables in the same order as a
-    full rescan of the row;
+    coefficients (the budget or price row every builder emits first);
   * bounds are admissible: a fractional knapsack relaxation over the
     knapsack row of the objective still obtainable, each value discounted
-    by the penalty floor already implied by the fixed part of the selection;
-  * other continuous variables never branch. At a leaf they are raised to
-    the lowest feasible point by an iterative pass, which serves models
-    parsed from LP files.
+    by the penalty floor already implied by the fixed part of the selection.
 
 Ties between equal-objective optima (within 1e-12) break lexicographically:
 the smallest selection vector read as a binary string, x1 most significant.
@@ -66,6 +67,10 @@ PRUNE_EPS = 1e-9
 TIE_EPS = 1e-12
 
 FREE = 255  # an unfixed binary in the bytearray state; an int8 view reads it as -1
+
+# (kind, coefficient) entries of a link row theta - y + b <= 1 and of a pair row u - v <= 0
+_LINK_SHAPE = {(CONTINUOUS, 1.0), (CONTINUOUS, -1.0), (BINARY, 1.0)}
+_PAIR_SHAPE = {(BINARY, 1.0), (BINARY, -1.0)}
 
 @dataclass(frozen=True)
 class SolverLimits:
@@ -108,68 +113,97 @@ class VerificationReport:
 
 
 class _Row:
-    __slots__ = ("vars", "coefs", "relation", "rhs", "by_weight")
+    __slots__ = ("vars", "coefs", "relation", "rhs", "order")
 
     def __init__(self, vars_: list[int], coefs: list[float], relation: str, rhs: float):
         self.vars = vars_
         self.coefs = coefs
         self.relation = relation
         self.rhs = rhs
-        # (position, weight) by weight descending, set for a <= knapsack row
-        self.by_weight: list[tuple[int, float]] | None = None
+        # (position, |coefficient|) by |coefficient| descending, ties by position
+        self.order = sorted(((p, abs(a)) for p, a in enumerate(coefs)), key=lambda e: -e[1])
 
 
 class _Compiled:
     """Model preprocessed for search: compact binary indexing, row split,
     sparse activity operators, knapsack-row detection, penalty-floor table.
 
-    The g, theta and y variables a DARS model names in its metadata, and
-    every row over them, stay out of the search (the model's x core)."""
+    The theta, y and g variables of a DARS linearization, and every row over
+    them, stay out of the search (the model's x core). They are found by the
+    shape of the rows, so a model read from an LP file searches like the
+    model it was written from."""
 
     def __init__(self, m: LinearModel):
         self.model = m
-        meta = m.metadata
         self.names = [v.name for v in m.variables]
         self.index = {name: i for i, name in enumerate(self.names)}
         self.nvars = len(self.names)
-        self.lower = np.array([v.lower for v in m.variables])
-        self.upper = np.array([v.upper for v in m.variables])
         self.maximize = m.objective_sense == "max"
         c = np.zeros(self.nvars)
         for name, coef in m.objective.items():
             c[self.index[name]] = coef
         self.c = c if self.maximize else -c
 
-        self.theta_idx = self._indices(meta.get("theta_names", ()))
-        self.y_idx = self._indices(meta.get("y_names", ()))
-        self.g_idx = self._indices(meta.get("g_names", ()))
-        linear = set(np.concatenate([self.theta_idx, self.y_idx, self.g_idx]).tolist())
+        rows = [
+            ([self.index[name] for name in con.coeffs], [float(a) for a in con.coeffs.values()])
+            for con in m.constraints
+        ]
+        links = self._find_links(rows)
+        linear = {i for t, y, b, x in links for i in (t, y, b) if i != x}
 
         self.bin_vars = [
             i for i, v in enumerate(m.variables) if v.kind == BINARY and i not in linear
-        ]
-        self.cont_vars = [
-            i for i, v in enumerate(m.variables) if v.kind == CONTINUOUS and i not in linear
         ]
         self.nbin = len(self.bin_vars)
         self.bpos = {v: b for b, v in enumerate(self.bin_vars)}
         self.c_bin = self.c[self.bin_vars] if self.nbin else np.zeros(0)
 
-        binset = set(self.bin_vars)
+        # theta_i, y_i and g_i belong to their owner x_i: Solution.theta and
+        # Solution.y follow the owners' binary order
+        links.sort(key=lambda link: self.bpos[link[3]])
+        self.theta_idx = np.array([t for t, *_ in links], dtype=np.intp)
+        self.y_idx = np.array([y for _, y, *_ in links], dtype=np.intp)
+        self.theta_pos = np.array([self.bpos[x] for *_, x in links], dtype=np.intp)
+        echoes = [(b, x) for _, _, b, x in links if b != x]
+        self.g_idx = np.array([b for b, _ in echoes], dtype=np.intp)
+        self.g_src = np.array([x for _, x in echoes], dtype=np.intp)
+
+        # rows a link may carry besides penalty rows: the link row, y - b <= 0,
+        # and for an echo g the pair x - g <= 0, g - x <= 0
+        allowed = set()
+        for t, y, b, x in links:
+            allowed.add(("<=", 1.0, frozenset(((t, 1.0), (y, -1.0), (b, 1.0)))))
+            allowed.add(("<=", 0.0, frozenset(((y, 1.0), (b, -1.0)))))
+            if b != x:
+                allowed.add(("<=", 0.0, frozenset(((x, 1.0), (b, -1.0)))))
+                allowed.add(("<=", 0.0, frozenset(((b, 1.0), (x, -1.0)))))
+        # penalty rows theta_i + w x_j >= rhs floor theta_i at rhs while x_j = 0
+        # and at rhs - w once x_j = 1
+        owner = dict(zip(self.theta_idx.tolist(), self.theta_pos.tolist()))
+        self.B0 = self.B1 = None
+        if links:
+            self.B0 = np.zeros((self.nbin, self.nbin))
+            self.B1 = np.zeros((self.nbin, self.nbin))
         self.binrows: list[_Row] = []
-        self.cont_rows: list[_Row] = []  # var entries are model indices here
-        linear_rows: list[_Row] = []
-        for con in m.constraints:
-            idxs = [self.index[name] for name in con.coeffs]
-            coefs = [float(con.coeffs[name]) for name in con.coeffs]
-            if all(i in binset for i in idxs):
+        for con, (idxs, coefs) in zip(m.constraints, rows):
+            if linear.isdisjoint(idxs):
                 self.binrows.append(
                     _Row([self.bpos[i] for i in idxs], coefs, con.relation, float(con.rhs))
                 )
-            elif linear.isdisjoint(idxs):
-                self.cont_rows.append(_Row(idxs, coefs, con.relation, float(con.rhs)))
-            else:
-                linear_rows.append(_Row(idxs, coefs, con.relation, float(con.rhs)))
+                continue
+            if con.relation == ">=" and len(idxs) == 2:
+                (t, a), (j, w) = sorted(zip(idxs, coefs), key=lambda e: e[0] not in owner)
+                if t in owner and a == 1.0 and j in self.bpos:
+                    self.B0[owner[t], self.bpos[j]] = con.rhs
+                    self.B1[owner[t], self.bpos[j]] = con.rhs - w
+                    continue
+            if (con.relation, con.rhs, frozenset(zip(idxs, coefs))) not in allowed:
+                raise ValidationError(
+                    f"constraint {con.name}: a row over theta, y or g must be a link, "
+                    "echo or penalty row"
+                )
+        if links and max(self.B0.max(), self.B1.max()) > 1.0:
+            raise ValidationError("penalty rows floor theta above its upper bound 1")
         self.nbinrows = len(self.binrows)
 
         self.occ: list[list[tuple[int, float]]] = [[] for _ in range(self.nbin)]
@@ -196,24 +230,17 @@ class _Compiled:
 
         self._detect_knapsack_row()
         self._detect_objective_quantum()
-        self._prepare_metadata_tables(linear_rows)
 
-        # best case of the continuous part, constant over the whole tree
-        best = 0.0
-        for i in self.cont_vars:
-            coef = self.c[i]
-            if coef > 0:
-                best += coef * self.upper[i]
-            elif coef < 0:
-                best += coef * self.lower[i]
-        self.cont_best = best
+        x_names = m.metadata.get("x_names")
+        if x_names and all(nm in self.index for nm in x_names):
+            self.x_compact = np.array([self.bpos[self.index[nm]] for nm in x_names], dtype=np.intp)
+        else:
+            self.x_compact = np.arange(self.nbin, dtype=np.intp)
+        self.x_var_idx = np.array([self.bin_vars[b] for b in self.x_compact], dtype=np.intp)
 
         tiny = 1e-300
         ratio = self.c_bin / np.maximum(self.w_bin, tiny)
         self.branch_order = sorted(range(self.nbin), key=lambda b: (-ratio[b], b))
-
-    def _indices(self, names) -> np.ndarray:
-        return np.array([self.index[nm] for nm in names], dtype=np.intp)
 
     def _detect_knapsack_row(self) -> None:
         self.w_bin = np.zeros(self.nbin)
@@ -233,8 +260,6 @@ class _Compiled:
         for b, a in zip(row.vars, row.coefs):
             self.w_bin[b] = a
         self.kn_rhs = row.rhs
-        if row.relation == "<=":
-            row.by_weight = sorted(enumerate(row.coefs), key=lambda t: (-t[1], t[0]))
 
     def _detect_objective_quantum(self) -> None:
         """Find a common quantum of the objective coefficients, if any.
@@ -272,34 +297,56 @@ class _Compiled:
                     self.obj_quantum = q
                 return
 
-    def _prepare_metadata_tables(self, linear_rows: list[_Row]) -> None:
-        meta = self.model.metadata
-        x_names = meta.get("x_names")
-        if x_names and all(nm in self.index for nm in x_names):
-            self.x_compact = np.array([self.bpos[self.index[nm]] for nm in x_names], dtype=np.intp)
-        else:
-            self.x_compact = np.arange(self.nbin, dtype=np.intp)
-        self.x_var_idx = np.array([self.bin_vars[b] for b in self.x_compact], dtype=np.intp)
-        # theta_i, y_i and g_i belong to x_i: the binary at compact position theta_pos[i]
-        self.theta_pos = self.x_compact[: self.theta_idx.size]
-        self.g_src = self.x_var_idx[: self.g_idx.size]
+    def _find_links(self, rows: list[tuple[list[int], list[float]]]) -> list[tuple]:
+        """(theta, y, b, x) of every link row theta - y + b <= 1: one
+        continuous entry at +1 (theta), one at -1 (y), one binary at +1 (b).
 
-        # penalty rows theta_i + w x_j >= rhs floor theta_i at rhs while x_j = 0
-        # and at rhs - w once x_j = 1; they are the ">=" rows of one theta
-        # entry (coefficient 1 in every DARS model) and one search binary
-        self.B0 = self.B1 = None
-        if not self.theta_idx.size:
-            return
-        owner = dict(zip(self.theta_idx.tolist(), self.theta_pos.tolist()))
-        self.B0 = np.zeros((self.nbin, self.nbin))
-        self.B1 = np.zeros((self.nbin, self.nbin))
-        for row in linear_rows:
-            if row.relation != ">=" or len(row.vars) != 2:
+        b is the echo g of x when the rows x - b <= 0 and b - x <= 0 both
+        exist and x owns no link row; otherwise b is x itself. Every
+        continuous variable must be the theta or y of one link row and each
+        x may own one link row. The closed form at the leaves needs the
+        objective to read E x - E y with E >= 0 and no theta or g term, and
+        theta and y to lie in [0, 1].
+        """
+        m = self.model
+        kinds = [v.kind for v in m.variables]
+        links, below = [], {}
+        for con, (idxs, coefs) in zip(m.constraints, rows):
+            if con.relation != "<=" or (len(idxs), con.rhs) not in ((3, 1.0), (2, 0.0)):
                 continue
-            (t, _), (x, w) = sorted(zip(row.vars, row.coefs), key=lambda e: e[0] not in owner)
-            if t in owner and x in self.bpos:
-                self.B0[owner[t], self.bpos[x]] = row.rhs
-                self.B1[owner[t], self.bpos[x]] = row.rhs - w
+            shape = {(kinds[i], a): i for i, a in zip(idxs, coefs)}
+            if shape.keys() == _LINK_SHAPE:
+                links.append(
+                    (shape[CONTINUOUS, 1.0], shape[CONTINUOUS, -1.0], shape[BINARY, 1.0])
+                )
+            elif shape.keys() == _PAIR_SHAPE:
+                below.setdefault(shape[BINARY, -1.0], []).append(shape[BINARY, 1.0])
+        bs = {b for *_, b in links}
+
+        def x_of(b: int) -> int:
+            return next((x for x in below.get(b, ()) if x not in bs and b in below.get(x, ())), b)
+
+        links = [(t, y, b, x_of(b)) for t, y, b in links]
+        roles = sorted(i for t, y, *_ in links for i in (t, y))
+        cont = [i for i, kind in enumerate(kinds) if kind == CONTINUOUS]
+        if roles != cont:
+            stray = next(i for i in cont if roles.count(i) != 1)
+            raise ValidationError(
+                f"variable {self.names[stray]}: a continuous variable must be the theta "
+                "or y of exactly one link row"
+            )
+        if len({x for *_, x in links}) != len(links):
+            raise ValidationError("a binary owns more than one link row")
+        c = self.c.tolist()
+        for t, y, b, x in links:
+            bounds = [(m.variables[i].lower, m.variables[i].upper) for i in (t, y)]
+            if c[y] != -c[x] or c[x] < 0 or c[t] or (b != x and c[b]) or bounds != [(0, 1)] * 2:
+                raise ValidationError(
+                    f"variables {self.names[t]}, {self.names[y]}: the objective must read "
+                    "E x - E y with E >= 0 and no theta or g term, and theta and y must lie "
+                    "in [0, 1]"
+                )
+        return links
 
 
 def _frac_knapsack(w: np.ndarray, p: np.ndarray, cap: float) -> float:
@@ -335,6 +382,8 @@ class _Search:
     # ---- propagation over all-binary rows ----
 
     def _scan_row(self, rid: int, fixed, minact, maxact, queue) -> bool:
+        # entries go by |a| descending and float addition is monotone, so the
+        # first entry that fits ends a scan; fixings keep row order
         row = self.comp.binrows[rid]
         rel = row.relation
         rhs = row.rhs
@@ -344,43 +393,28 @@ class _Search:
             if lo > rhs + FEAS_EPS:
                 return False
             if hi > rhs + FEAS_EPS:  # slack rows cannot force anything
-                if row.by_weight is not None:
-                    # weights descend and float addition is monotone, so the
-                    # first weight that fits ends the scan; fixings keep row order
-                    forced = []
-                    for p, au in row.by_weight:
-                        if not lo + au > rhs + FEAS_EPS:
-                            break
-                        if fixed[row.vars[p]] == FREE:
-                            forced.append(p)
-                    for p in sorted(forced):
-                        fixed[row.vars[p]] = 0
-                        queue.append(row.vars[p])
-                    return True
-                for u, au in zip(row.vars, row.coefs):
-                    if fixed[u] != FREE:
-                        continue
-                    if au > 0:
-                        if lo + au > rhs + FEAS_EPS:
-                            fixed[u] = 0
-                            queue.append(u)
-                    elif lo - au > rhs + FEAS_EPS:
-                        fixed[u] = 1
-                        queue.append(u)
+                forced = []
+                for p, au in row.order:
+                    if not lo + au > rhs + FEAS_EPS:
+                        break
+                    if fixed[row.vars[p]] == FREE:
+                        forced.append(p)
+                for p in sorted(forced):
+                    fixed[row.vars[p]] = 0 if row.coefs[p] > 0 else 1
+                    queue.append(row.vars[p])
         if rel != "<=":
             if hi < rhs - FEAS_EPS:
                 return False
             if lo < rhs - FEAS_EPS:
-                for u, au in zip(row.vars, row.coefs):
-                    if fixed[u] != FREE:
-                        continue
-                    if au > 0:
-                        if hi - au < rhs - FEAS_EPS:
-                            fixed[u] = 1
-                            queue.append(u)
-                    elif hi + au < rhs - FEAS_EPS:
-                        fixed[u] = 0
-                        queue.append(u)
+                forced = []
+                for p, au in row.order:
+                    if not hi - au < rhs - FEAS_EPS:
+                        break
+                    if fixed[row.vars[p]] == FREE:
+                        forced.append(p)
+                for p in sorted(forced):
+                    fixed[row.vars[p]] = 1 if row.coefs[p] > 0 else 0
+                    queue.append(row.vars[p])
         return True
 
     def _propagate(self, fixed, minact, maxact, queue) -> bool:
@@ -442,7 +476,7 @@ class _Search:
         # a selected requirement is worth at most its value past the floor
         v = comp.c_bin if floor is None else comp.c_bin * (1.0 - floor)
         sel = fv == 1
-        base = float(v[sel].sum()) + comp.cont_best
+        base = float(v[sel].sum())
         mask = (fv == -1) & (v > 0)
         if comp.kn_row is None:
             return self._grid_floor(base + float(v[mask].sum()))
@@ -453,75 +487,24 @@ class _Search:
 
     # ---- leaves ----
 
-    def _resolve_continuous(self, fv) -> np.ndarray | None:
-        """Raise continuous variables to the lowest feasible point.
-
-        Sound for models whose continuous part is forced only from below
-        (every model this package builds); may conservatively report
-        infeasible on foreign LP files outside that family.
-        """
-        comp = self.comp
-        vals = comp.lower.copy()
-        vals[comp.bin_vars] = fv
-        contset = set(comp.cont_vars)
-        for _ in range(len(comp.cont_vars) + 3):
-            changed = False
-            for row in comp.cont_rows:
-                act = sum(a * vals[i] for i, a in zip(row.vars, row.coefs))
-                targets = ()
-                if row.relation in (">=", "=") and act < row.rhs - 1e-12:
-                    targets = [(i, a) for i, a in zip(row.vars, row.coefs) if a > 0 and i in contset]
-                elif row.relation == "<=" and act > row.rhs + 1e-12:
-                    targets = [(i, a) for i, a in zip(row.vars, row.coefs) if a < 0 and i in contset]
-                for i, a in targets:
-                    # (rhs - act)/a is a positive raise for both target kinds
-                    need = (row.rhs - act) / a
-                    new = min(comp.upper[i], vals[i] + need)
-                    if new > vals[i] + 1e-15:
-                        act += a * (new - vals[i])
-                        vals[i] = new
-                        changed = True
-                    if row.relation != "<=" and act >= row.rhs - 1e-12:
-                        break
-                    if row.relation == "<=" and act <= row.rhs + 1e-12:
-                        break
-            if not changed:
-                break
-        for row in comp.cont_rows:
-            act = sum(a * vals[i] for i, a in zip(row.vars, row.coefs))
-            if row.relation == "<=" and act > row.rhs + FEAS_EPS:
-                return None
-            if row.relation == ">=" and act < row.rhs - FEAS_EPS:
-                return None
-            if row.relation == "=" and abs(act - row.rhs) > FEAS_EPS:
-                return None
-        return vals
-
     def _leaf(self, fv, floor) -> None:
         comp = self.comp
         sel = fv == 1
-        vals = None
         if floor is not None:
             obj = float(np.dot(comp.c_bin[sel], 1.0 - floor[sel]))
-        elif comp.cont_vars:
-            vals = self._resolve_continuous(fv)
-            if vals is None:
-                return
-            obj = float(np.dot(comp.c, vals))
         else:
             obj = float(np.dot(comp.c_bin, sel.astype(np.float64)))
         key = tuple(fv[comp.x_compact].tolist())
         if not self._improves(obj, key):
             return
-        if vals is None:
-            vals = np.zeros(comp.nvars)
-            vals[comp.bin_vars] = fv
-            # the linearization in closed form: g = x, theta = floor, y = theta x
-            vals[comp.g_idx] = vals[comp.g_src]
-            if floor is not None:
-                theta = floor[comp.theta_pos]
-                vals[comp.theta_idx] = theta
-                vals[comp.y_idx] = theta * sel[comp.theta_pos]
+        vals = np.zeros(comp.nvars)
+        vals[comp.bin_vars] = fv
+        # the linearization in closed form: g = x, theta = floor, y = theta x
+        vals[comp.g_idx] = vals[comp.g_src]
+        if floor is not None:
+            theta = floor[comp.theta_pos]
+            vals[comp.theta_idx] = theta
+            vals[comp.y_idx] = theta * sel[comp.theta_pos]
         self.inc_obj = obj
         self.inc_key = key
         self.inc_vals = vals

@@ -8,6 +8,7 @@ seeded, so the gate is deterministic.
 
 import dataclasses
 import io
+import math
 import time
 
 import numpy as np
@@ -252,18 +253,17 @@ def test_06_causal_strength_correct_and_linear_in_users():
     small = (rng.random((n, 60000)) < 0.5).astype(np.uint8)
     large = np.concatenate([small, (rng.random((n, 60000)) < 0.5).astype(np.uint8)], axis=1)
 
-    def best_of(cells, repeats=7):
-        fixture = preference_fixture(cells)
-        times = []
-        for _ in range(repeats):
+    # best of 15, the two sizes timed in turn so that a slow phase of a
+    # shared host hits both sides of the ratio; a call takes 1-4 ms and its
+    # time is bimodal, so 7 repeats could catch the fast mode of one side only
+    fixtures = (preference_fixture(small), preference_fixture(large))
+    best = [math.inf, math.inf]
+    for _ in range(15):
+        for side, fixture in enumerate(fixtures):
             t = time.perf_counter()
             compute_eells(fixture)
-            times.append(time.perf_counter() - t)
-        return min(times)
-
-    t_small = best_of(small)
-    t_large = best_of(large)
-    ratio = t_large / t_small
+            best[side] = min(best[side], time.perf_counter() - t)
+    ratio = best[1] / best[0]
     assert ratio <= 2.5
     report(
         6,

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -405,3 +406,23 @@ class TestLpFormat:
         m = parse_lp(io.StringIO(text))
         t = m.variable("t")
         assert (t.lower, t.upper) == (1.0, 3.0)
+
+    def test_infinite_bounds_round_trip(self):
+        # export_lp writes "-inf <= a <= +inf" and "0 <= b <= +inf"
+        m = LinearModel(
+            (
+                Variable("x1", BINARY),
+                Variable("a", CONTINUOUS, -math.inf, math.inf),
+                Variable("b", CONTINUOUS, 0.0, math.inf),
+            ),
+            "max",
+            {"x1": 1.0, "a": 1.0, "b": 1.0},
+            (LinearConstraint("c", {"x1": 1.0, "a": 1.0, "b": 1.0}, "<=", 5.0),),
+        )
+        buf = io.StringIO()
+        export_lp(m, buf)
+        assert "-inf <= a <= +inf" in buf.getvalue()
+        parsed = parse_lp(io.StringIO(buf.getvalue()))
+        assert [(v.name, v.kind, v.lower, v.upper) for v in parsed.variables] == [
+            (v.name, v.kind, v.lower, v.upper) for v in m.variables
+        ]

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from oracles import enumerate_optimum, objective_value, reference_propagate
+from oracles import enumerate_optimum, objective_value, penalties, reference_propagate
 from reqsel import (
     BK,
     BUDGET_COST,
@@ -22,6 +22,7 @@ from reqsel import (
     SelectionProblem,
     SolverLimits,
     SyntheticSpec,
+    ValidationError,
     build_model,
     evaluate_selection,
     export_lp,
@@ -33,6 +34,7 @@ from reqsel import (
 )
 from reqsel.selection_models import (
     BINARY,
+    CONTINUOUS,
     INCREASE_DECREASE,
     LinearConstraint,
     LinearModel,
@@ -103,6 +105,12 @@ def random_problem(seed, n=None, mode=None, with_precedence=True):
         precedence=precedence,
         influence=random_influence(rng, n),
     )
+
+
+def reparse(model):
+    buf = io.StringIO()
+    export_lp(model, buf)
+    return parse_lp(io.StringIO(buf.getvalue()))
 
 
 def assert_matches_oracle(problem, method, simplify=False):
@@ -398,7 +406,8 @@ class TestForeignModels:
         assert got.values["b"] == 1.0
 
     def test_floor_forced_continuous_variable(self):
-        # t is pushed up to x1 by the floor row and charged in the objective
+        # a continuous variable outside a DARS link row has no closed form
+        # at the leaves, so the solver rejects the model
         text = (
             "Maximize\n"
             " obj: 2 x1 - 0.5 t\n"
@@ -407,11 +416,39 @@ class TestForeignModels:
             "Bounds\n 0 <= t <= 1\n"
             "Binary\n x1\nEnd\n"
         )
-        got = solve(parse_lp(io.StringIO(text)))
-        assert got.status == OPTIMAL
-        assert got.values["x1"] == 1.0
-        assert got.values["t"] == pytest.approx(1.0)
-        assert got.objective == pytest.approx(1.5)
+        with pytest.raises(ValidationError, match="variable t: a continuous variable"):
+            solve(parse_lp(io.StringIO(text)))
+
+    @pytest.mark.parametrize(
+        "change", ["objective", "bounds", "row over theta", "penalty over g", "floor above 1"]
+    )
+    def test_malformed_linearization_rejected(self, change):
+        message = {
+            "objective": "variables theta1, y1: the objective must read",
+            "bounds": "variables theta1, y1: the objective must read",
+            "row over theta": "constraint extra: a row over theta, y or g",
+            "penalty over g": "constraint extra: a row over theta, y or g",
+            "floor above 1": "penalty rows floor theta above",
+        }[change]
+        model = build_model(random_problem(3, n=3), DARS)
+        objective, variables, rows = dict(model.objective), list(model.variables), []
+        if change == "objective":
+            objective["y1"] = 0.5 * objective["y1"]
+        elif change == "bounds":
+            wide = Variable("theta1", CONTINUOUS, 0.0, 2.0)
+            variables = [wide if v.name == "theta1" else v for v in variables]
+        else:
+            coeffs, rhs = {"theta1": 1.0, "x2": 0.5}, 0.5
+            if change == "row over theta":
+                coeffs["x3"] = 1.0
+            elif change == "penalty over g":
+                coeffs = {"theta1": 1.0, "g2": 0.5}
+            else:
+                rhs = 1.2
+            rows.append(LinearConstraint("extra", coeffs, ">=", rhs))
+        bad = LinearModel(variables, "max", objective, model.constraints + tuple(rows))
+        with pytest.raises(ValidationError, match=message):
+            solve(bad)
 
 
 class TestDeterminism:
@@ -429,14 +466,13 @@ class TestDeterminism:
         problem = random_problem(37, n=6)
         model = build_model(problem, DARS)
         direct = solve(model)
-        buf = io.StringIO()
-        from reqsel import export_lp
-
-        export_lp(model, buf)
-        reparsed = solve(parse_lp(io.StringIO(buf.getvalue())))
+        reparsed = solve(reparse(model))
         assert reparsed.status == direct.status
         if direct.status == OPTIMAL:
             assert reparsed.objective == pytest.approx(direct.objective, abs=1e-9)
+            assert reparsed.x == direct.x
+            assert reparsed.theta == pytest.approx(direct.theta, abs=1e-9)
+            assert reparsed.y == pytest.approx(direct.y, abs=1e-9)
             assert set(reparsed.values) == set(direct.values)
             for name, value in direct.values.items():
                 assert reparsed.values[name] == pytest.approx(value, abs=1e-9)
@@ -501,7 +537,7 @@ class TestSearchParity:
         for seed in range(300):
             model, start = random_row_set(seed)
             comp = _Compiled(model)
-            assert comp.kn_row == 0 and comp.binrows[0].by_weight is not None
+            assert comp.kn_row == 0
             search = _Search(comp, SolverLimits())
             f = bytearray(FREE if v == -1 else int(v) for v in start)
             fv = np.frombuffer(f, np.int8)
@@ -566,13 +602,50 @@ class TestSearchParity:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dars_searches_the_x_core(self, seed):
+        # built or read back from an LP file, plain or simplified: the search
+        # sees the x binaries, the PCBK rows and one penalty-floor table
+        def rows(comp):
+            # an LP file lists a row's terms in variable order
+            return [(sorted(zip(r.vars, r.coefs)), r.relation, r.rhs) for r in comp.binrows]
+
         problem = random_problem(seed + 300, n=4 + seed)
-        core = _Compiled(build_model(problem, PCBK))
-        rows = [(r.vars, r.coefs, r.relation, r.rhs) for r in core.binrows]
+        core = rows(_Compiled(build_model(problem, PCBK)))
+        floors = None
         for simplify in (False, True):
-            comp = _Compiled(build_model(problem, DARS, simplify=simplify))
-            assert comp.nbin == problem.n
-            assert [(r.vars, r.coefs, r.relation, r.rhs) for r in comp.binrows] == rows
+            model = build_model(problem, DARS, simplify=simplify)
+            for m in (model, reparse(model)):
+                comp = _Compiled(m)
+                assert comp.nbin == problem.n
+                assert rows(comp) == core
+                floors = floors or (comp.B0, comp.B1)
+                assert np.array_equal(comp.B0, floors[0]) and np.array_equal(comp.B1, floors[1])
+
+    def test_echo_guard_keeps_mutual_requirements(self):
+        # r1 and r2 require each other, so x1 - x2 <= 0 and x2 - x1 <= 0 look
+        # like the echo pair of a g. Both own link rows, so neither is folded
+        # into the other, and each keeps its own theta.
+        reqs = tuple(
+            Requirement(id=f"r{i + 1}", cost=cost, value=value, probability=1.0)
+            for i, (cost, value) in enumerate(((0.0, 0.0), (0.0, 0.0), (2.0, 6.0), (3.0, 5.0)))
+        )
+        influence = np.zeros((4, 4))
+        influence[0, 3] = influence[2, 0] = 0.5
+        influence[1, 2] = 0.3
+        problem = SelectionProblem(
+            reqs,
+            budget=3.0,
+            precedence=PrecedenceGraph(n=4, constraints=(RequiresAll(0, 1), RequiresAll(1, 0))),
+            influence=InfluenceMatrix(pos=influence, neg=np.zeros((4, 4))),
+        )
+        model = build_model(problem, DARS, simplify=True)
+        got = assert_matches_oracle(problem, DARS, simplify=True)
+        assert got.x == (1, 1, 1, 0)
+        assert got.theta == pytest.approx(penalties(influence, got.x), abs=1e-12)
+        parsed = reparse(model)
+        for m in (model, parsed):
+            assert _Compiled(m).nbin == 4
+        reparsed = solve(parsed)
+        assert reparsed.values == pytest.approx(got.values, abs=1e-12)
 
     @pytest.mark.parametrize(
         "n, pdl, seed, nodes",
@@ -582,6 +655,9 @@ class TestSearchParity:
         spec = SyntheticSpec(n=n, vdl=0.05, nvdl=0.2, pdl=pdl, npdl=0.2 if pdl else 0.0, seed=seed)
         problem, _ = generate_synthetic(spec, budget_fraction=0.5)
         for simplify in (False, True):
-            got = solve(build_model(problem, DARS, simplify=simplify))
-            assert got.status == OPTIMAL
-            assert got.stats.nodes == nodes
+            model = build_model(problem, DARS, simplify=simplify)
+            got, reparsed = solve(model), solve(reparse(model))
+            assert got.status == reparsed.status == OPTIMAL
+            assert got.stats.nodes == reparsed.stats.nodes == nodes
+            assert got.x == reparsed.x
+            assert got.objective == pytest.approx(reparsed.objective, abs=1e-9)
