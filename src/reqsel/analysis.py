@@ -143,9 +143,12 @@ def sweep(
     A cell stopped by a solver limit (status FEASIBLE) records its incumbent
     selection and metrics under that status. Infeasible cells, and cells
     stopped before any incumbent (UNKNOWN), are recorded with empty
-    selections and zero metrics; the sweep continues.
+    selections and zero metrics; the sweep continues. The total value must
+    be positive: every percentage metric divides by it.
     """
     total = float(sum(r.value for r in p.requirements))
+    if total == 0.0:
+        raise ValidationError("a price sweep needs a positive total value")
     inf = _normalized_influence(p)
     rows = []
     for percent in percents:
@@ -158,37 +161,23 @@ def sweep(
         for method in methods:
             model = build_model(level, method)
             sol = solve(model, limits)
-            if sol.status in (solver.OPTIMAL, solver.FEASIBLE):
-                ev = evaluate_selection(p.requirements, inf, sol.x)
-                rows.append(
-                    SweepRow(
-                        percent=float(percent),
-                        method=method,
-                        status=sol.status,
-                        av=ev.av,
-                        ev=ev.ev,
-                        ov=ev.ov,
-                        pct_av=100.0 * ev.av / total,
-                        pct_ev=100.0 * ev.ev / total,
-                        pct_ov=100.0 * ev.ov / total,
-                        selection=ev.selection,
-                    )
+            # a cell without an incumbent scores the empty selection: all zero
+            x = sol.x if sol.status in (solver.OPTIMAL, solver.FEASIBLE) else (0,) * p.n
+            ev = evaluate_selection(p.requirements, inf, x)
+            rows.append(
+                SweepRow(
+                    percent=float(percent),
+                    method=method,
+                    status=sol.status,
+                    av=ev.av,
+                    ev=ev.ev,
+                    ov=ev.ov,
+                    pct_av=100.0 * ev.av / total,
+                    pct_ev=100.0 * ev.ev / total,
+                    pct_ov=100.0 * ev.ov / total,
+                    selection=ev.selection,
                 )
-            else:
-                rows.append(
-                    SweepRow(
-                        percent=float(percent),
-                        method=method,
-                        status=sol.status,
-                        av=0.0,
-                        ev=0.0,
-                        ov=0.0,
-                        pct_av=0.0,
-                        pct_ev=0.0,
-                        pct_ov=0.0,
-                        selection=(0,) * p.n,
-                    )
-                )
+            )
     return SweepReport(
         total_value=total, requirement_ids=p.ids, rows=tuple(rows)
     )

@@ -89,7 +89,6 @@ class CausalAnalysis:
 @dataclass(frozen=True)
 class SignificanceConfig:
     z_prime: float = 1.96
-    confidence_label: str = "95%"
 
     def __post_init__(self) -> None:
         if self.z_prime <= 0:

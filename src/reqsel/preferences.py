@@ -211,10 +211,9 @@ def _iter_fixed_width(data: list[tuple[int, list[str]]], width: int):
         yield lineno, record
 
 
-def save_preference_matrix(m: PreferenceMatrix, sink: IO[str], header: bool = True) -> None:
+def save_preference_matrix(m: PreferenceMatrix, sink: IO[str]) -> None:
     writer = csv.writer(sink, lineterminator="\n")
-    if header:
-        writer.writerow(["req_id", *m.user_ids])
+    writer.writerow(["req_id", *m.user_ids])
     for rid, row in zip(m.requirement_ids, m.cells):
         writer.writerow([rid, *row.tolist()])
 

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import IO, Sequence
 
 import numpy as np
@@ -167,33 +168,6 @@ class LinearModel:
                 if name not in declared:
                     raise ValidationError(f"constraint {c.name} references undeclared variable {name!r}")
 
-    def variable(self, name: str) -> Variable:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise ValidationError(f"no variable named {name!r}")
-
-    def to_json_obj(self) -> dict:
-        """Debug dump of variables/objective/constraints."""
-        return {
-            "sense": self.objective_sense,
-            "variables": [
-                {"name": v.name, "kind": v.kind, "lower": v.lower, "upper": v.upper}
-                for v in self.variables
-            ],
-            "objective": dict(sorted(self.objective.items())),
-            "constraints": [
-                {
-                    "name": c.name,
-                    "coeffs": dict(sorted(c.coeffs.items())),
-                    "relation": c.relation,
-                    "rhs": c.rhs,
-                }
-                for c in self.constraints
-            ],
-            "metadata": self.metadata,
-        }
-
 
 def _budget_row(p: SelectionProblem, x_names: Sequence[str]) -> LinearConstraint:
     if p.constraint_mode == BUDGET_COST:
@@ -297,23 +271,19 @@ def build_model(
     variables.extend(Variable(name=name, kind=CONTINUOUS, lower=0.0, upper=1.0) for name in thetas)
     variables.extend(Variable(name=name, kind=CONTINUOUS, lower=0.0, upper=1.0) for name in ys)
 
+    # InfluenceMatrix keeps a zero diagonal, so every nonzero is a pair i != j
     influence = p.influence.influence
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            w = float(influence[i, j])
-            if w == 0.0:
-                continue
-            # theta_i >= (|I| + (1 - 2 x_j) I) / 2, rearranged onto the left
-            rows.append(
-                LinearConstraint(
-                    name=f"penalty_{x_names[i]}_{x_names[j]}",
-                    coeffs={thetas[i]: 1.0, x_names[j]: w},
-                    relation=">=",
-                    rhs=(abs(w) + w) / 2.0,
-                )
+    ii, jj = np.nonzero(influence)
+    for i, j, w in zip(ii.tolist(), jj.tolist(), influence[ii, jj].tolist()):
+        # theta_i >= (|I| + (1 - 2 x_j) I) / 2, rearranged onto the left
+        rows.append(
+            LinearConstraint(
+                name=f"penalty_{x_names[i]}_{x_names[j]}",
+                coeffs={thetas[i]: 1.0, x_names[j]: w},
+                relation=">=",
+                rhs=(abs(w) + w) / 2.0,
             )
+        )
     for i in range(n):
         if not simplify:
             rows.append(
@@ -433,8 +403,11 @@ def export_lp(m: LinearModel, sink: IO[str]) -> None:
     """Write the model in the industry LP file format.
 
     Sections: Maximize/Minimize, Subject To, Bounds (continuous variables),
-    Binary, End. Output round-trips through parse_lp. Terms appear in
-    variable declaration order.
+    Binary, End. Terms appear in variable declaration order, and zero terms
+    are dropped. For a model whose binaries are declared before its
+    continuous variables, as every builder here declares them, parse_lp of
+    the output equals the model up to metadata and zero coefficients, and
+    exporting that parsed model writes the same bytes again.
     """
     pos = {v.name: i for i, v in enumerate(m.variables)}
     first = m.variables[0].name
@@ -511,7 +484,10 @@ def parse_lp(source: IO[str]) -> LinearModel:
     Handles the objective, constraint rows `name: terms rel rhs`, simple
     one- and two-sided bounds (signed numbers, -inf, +inf), and
     Binary/General sections. Variables that appear in rows but in no
-    Bounds/Binary section default to continuous [0, +inf). The model carries
+    Bounds/Binary section default to continuous [0, +inf). Variables are
+    declared in Binary-section order, then Bounds-section order, then any
+    other name by first appearance (objective first, then rows), which is
+    the order export_lp wrote them in. The model carries
     no metadata beyond {"kind": "PARSED"}: the solver reads the roles of a
     DARS model's variables off the row shapes, so a parsed DARS file is
     searched like the model it was written from.
@@ -539,11 +515,7 @@ def parse_lp(source: IO[str]) -> LinearModel:
         if not line:
             continue
         lowered = line.lower()
-        matched_section = None
-        for keyword, target in _SECTION_STARTS.items():
-            if lowered == keyword:
-                matched_section = target
-                break
+        matched_section = _SECTION_STARTS.get(lowered)
         if matched_section is not None:
             section = matched_section
             if lowered in ("minimize", "min"):
@@ -593,9 +565,6 @@ def parse_lp(source: IO[str]) -> LinearModel:
     objective = _parse_terms(objective_tokens, "objective")
 
     constraints: list[LinearConstraint] = []
-    seen_vars: dict[str, None] = {}
-    for name in objective:
-        seen_vars.setdefault(name)
     for row_name, tokens in constraint_lines:
         relation = None
         split_at = None
@@ -611,19 +580,14 @@ def parse_lp(source: IO[str]) -> LinearModel:
             rhs = float(tokens[-1])
         except ValueError as exc:
             raise InputFormatError(f"constraint {row_name}: bad right-hand side") from exc
-        for var in coeffs:
-            seen_vars.setdefault(var)
         constraints.append(
             LinearConstraint(name=row_name, coeffs=coeffs, relation=relation, rhs=rhs)
         )
 
     binary_set = set(binaries)
-    for name in binaries:
-        seen_vars.setdefault(name)
-    for name in bounds:
-        seen_vars.setdefault(name)
+    declared = chain(binaries, bounds, objective, chain.from_iterable(c.coeffs for c in constraints))
     variables = []
-    for name in seen_vars:
+    for name in dict.fromkeys(declared):
         if name in binary_set:
             variables.append(Variable(name=name, kind=BINARY))
         else:

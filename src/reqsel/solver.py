@@ -661,7 +661,7 @@ def solve(m: LinearModel, limits: SolverLimits | None = None) -> Solution:
     return Solution(status, objective, values, x, theta, y, not search.hit_limit, stats)
 
 
-def verify_solution(m: LinearModel, s: Solution, feas_eps: float = FEAS_EPS) -> VerificationReport:
+def verify_solution(m: LinearModel, s: Solution) -> VerificationReport:
     """Re-evaluate every row, the bounds and the objective of a solution."""
     if not s.values:
         note = () if s.status in (INFEASIBLE, UNKNOWN) else ("no assignment to verify",)
@@ -679,7 +679,7 @@ def verify_solution(m: LinearModel, s: Solution, feas_eps: float = FEAS_EPS) -> 
         over = max(v.lower - value, value - v.upper, 0.0)
         if v.kind == BINARY:
             over = max(over, abs(value - round(value)))
-        if over > feas_eps:
+        if over > FEAS_EPS:
             violations.append(f"variable {v.name}: bound violation {over:.3g}")
         worst = max(worst, over)
     for c in m.constraints:
@@ -691,7 +691,7 @@ def verify_solution(m: LinearModel, s: Solution, feas_eps: float = FEAS_EPS) -> 
         else:
             over = abs(act - c.rhs)
         over = max(over, 0.0)
-        if over > feas_eps:
+        if over > FEAS_EPS:
             violations.append(f"constraint {c.name}: violated by {over:.3g}")
         worst = max(worst, over)
     recomputed = sum(coef * vals.get(nm, 0.0) for nm, coef in m.objective.items())

@@ -158,7 +158,14 @@ class TestSweep:
         assert zero.status == INFEASIBLE
         assert zero.selection == (0, 0, 0)
         assert zero.av == zero.ev == zero.ov == 0.0
+        assert (zero.pct_av, zero.pct_ev, zero.pct_ov) == (0.0, 0.0, 0.0)
         assert full.status == OPTIMAL
+
+    def test_zero_total_value_rejected(self):
+        # every percentage metric divides by the total value
+        reqs = tuple(Requirement(id=f"r{i}", cost=1.0, value=0.0, probability=0.5) for i in range(2))
+        with pytest.raises(ValidationError, match="positive total value"):
+            sweep(SelectionProblem(requirements=reqs, budget=1.0), (50.0,), (PCBK,))
 
     def test_limit_hit_cells_keep_the_incumbent(self):
         problem, _ = generate_synthetic(SyntheticSpec(n=12, vdl=0.2, nvdl=0.3, seed=4))

@@ -153,7 +153,7 @@ class TestSignificance:
         analysis = compute_eells(WOOLF_FIXTURE)
         _, _, at_95 = significance_test(analysis, 0, 1, SignificanceConfig())
         _, _, at_wide = significance_test(
-            analysis, 0, 1, SignificanceConfig(z_prime=10.0, confidence_label="wide")
+            analysis, 0, 1, SignificanceConfig(z_prime=10.0)
         )
         assert at_95
         assert not at_wide

@@ -68,6 +68,40 @@ def two_way_influence(w01=0.7, w10=-0.3):
     return InfluenceMatrix(pos=np.clip(net, 0, None), neg=np.clip(-net, 0, None))
 
 
+def zeroed_problem(seed, mode):
+    """Random instance in which two requirements have zero value and two
+    others zero cost, with every precedence kind and signed influences."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 10))
+    costs = np.round(rng.uniform(0.0, 5.0, n), 2)
+    values = np.round(rng.uniform(0.0, 10.0, n), 2)
+    picked = rng.permutation(n)
+    values[picked[:2]] = 0.0
+    costs[picked[2:4]] = 0.0
+    idx = rng.permutation(n)
+    precedence = PrecedenceGraph(
+        n=n,
+        constraints=(
+            RequiresAll(int(idx[0]), int(idx[1])),
+            RequiresAny(int(idx[2]), (int(idx[0]), int(idx[3]))),
+            Conflicts(int(idx[1]), int(idx[2])),
+            ExactlyOne(tuple(int(m) for m in idx[1:4])),
+        ),
+    )
+    net = np.round(rng.uniform(-1.0, 1.0, (n, n)), 2) * (rng.random((n, n)) < 0.4)
+    np.fill_diagonal(net, 0.0)
+    return make_problem(
+        n,
+        costs=costs.tolist(),
+        values=values.tolist(),
+        probs=np.round(rng.uniform(0.05, 1.0, n), 2).tolist(),
+        budget=float(np.round(rng.uniform(0.2, 0.9) * (costs if mode == BUDGET_COST else values).sum(), 2)),
+        mode=mode,
+        precedence=precedence,
+        influence=InfluenceMatrix(pos=np.clip(net, 0, None), neg=np.clip(-net, 0, None)),
+    )
+
+
 class TestSelectionProblem:
     def test_defaults(self):
         p = make_problem(3)
@@ -252,7 +286,7 @@ class TestIncreaseDecrease:
         subsets = (SubsetEstimate(members=(0, 1), estimated_value=11.0),)
         direct = build_increase_decrease(p, subsets)
         routed = build_model(p, INCREASE_DECREASE, subsets=subsets)
-        assert routed.to_json_obj() == direct.to_json_obj()
+        assert routed == direct
 
     def test_subset_validation(self):
         with pytest.raises(ValidationError):
@@ -347,7 +381,32 @@ class TestLpFormat:
         twice = parse_lp(io.StringIO(buf2.getvalue()))
         buf3 = io.StringIO()
         export_lp(twice, buf3)
-        assert buf2.getvalue() == buf3.getvalue()
+        assert buf2.getvalue() == buf1.getvalue()
+        assert buf3.getvalue() == buf2.getvalue()
+
+    @pytest.mark.parametrize("mode", (BUDGET_COST, PRICE_VALUE))
+    @pytest.mark.parametrize(
+        "method, simplify",
+        [(BK, False), (PCBK, False), (SBK, False), (DARS, False), (DARS, True), (INCREASE_DECREASE, False)],
+        ids=["bk", "pcbk", "sbk", "dars", "dars-simplified", "increase-decrease"],
+    )
+    def test_parse_inverts_export(self, method, simplify, mode):
+        for seed in range(20):
+            p = zeroed_problem(seed, mode)
+            subsets = (
+                SubsetEstimate(members=(0, 1), estimated_value=3.5),
+                SubsetEstimate(members=(1, 2, 3), estimated_value=float(seed % 3)),
+            )
+            m = build_model(p, method, subsets=subsets, simplify=simplify)
+            buf = io.StringIO()
+            export_lp(m, buf)
+            parsed = parse_lp(io.StringIO(buf.getvalue()))
+            again = io.StringIO()
+            export_lp(parsed, again)
+            assert again.getvalue() == buf.getvalue(), f"seed {seed}"
+            assert [(v.name, v.kind, v.lower, v.upper) for v in parsed.variables] == [
+                (v.name, v.kind, v.lower, v.upper) for v in m.variables
+            ], f"seed {seed}"
 
     def test_zero_objective_emits_placeholder_term(self):
         x = Variable(name="x1", kind=BINARY)
@@ -404,7 +463,7 @@ class TestLpFormat:
             "Bounds\n t <= 3\n t >= 1\nBinary\n x1\nEnd\n"
         )
         m = parse_lp(io.StringIO(text))
-        t = m.variable("t")
+        (t,) = [v for v in m.variables if v.name == "t"]
         assert (t.lower, t.upper) == (1.0, 3.0)
 
     def test_infinite_bounds_round_trip(self):

@@ -107,6 +107,16 @@ def random_problem(seed, n=None, mode=None, with_precedence=True):
     )
 
 
+def with_zero_value_and_cost(problem):
+    """The problem with r1 and r2 worth nothing and r3 and r4 free."""
+    reqs = list(problem.requirements)
+    for i in (0, 1):
+        reqs[i] = dataclasses.replace(reqs[i], value=0.0)
+    for i in (2, 3):
+        reqs[i] = dataclasses.replace(reqs[i], cost=0.0)
+    return dataclasses.replace(problem, requirements=tuple(reqs))
+
+
 def reparse(model):
     buf = io.StringIO()
     export_lp(model, buf)
@@ -463,19 +473,22 @@ class TestDeterminism:
         assert a.stats.nodes == b.stats.nodes
 
     def test_round_trip_through_lp_preserves_answer(self):
-        problem = random_problem(37, n=6)
-        model = build_model(problem, DARS)
-        direct = solve(model)
-        reparsed = solve(reparse(model))
-        assert reparsed.status == direct.status
-        if direct.status == OPTIMAL:
-            assert reparsed.objective == pytest.approx(direct.objective, abs=1e-9)
-            assert reparsed.x == direct.x
-            assert reparsed.theta == pytest.approx(direct.theta, abs=1e-9)
-            assert reparsed.y == pytest.approx(direct.y, abs=1e-9)
-            assert set(reparsed.values) == set(direct.values)
-            for name, value in direct.values.items():
-                assert reparsed.values[name] == pytest.approx(value, abs=1e-9)
+        # zero terms are not written, so the zeroed requirements appear in
+        # fewer rows of the parsed model than of the built one
+        for problem in (random_problem(37, n=6), with_zero_value_and_cost(random_problem(41, n=7))):
+            model = build_model(problem, DARS)
+            direct = solve(model)
+            reparsed = solve(reparse(model))
+            assert reparsed.status == direct.status
+            assert reparsed.stats.nodes == direct.stats.nodes
+            if direct.status == OPTIMAL:
+                assert reparsed.objective == pytest.approx(direct.objective, abs=1e-9)
+                assert reparsed.x == direct.x
+                assert reparsed.theta == pytest.approx(direct.theta, abs=1e-9)
+                assert reparsed.y == pytest.approx(direct.y, abs=1e-9)
+                assert set(reparsed.values) == set(direct.values)
+                for name, value in direct.values.items():
+                    assert reparsed.values[name] == pytest.approx(value, abs=1e-9)
 
 
 class TestObjectiveIdentity:
