@@ -8,7 +8,12 @@ carry a provenance line (tool version, subcommand, config hash): a leading
 JSON documents. Wall-clock timings go to stderr only.
 
 Exit status: 0 on success, 1 when the model is infeasible, 2 on input
-errors (unknown flags, missing files, schema violations).
+errors (unknown flags, missing files, schema violations), 3 when a node or
+time limit stopped a solve before it proved its answer.
+
+`select` and `sweep` bound every solve by `--node-limit` and `--time-limit`;
+a limit-stopped solve keeps its incumbent and reports status FEASIBLE (or
+UNKNOWN without one) with `proven: false`.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from . import __version__
 from .analysis import SyntheticSpec, benchmark, generate_synthetic, sweep
 from .casestudy import case_study_precedence, case_study_requirements
 from .dependency_graph import (
+    InfluenceMatrix,
     load_constraints,
     load_influence_matrix,
     load_vdg,
@@ -64,10 +70,16 @@ from .selection_models import (
     build_model,
     export_lp,
 )
-from .solver import INFEASIBLE, OPTIMAL, solution_report, solve
+from .solver import INFEASIBLE, OPTIMAL, SolverLimits, solution_report, solve
 from .valuation import load_requirements, save_requirements
 
 _METHOD_CHOICES = ("bk", "pcbk", "sbk", "dars")
+# the deterministic node limit binds first on ordinary hardware (20-30k
+# nodes/s on price-mode BK), so a limit-stopped run keeps byte-identical
+# outputs; the time limit is a backstop for slow nodes
+DEFAULT_NODE_LIMIT = 1_000_000
+DEFAULT_TIME_LIMIT = 600.0
+EXIT_LIMIT = 3
 
 
 def _config_hash(ns: argparse.Namespace) -> str:
@@ -172,7 +184,8 @@ def _load_instance(ns: argparse.Namespace, need_budget: bool) -> SelectionProble
     else:
         raise InputFormatError("an instance needs --dataset casestudy or --requirements FILE")
 
-    influence = None
+    # neither --vdg nor --influence: no dependencies, as `sweep` assumes
+    influence = InfluenceMatrix.zeros(len(reqs))
     req_ids = tuple(r.id for r in reqs)
     if getattr(ns, "vdg", None) is not None and getattr(ns, "influence", None) is not None:
         raise InputFormatError("give either --vdg or --influence, not both")
@@ -297,17 +310,30 @@ def _cmd_influence(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _solver_limits(ns: argparse.Namespace) -> SolverLimits:
+    nodes = getattr(ns, "node_limit", DEFAULT_NODE_LIMIT)
+    seconds = getattr(ns, "time_limit", DEFAULT_TIME_LIMIT)
+    if nodes < 1:
+        raise InputFormatError(f"--node-limit must be at least 1, got {nodes}")
+    if not seconds > 0.0:
+        raise InputFormatError(f"--time-limit must be positive, got {seconds}")
+    return SolverLimits(max_nodes=nodes, max_seconds=seconds)
+
+
 def _cmd_select(ns: argparse.Namespace) -> int:
     problem = _load_instance(ns, need_budget=True)
     _warn_bk(ns, problem)
+    limits = _solver_limits(ns)
     model = build_model(problem, ns.method.upper())
     t0 = time.perf_counter()
-    solution = solve(model)
+    solution = solve(model, limits)
     print(f"solved in {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     report = solution_report(model, solution)
     report["_provenance"] = _provenance_obj(ns)
     _write_json(Path(ns.out) / "solution.json", report)
-    return 0 if solution.status == OPTIMAL else 1
+    if solution.status == OPTIMAL:
+        return 0
+    return 1 if solution.status == INFEASIBLE else EXIT_LIMIT
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
@@ -319,8 +345,9 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
         if name not in _METHOD_CHOICES:
             raise InputFormatError(f"unknown method {raw!r}")
         methods.append(name.upper())
+    limits = _solver_limits(ns)
     t0 = time.perf_counter()
-    report = sweep(problem, levels, methods)
+    report = sweep(problem, levels, methods, limits)
     print(
         f"{len(levels) * len(methods)} solves in {time.perf_counter() - t0:.3f}s",
         file=sys.stderr,
@@ -341,6 +368,8 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
         _write(out / "sweep_long.csv", buf.getvalue())
     if all(row.status == INFEASIBLE for row in report.rows):
         return 1
+    if any(row.status not in (OPTIMAL, INFEASIBLE) for row in report.rows):
+        return EXIT_LIMIT
     return 0
 
 
@@ -445,6 +474,19 @@ def _add_instance_flags(sub: argparse.ArgumentParser, budget_flags: bool) -> Non
         sub.add_argument("--percent", type=float, default=None, help="price level as percent of total value")
 
 
+def _add_limit_flags(sub: argparse.ArgumentParser) -> None:
+    # SUPPRESS keeps a limit left at its default out of the namespace, and so
+    # out of the config hash: only an explicit limit changes the stamp
+    sub.add_argument(
+        "--node-limit", type=int, default=argparse.SUPPRESS, metavar="N",
+        help=f"branch-and-bound nodes per solve (default {DEFAULT_NODE_LIMIT})",
+    )
+    sub.add_argument(
+        "--time-limit", type=float, default=argparse.SUPPRESS, metavar="SECONDS",
+        help=f"seconds per solve (default {DEFAULT_TIME_LIMIT:g})",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reqsel",
@@ -475,6 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("select", help="solve one selection instance")
     _add_instance_flags(p, budget_flags=True)
     p.add_argument("--method", choices=_METHOD_CHOICES, required=True)
+    _add_limit_flags(p)
     p.add_argument("--out", default=".", metavar="DIR")
     p.set_defaults(func=_cmd_select)
 
@@ -483,6 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--percents", default="1-100", help="levels, e.g. 1-100 or 25,50,75")
     p.add_argument("--methods", default="pcbk,sbk,dars", help="comma list of methods")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
+    _add_limit_flags(p)
     p.add_argument("--out", default=".", metavar="DIR")
     p.set_defaults(func=_cmd_sweep)
 

@@ -238,13 +238,36 @@ def propagate_strengths(g: ValueDependencyGraph) -> InfluenceMatrix:
     node, O(4 n^3) in all against O(8 n^3) for the expanded closure. Max and
     min only select values, so the result does not depend on pivot order and
     equals the expanded closure bit for bit.
+
+    The closure runs on strength ranks, not on the strengths: with the U
+    distinct edge strengths sorted into `levels[1..U]` and `levels[0] = 0.0`
+    for "no path", each block entry holds an index into `levels`. That map
+    is strictly increasing and sends 0 to 0.0, so it commutes with max and
+    min, and `levels[closure of ranks]` is the float64 closure bit for bit.
+    The blocks take the smallest unsigned dtype that holds U (uint8 up to
+    255 distinct strengths, uint16 up to 65,535, else uint32), which cuts
+    the bytes each pass streams by 8x, 4x or 2x against float64.
+    """
+    levels, a, b = _rank_closure(g)
+    return InfluenceMatrix(pos=levels[a], neg=levels[b])
+
+
+def _rank_closure(g: ValueDependencyGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`levels` and the closed rank blocks A and B of propagate_strengths.
+
+    A function of its own so that the pass buffer and the ranking arrays are
+    freed before the caller builds the float64 matrices.
     """
     n = g.n
-    a = np.zeros((n, n))
-    b = np.zeros((n, n))
-    for (i, j), (rho, q) in g.edges.items():
-        (a if q == POSITIVE else b)[i, j] = rho
-    tmp = np.empty((n, n))
+    strengths = np.fromiter((rho for rho, _ in g.edges.values()), np.float64, len(g.edges))
+    distinct, rank = np.unique(strengths, return_inverse=True)
+    levels = np.concatenate(([0.0], distinct))
+    dtype = np.min_scalar_type(len(distinct))
+    a = np.zeros((n, n), dtype=dtype)
+    b = np.zeros((n, n), dtype=dtype)
+    for ((i, j), (_, q)), r in zip(g.edges.items(), (rank + 1).tolist()):
+        (a if q == POSITIVE else b)[i, j] = r
+    tmp = np.empty((n, n), dtype=dtype)
 
     def relax(block: np.ndarray, col: np.ndarray, row: np.ndarray) -> None:
         np.minimum(col[:, None], row[None, :], out=tmp)
@@ -263,9 +286,9 @@ def propagate_strengths(g: ValueDependencyGraph) -> InfluenceMatrix:
         minus_right = np.maximum(a_row, np.minimum(bkk, b_row))
         relax(a, minus_col, minus_left)
         relax(b, minus_col, minus_right)
-    np.fill_diagonal(a, 0.0)
-    np.fill_diagonal(b, 0.0)
-    return InfluenceMatrix(pos=a, neg=b)
+    np.fill_diagonal(a, 0)
+    np.fill_diagonal(b, 0)
+    return levels, a, b
 
 
 def vdl_nvdl(g: ValueDependencyGraph) -> tuple[float, float | None]:

@@ -133,13 +133,12 @@ class TestExitCodes:
         assert rc == 2
         assert "--dataset casestudy or --requirements" in capsys.readouterr().err
 
-    def test_dars_without_influence_exits_two(self, tmp_path, capsys):
-        rc = cli.run(
-            ["select", "--dataset", "casestudy", "--percent", "50",
-             "--method", "dars", "--out", str(tmp_path)]
-        )
-        assert rc == 2
-        assert "influence" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag, value", [("--node-limit", "0"), ("--time-limit", "-1")])
+    def test_nonpositive_limit_exits_two(self, tmp_path, capsys, flag, value):
+        for command in (["select", "--percent", "50", "--method", "sbk"], ["sweep", "--percents", "50"]):
+            rc = cli.run([*command, "--dataset", "casestudy", flag, value, "--out", str(tmp_path)])
+            assert rc == 2
+            assert flag in capsys.readouterr().err
 
     def test_bad_cuts_exit_two(self, tmp_path):
         prefs = write_prefs(tmp_path / "prefs.csv")
@@ -297,6 +296,44 @@ class TestSelect:
         assert "r19" not in report["selected"]
         assert "r20" not in report["selected"]
 
+    def test_readme_casestudy_dars_matches_sweep(self, tmp_path):
+        # without --vdg or --influence DARS runs on a zero influence matrix,
+        # the instance `sweep --dataset casestudy` solves
+        rc = cli.run(
+            ["select", "--dataset", "casestudy", "--percent", "50",
+             "--method", "dars", "--out", str(tmp_path / "sel")]
+        )
+        assert rc == 0
+        report = json.loads((tmp_path / "sel" / "solution.json").read_text())
+        assert report["status"] == "OPTIMAL"
+        rc = cli.run(
+            ["sweep", "--dataset", "casestudy", "--percents", "50", "--methods", "dars",
+             "--format", "json", "--out", str(tmp_path / "sw")]
+        )
+        assert rc == 0
+        obj = json.loads((tmp_path / "sw" / "sweep.json").read_text())
+        (row,) = obj["rows"]
+        ids = obj["requirement_ids"]
+        assert report["selected"] == [ids[i] for i, bit in enumerate(row["selection"]) if bit]
+
+    def test_node_limit_exits_three_with_incumbent(self, tmp_path):
+        # a BK price instance that runs far past 1,000 nodes before it proves
+        sim = tmp_path / "sim"
+        assert cli.run(
+            ["simulate", "--n", "24", "--vdl", "0.1", "--nvdl", "0.3", "--pdl", "0.05",
+             "--npdl", "0.2", "--seed", "3", "--out", str(sim)]
+        ) == 0
+        rc = cli.run(
+            ["select", "--requirements", str(sim / "requirements.csv"), "--method", "bk",
+             "--percent", "50", "--node-limit", "1000", "--out", str(tmp_path / "sel")]
+        )
+        assert rc == 3
+        report = json.loads((tmp_path / "sel" / "solution.json").read_text())
+        assert report["status"] == "FEASIBLE"
+        assert report["proven"] is False
+        assert report["selected"]
+        assert report["objective"] <= report["stats"]["root_bound"]
+
     def test_bk_warns_when_precedence_present(self, tmp_path, capsys):
         rc = cli.run(
             ["select", "--dataset", "casestudy", "--percent", "50",
@@ -348,6 +385,14 @@ class TestSweep:
              "--out", str(tmp_path)]
         )
         assert rc == 1
+
+    def test_node_limit_exits_three_unless_all_infeasible(self, tmp_path):
+        # one node proves the empty budget infeasible but cannot close 50%
+        base = ["sweep", "--dataset", "casestudy", "--methods", "pcbk", "--node-limit", "1"]
+        assert cli.run([*base, "--percents", "0,50", "--out", str(tmp_path / "a")]) == 3
+        rows = (tmp_path / "a" / "sweep.csv").read_text().splitlines()[2:]
+        assert [r.split(",")[2] for r in rows] == ["INFEASIBLE", "FEASIBLE"]
+        assert cli.run([*base, "--percents", "0", "--out", str(tmp_path / "b")]) == 1
 
     def test_unknown_method_exits_two(self, tmp_path, capsys):
         rc = cli.run(
@@ -489,6 +534,14 @@ class TestProvenance:
         stamp_b = (tmp_path / "b" / "vdg.csv").read_text().splitlines()[0]
         assert stamp_a != stamp_b
         assert stamp_a.split("config=")[0] == stamp_b.split("config=")[0]
+
+    def test_only_an_explicit_limit_enters_the_stamp(self):
+        parser = cli.build_parser()
+        base = ["select", "--dataset", "casestudy", "--percent", "50", "--method", "sbk"]
+        default = parser.parse_args(base)
+        explicit = parser.parse_args([*base, "--node-limit", str(cli.DEFAULT_NODE_LIMIT)])
+        assert "node_limit" not in vars(default) and "time_limit" not in vars(default)
+        assert cli._config_hash(default) != cli._config_hash(explicit)
 
     def test_every_json_carries_provenance(self, tmp_path):
         cli.run(

@@ -59,6 +59,20 @@ def random_graph(n, density, negative_share, seed):
     return ValueDependencyGraph(n=n, edges=edges)
 
 
+def assert_closure_exact(g):
+    """propagate_strengths equals the expanded closure bit for bit, as float64
+    holding only 0.0 and the graph's own edge strengths."""
+    inf = propagate_strengths(g)
+    pos, neg = expanded_closure(g)
+    assert np.array_equal(inf.pos, pos)
+    assert np.array_equal(inf.neg, neg)
+    strengths = {0.0} | {rho for rho, _ in g.edges.values()}
+    for block in (inf.pos, inf.neg):
+        assert block.dtype == np.float64
+        assert set(np.unique(block).tolist()) <= strengths
+    return inf
+
+
 class TestQualityAlgebra:
     def test_serial_composition(self):
         assert combine_quality(POSITIVE, POSITIVE) == POSITIVE
@@ -242,6 +256,32 @@ class TestPropagation:
         pos, neg = expanded_closure(g)
         assert np.array_equal(inf.pos, pos)
         assert np.array_equal(inf.neg, neg)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_tied_strengths_match_expanded_closure(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        edges = {}
+        for i in range(n):
+            for j in range(n):
+                if i != j and rng.random() < 0.3:
+                    quality = NEGATIVE if rng.random() < 0.4 else POSITIVE
+                    edges[(i, j)] = (float(rng.choice([0.25, 0.5, 1.0])), quality)
+        assert_closure_exact(ValueDependencyGraph(n=n, edges=edges))
+
+    @pytest.mark.parametrize(
+        "n, density, rank_dtype", [(40, 0.5, np.uint16), (300, 0.9, np.uint32)]
+    )
+    def test_many_distinct_strengths_match_expanded_closure(self, n, density, rank_dtype):
+        # past 255 distinct strengths the ranks need uint16, past 65,535 uint32
+        g = random_graph(n, density, 0.3, n)
+        assert np.min_scalar_type(len({rho for rho, _ in g.edges.values()})) == rank_dtype
+        assert_closure_exact(g)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_edgeless_graph_closes_to_zero(self, n):
+        inf = assert_closure_exact(ValueDependencyGraph(n=n, edges={}))
+        assert not inf.pos.any() and not inf.neg.any()
 
     def test_brute_force_guards(self):
         with pytest.raises(ValidationError):
