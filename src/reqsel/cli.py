@@ -25,7 +25,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .analysis import SyntheticSpec, benchmark, generate_synthetic, sweep
@@ -111,8 +111,12 @@ def _write_json(path: Path, obj: dict) -> None:
     _write(path, json.dumps(obj, indent=2, sort_keys=False) + "\n")
 
 
-def _read_text_lines(path: str):
-    return Path(path).open("r", encoding="utf-8")
+def _write_csv(ns: argparse.Namespace, path: Path, save: Callable[[io.StringIO], object]) -> None:
+    """Write what `save` puts into a buffer, after the provenance line."""
+    buf = io.StringIO()
+    buf.write(_provenance_comment(ns))
+    save(buf)
+    _write(path, buf.getvalue())
 
 
 def _parse_percents(text: str) -> list[float]:
@@ -150,18 +154,12 @@ def _parse_pair(text: str, flag: str) -> tuple[float, float]:
         raise InputFormatError(f"{flag}: bad number in {text!r}") from exc
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, kind: type = float) -> list:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        return [kind(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
-        raise InputFormatError(f"{flag}: bad number in {text!r}") from exc
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise InputFormatError(f"{flag}: bad integer in {text!r}") from exc
+        what = "integer" if kind is int else "number"
+        raise InputFormatError(f"{flag}: bad {what} in {text!r}") from exc
 
 
 def _load_instance(ns: argparse.Namespace, need_budget: bool) -> SelectionProblem:
@@ -175,11 +173,11 @@ def _load_instance(ns: argparse.Namespace, need_budget: bool) -> SelectionProble
         reqs = case_study_requirements()
         precedence = case_study_precedence()
     elif ns.requirements is not None:
-        with _read_text_lines(ns.requirements) as fh:
+        with open(ns.requirements, encoding="utf-8") as fh:
             reqs = load_requirements(fh)
         precedence = None
         if ns.constraints is not None:
-            with _read_text_lines(ns.constraints) as fh:
+            with open(ns.constraints, encoding="utf-8") as fh:
                 precedence = load_constraints(fh, [r.id for r in reqs])
     else:
         raise InputFormatError("an instance needs --dataset casestudy or --requirements FILE")
@@ -187,14 +185,14 @@ def _load_instance(ns: argparse.Namespace, need_budget: bool) -> SelectionProble
     # neither --vdg nor --influence: no dependencies, as `sweep` assumes
     influence = InfluenceMatrix.zeros(len(reqs))
     req_ids = tuple(r.id for r in reqs)
-    if getattr(ns, "vdg", None) is not None and getattr(ns, "influence", None) is not None:
+    if ns.vdg is not None and ns.influence is not None:
         raise InputFormatError("give either --vdg or --influence, not both")
-    if getattr(ns, "vdg", None) is not None:
-        with _read_text_lines(ns.vdg) as fh:
+    if ns.vdg is not None:
+        with open(ns.vdg, encoding="utf-8") as fh:
             graph, _ = load_vdg(fh, ids=req_ids)
         influence = propagate_strengths(graph)
-    elif getattr(ns, "influence", None) is not None:
-        with _read_text_lines(ns.influence) as fh:
+    elif ns.influence is not None:
+        with open(ns.influence, encoding="utf-8") as fh:
             influence, names = load_influence_matrix(fh)
         if names != req_ids:
             raise InputFormatError(
@@ -236,40 +234,36 @@ def _warn_bk(ns: argparse.Namespace, p: SelectionProblem) -> None:
 
 
 def _cmd_identify(ns: argparse.Namespace) -> int:
-    with _read_text_lines(ns.preferences) as fh:
+    with open(ns.preferences, encoding="utf-8") as fh:
         prefs = load_preference_matrix(fh)
     analysis = compute_eells(prefs)
     sig = SignificanceConfig(z_prime=ns.z)
     a, b = _parse_pair(ns.cuts, "--cuts")
     mem = MembershipConfig(lower_cut=a, upper_cut=b)
     vdg = build_vdg(analysis, sig, mem)
+    ids = prefs.requirement_ids
+
+    def save_report(fh: io.StringIO) -> None:
+        fh.write("from,to,eta,odds_ratio,ci_lower,ci_upper,significant\n")
+        for i in range(analysis.n):
+            for j in range(analysis.n):
+                if i == j:
+                    continue
+                omega = odds_ratio(analysis, i, j)
+                lower, upper, significant = significance_test(analysis, i, j, sig)
+                fh.write(
+                    f"{ids[i]},{ids[j]},{float(analysis.eells[i, j])!r},{float(omega)!r},"
+                    f"{float(lower)!r},{float(upper)!r},{int(significant)}\n"
+                )
 
     out = Path(ns.out)
-    buf = io.StringIO()
-    buf.write(_provenance_comment(ns))
-    save_vdg(vdg, buf, ids=prefs.requirement_ids)
-    _write(out / "vdg.csv", buf.getvalue())
-
-    buf = io.StringIO()
-    buf.write(_provenance_comment(ns))
-    buf.write("from,to,eta,odds_ratio,ci_lower,ci_upper,significant\n")
-    ids = prefs.requirement_ids
-    for i in range(analysis.n):
-        for j in range(analysis.n):
-            if i == j:
-                continue
-            omega = odds_ratio(analysis, i, j)
-            lower, upper, significant = significance_test(analysis, i, j, sig)
-            buf.write(
-                f"{ids[i]},{ids[j]},{float(analysis.eells[i, j])!r},{float(omega)!r},"
-                f"{float(lower)!r},{float(upper)!r},{int(significant)}\n"
-            )
-    _write(out / "eells_report.csv", buf.getvalue())
+    _write_csv(ns, out / "vdg.csv", lambda fh: save_vdg(vdg, fh, ids=ids))
+    _write_csv(ns, out / "eells_report.csv", save_report)
     return 0
 
 
 def _cmd_resample(ns: argparse.Namespace) -> int:
-    with _read_text_lines(ns.preferences) as fh:
+    with open(ns.preferences, encoding="utf-8") as fh:
         prefs = load_preference_matrix(fh)
     stats = binary_stats(prefs)
     model = fit_dichotomized_gaussian(stats)
@@ -279,10 +273,7 @@ def _cmd_resample(ns: argparse.Namespace) -> int:
     report = resampling_report(stats, binary_stats(samples))
 
     out = Path(ns.out)
-    buf = io.StringIO()
-    buf.write(_provenance_comment(ns))
-    save_preference_matrix(samples, buf)
-    _write(out / "samples.csv", buf.getvalue())
+    _write_csv(ns, out / "samples.csv", lambda fh: save_preference_matrix(samples, fh))
     _write_json(
         out / "resample.json",
         {
@@ -300,13 +291,11 @@ def _cmd_resample(ns: argparse.Namespace) -> int:
 
 
 def _cmd_influence(ns: argparse.Namespace) -> int:
-    with _read_text_lines(ns.vdg) as fh:
+    with open(ns.vdg, encoding="utf-8") as fh:
         graph, names = load_vdg(fh)
     influence = propagate_strengths(graph)
-    buf = io.StringIO()
-    buf.write(_provenance_comment(ns))
-    save_influence_matrix(influence, buf, ids=names)
-    _write(Path(ns.out) / "influence.csv", buf.getvalue())
+    out = Path(ns.out)
+    _write_csv(ns, out / "influence.csv", lambda fh: save_influence_matrix(influence, fh, ids=names))
     return 0
 
 
@@ -358,14 +347,8 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
         obj["_provenance"] = _provenance_obj(ns)
         _write_json(out / "sweep.json", obj)
     else:
-        buf = io.StringIO()
-        buf.write(_provenance_comment(ns))
-        report.to_csv(buf)
-        _write(out / "sweep.csv", buf.getvalue())
-        buf = io.StringIO()
-        buf.write(_provenance_comment(ns))
-        report.to_long_csv(buf)
-        _write(out / "sweep_long.csv", buf.getvalue())
+        _write_csv(ns, out / "sweep.csv", report.to_csv)
+        _write_csv(ns, out / "sweep_long.csv", report.to_long_csv)
     if all(row.status == INFEASIBLE for row in report.rows):
         return 1
     if any(row.status not in (OPTIMAL, INFEASIBLE) for row in report.rows):
@@ -389,15 +372,8 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     ids = [r.id for r in problem.requirements]
     out = Path(ns.out)
 
-    buf = io.StringIO()
-    buf.write(_provenance_comment(ns))
-    save_requirements(problem.requirements, buf)
-    _write(out / "requirements.csv", buf.getvalue())
-
-    buf = io.StringIO()
-    buf.write(_provenance_comment(ns))
-    save_vdg(vdg, buf, ids=ids)
-    _write(out / "vdg.csv", buf.getvalue())
+    _write_csv(ns, out / "requirements.csv", lambda fh: save_requirements(problem.requirements, fh))
+    _write_csv(ns, out / "vdg.csv", lambda fh: save_vdg(vdg, fh, ids=ids))
 
     buf = io.StringIO()
     save_constraints(problem.precedence, buf, ids)
@@ -406,10 +382,8 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
         {"_provenance": _provenance_obj(ns), "records": json.loads(buf.getvalue())},
     )
 
-    buf = io.StringIO()
-    buf.write(_provenance_comment(ns))
-    save_influence_matrix(problem.influence, buf, ids=ids)
-    _write(out / "influence.csv", buf.getvalue())
+    influence = problem.influence
+    _write_csv(ns, out / "influence.csv", lambda fh: save_influence_matrix(influence, fh, ids=ids))
 
     vdl, nvdl = vdl_nvdl(vdg)
     pdl, npdl = pdl_npdl(problem.precedence)
@@ -432,12 +406,12 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 def _cmd_bench(ns: argparse.Namespace) -> int:
     specs = [
         SyntheticSpec(n=n, vdl=vdl, nvdl=nvdl, pdl=pdl, npdl=npdl, seed=seed)
-        for n in _parse_int_list(ns.n, "--n")
-        for vdl in _parse_float_list(ns.vdl, "--vdl")
-        for nvdl in _parse_float_list(ns.nvdl, "--nvdl")
-        for pdl in _parse_float_list(ns.pdl, "--pdl")
-        for npdl in _parse_float_list(ns.npdl, "--npdl")
-        for seed in _parse_int_list(ns.seeds, "--seeds")
+        for n in _parse_list(ns.n, "--n", int)
+        for vdl in _parse_list(ns.vdl, "--vdl")
+        for nvdl in _parse_list(ns.nvdl, "--nvdl")
+        for pdl in _parse_list(ns.pdl, "--pdl")
+        for npdl in _parse_list(ns.npdl, "--npdl")
+        for seed in _parse_list(ns.seeds, "--seeds", int)
     ]
     report = benchmark(
         specs,
@@ -445,10 +419,7 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
         budget_fraction=ns.budget_fraction,
         max_seconds=ns.time_limit,
     )
-    buf = io.StringIO()
-    buf.write(_provenance_comment(ns))
-    report.to_csv(buf)
-    _write(Path(ns.out) / "bench.csv", buf.getvalue())
+    _write_csv(ns, Path(ns.out) / "bench.csv", report.to_csv)
     return 0
 
 

@@ -66,17 +66,14 @@ class CausalAnalysis:
 
     n: int
     counts: np.ndarray
-    cond_pos: np.ndarray
-    cond_neg: np.ndarray
     eells: np.ndarray
     user_count: int
 
     def __post_init__(self) -> None:
         if self.counts.shape != (self.n, 2 * self.n):
             raise ValidationError("count matrix must be n x 2n")
-        for name in ("cond_pos", "cond_neg", "eells"):
-            if getattr(self, name).shape != (self.n, self.n):
-                raise ValidationError(f"{name} must be n x n")
+        if self.eells.shape != (self.n, self.n):
+            raise ValidationError("eells must be n x n")
         if self.user_count < 1:
             raise ValidationError("user count must be positive")
 
@@ -130,9 +127,7 @@ def compute_eells(m: PreferenceMatrix) -> CausalAnalysis:
     cond_neg = np.where(neg_ok[None, :], anti / np.where(neg_ok, k - wanted, 1.0)[None, :], 0.0)
     eells = np.where((pos_ok & neg_ok)[None, :], cond_pos - cond_neg, 0.0)
     np.fill_diagonal(eells, 0.0)
-    return CausalAnalysis(
-        n=m.n, counts=counts, cond_pos=cond_pos, cond_neg=cond_neg, eells=eells, user_count=k
-    )
+    return CausalAnalysis(n=m.n, counts=counts, eells=eells, user_count=k)
 
 
 def _contingency(analysis: CausalAnalysis, i: int, j: int) -> tuple[float, float, float, float]:

@@ -248,8 +248,6 @@ def build_model(
     expected = [float(r.expected_value) for r in p.requirements]
     metadata: dict = {
         "kind": method,
-        "n": n,
-        "mode": p.constraint_mode,
         "x_names": list(x_names),
         "requirement_ids": list(p.ids),
     }
@@ -342,13 +340,11 @@ def build_increase_decrease(
     values = [float(r.value) for r in p.requirements]
     objective = {x_names[i]: values[i] for i in range(n)}
 
-    subset_names: list[str] = []
     for j, subset in enumerate(subsets, start=1):
         for m in subset.members:
             if not 0 <= m < n:
                 raise ValidationError(f"subset {j}: member index {m} out of range")
         y_name = f"y{j}"
-        subset_names.append(y_name)
         variables.append(Variable(name=y_name, kind=BINARY))
         size = len(subset.members)
         coeffs = {y_name: float(size)}
@@ -365,17 +361,11 @@ def build_increase_decrease(
                     name=f"subset{j}_complete", coeffs=complete, relation="<=", rhs=float(size - 1)
                 )
             )
-        if adjustment != 0.0:
-            objective[y_name] = adjustment
-        else:
-            objective[y_name] = 0.0
+        objective[y_name] = adjustment
     metadata = {
         "kind": INCREASE_DECREASE,
-        "n": n,
-        "mode": p.constraint_mode,
         "x_names": list(x_names),
         "requirement_ids": list(p.ids),
-        "subset_names": subset_names,
     }
     return LinearModel(tuple(variables), "max", objective, tuple(rows), metadata)
 

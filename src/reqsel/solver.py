@@ -16,7 +16,9 @@ Branch and bound over the binary variables:
     rejected;
   * node order: best bound first, ties by lowest branching-variable index,
     then by creation order; the child fixing the variable to 1 is created
-    first;
+    first. The root is an ordinary node: once its rows are propagated it is
+    scored, pushed and expanded like any other, and each expanded node
+    starts one greedy dive to a leaf;
   * at every node a unit-propagation pass over the all-binary rows fixes
     implied variables (precedence chains, exhausted budget) and detects
     infeasible subtrees early. Node state is plain Python: a bytearray of
@@ -95,6 +97,7 @@ class Solution:
     y: tuple[float, ...] | None
     proven: bool
     stats: SolveStats
+    x_names: tuple[str, ...] = ()  # the variable behind each entry of x
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", dict(self.values))
@@ -487,7 +490,7 @@ class _Search:
 
     # ---- leaves ----
 
-    def _leaf(self, fv, floor) -> None:
+    def _leaf(self, fv, floor) -> float:
         comp = self.comp
         sel = fv == 1
         if floor is not None:
@@ -496,7 +499,7 @@ class _Search:
             obj = float(np.dot(comp.c_bin, sel.astype(np.float64)))
         key = tuple(fv[comp.x_compact].tolist())
         if not self._improves(obj, key):
-            return
+            return obj
         vals = np.zeros(comp.nvars)
         vals[comp.bin_vars] = fv
         # the linearization in closed form: g = x, theta = floor, y = theta x
@@ -508,6 +511,7 @@ class _Search:
         self.inc_obj = obj
         self.inc_key = key
         self.inc_vals = vals
+        return obj
 
     def _improves(self, obj: float, key: tuple[int, ...]) -> bool:
         if obj > self.inc_obj + TIE_EPS:
@@ -516,7 +520,9 @@ class _Search:
             return True
         return False
 
-    def _tie_dominated(self, bound: float, fv) -> bool:
+    def _pruned(self, bound: float, fv) -> bool:
+        if bound < self.inc_obj - PRUNE_EPS:
+            return True
         # a subtree that can at best tie the incumbent is useful only for
         # the lexicographic tie-break. Every completion's selection string
         # dominates the zero-filled one bitwise, so when even that floor is
@@ -544,21 +550,37 @@ class _Search:
             return None
         return f, mi, ma
 
-    def _enter(self, f, mi, ma) -> None:
+    def _enter(self, f) -> float:
+        """A node's bound, or a leaf's objective; an unpruned non-leaf joins the heap."""
         fv = np.frombuffer(f, np.int8)
         floor = self._floor(fv)
         bvar = self._branch_var(f)
         if bvar == -1:
-            self._leaf(fv, floor)
-            return
+            return self._leaf(fv, floor)
         bound = self._bound(fv, floor)
-        if bound < self.inc_obj - PRUNE_EPS or self._tie_dominated(bound, fv):
-            return
-        self.seq += 1
-        heapq.heappush(self.heap, (-bound, self.comp.bin_vars[bvar], self.seq, bvar, bytes(f)))
+        if not self._pruned(bound, fv):
+            self.seq += 1
+            heapq.heappush(self.heap, (-bound, bvar, self.seq, bytes(f)))
+        return bound
 
-    def _dive(self, fixed, minact, maxact) -> None:
-        f, mi, ma = fixed[:], minact[:], maxact[:]
+    def _expand(self, bound: float, bvar: int, f: bytearray) -> None:
+        fv = np.frombuffer(f, np.int8)
+        if self._pruned(bound, fv):
+            return
+        mi, ma = self._activities(fv)
+        # plunge: a greedy dive from every expanded node keeps the
+        # incumbent close to the best bound instead of waiting for the
+        # breadth-dominated heap to reach leaves on its own
+        self._dive(f, mi, ma)
+        if self._pruned(bound, fv):
+            return
+        for val in (1, 0):
+            child = self._try_child(f, mi, ma, bvar, val)
+            if child is not None:
+                self._enter(child[0])
+
+    def _dive(self, f, mi, ma) -> None:
+        # _try_child copies, so the caller's node state is left as it was
         while True:
             b = self._branch_var(f)
             if b == -1:
@@ -585,10 +607,10 @@ class _Search:
         return False
 
     def run(self) -> float | None:
+        """The root bound (a leaf root: its objective), or None for an infeasible root."""
         comp = self.comp
         fixed = bytearray([FREE]) * comp.nbin
-        fv = np.frombuffer(fixed, np.int8)
-        minact, maxact = self._activities(fv)
+        minact, maxact = self._activities(np.frombuffer(fixed, np.int8))
         queue: list[int] = []
         self.nodes = 1
         ok = all(
@@ -596,42 +618,15 @@ class _Search:
         ) and self._propagate(fixed, minact, maxact, queue)
         if not ok:
             return None
-        root_floor = self._floor(fv)
-        if self._branch_var(fixed) == -1:
-            self._leaf(fv, root_floor)
-            return self.inc_obj if self.inc_vals is not None else None
-        root_bound = self._bound(fv, root_floor)
-        self._dive(fixed, minact, maxact)
-        bvar = self._branch_var(fixed)
-        self.seq += 1
-        heapq.heappush(
-            self.heap, (-root_bound, self.comp.bin_vars[bvar], self.seq, bvar, bytes(fixed))
-        )
+        root_bound = self._enter(fixed)
         ticks = 0
         while self.heap:
+            negb, bvar, _, blob = heapq.heappop(self.heap)
+            self._expand(-negb, bvar, bytearray(blob))
             ticks += 1
-            if self._over_limit(ticks):
+            if self.heap and self._over_limit(ticks):
                 self.hit_limit = True
                 break
-            negb, _, _, bvar, blob = heapq.heappop(self.heap)
-            bound = -negb
-            if bound < self.inc_obj - PRUNE_EPS:
-                continue
-            f = bytearray(blob)
-            fv = np.frombuffer(f, np.int8)
-            if self._tie_dominated(bound, fv):
-                continue
-            mi, ma = self._activities(fv)
-            # plunge: a greedy dive from every expanded node keeps the
-            # incumbent close to the best bound instead of waiting for the
-            # breadth-dominated heap to reach leaves on its own
-            self._dive(f, mi, ma)
-            if bound < self.inc_obj - PRUNE_EPS or self._tie_dominated(bound, fv):
-                continue
-            for val in (1, 0):
-                child = self._try_child(f, mi, ma, bvar, val)
-                if child is not None:
-                    self._enter(*child)
         return root_bound
 
 
@@ -658,7 +653,8 @@ def solve(m: LinearModel, limits: SolverLimits | None = None) -> Solution:
         y = tuple(float(vals[i]) for i in comp.y_idx)
     objective = sign * search.inc_obj
     status = FEASIBLE if search.hit_limit else OPTIMAL
-    return Solution(status, objective, values, x, theta, y, not search.hit_limit, stats)
+    x_names = tuple(comp.names[i] for i in comp.x_var_idx)
+    return Solution(status, objective, values, x, theta, y, not search.hit_limit, stats, x_names)
 
 
 def verify_solution(m: LinearModel, s: Solution) -> VerificationReport:
@@ -700,8 +696,9 @@ def verify_solution(m: LinearModel, s: Solution) -> VerificationReport:
 
 
 def solution_report(m: LinearModel, s: Solution) -> dict:
-    """Solution as a JSON-ready dict keyed by requirement ids."""
-    ids = m.metadata.get("requirement_ids") or m.metadata.get("x_names") or []
+    """Solution as a JSON-ready dict keyed by requirement ids, or by the
+    names of the x variables when the model carries no ids (a parsed LP)."""
+    ids = m.metadata.get("requirement_ids") or s.x_names
     selected = [ids[i] for i, xi in enumerate(s.x) if xi == 1 and i < len(ids)]
     theta = {}
     if s.theta is not None:

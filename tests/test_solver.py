@@ -24,6 +24,7 @@ from reqsel import (
     SyntheticSpec,
     ValidationError,
     build_model,
+    case_study_problem,
     evaluate_selection,
     export_lp,
     generate_synthetic,
@@ -115,6 +116,11 @@ def with_zero_value_and_cost(problem):
     for i in (2, 3):
         reqs[i] = dataclasses.replace(reqs[i], cost=0.0)
     return dataclasses.replace(problem, requirements=tuple(reqs))
+
+
+def pinned_problem(n, pdl, seed):
+    spec = SyntheticSpec(n=n, vdl=0.05, nvdl=0.2, pdl=pdl, npdl=0.2 if pdl else 0.0, seed=seed)
+    return generate_synthetic(spec, budget_fraction=0.5)[0]
 
 
 def reparse(model):
@@ -326,6 +332,21 @@ class TestStatusesAndLimits:
             # any reported incumbent must still be a real solution
             assert verify_solution(build_model(problem, DARS), got).ok
 
+    def test_root_fixed_by_propagation_is_a_leaf(self):
+        # r2 and r3 overrun the budget, so ExactlyOne(r1, r2) forces r1: the
+        # root is a leaf, and its objective is its bound
+        reqs = tuple(
+            Requirement(id=f"r{i + 1}", cost=cost, value=value, probability=1.0)
+            for i, (cost, value) in enumerate(((1.0, 2.0), (5.0, 9.0), (5.0, 7.0)))
+        )
+        precedence = PrecedenceGraph(n=3, constraints=(ExactlyOne(members=(0, 1)),))
+        problem = SelectionProblem(reqs, budget=4.0, precedence=precedence)
+        got = solve(build_model(problem, PCBK))
+        assert got.status == OPTIMAL and got.proven
+        assert got.x == (1, 0, 0)
+        assert got.stats.nodes == 1
+        assert got.stats.root_bound == got.objective == 2.0
+
     def test_generous_limits_leave_optimality_intact(self):
         problem = random_problem(13, n=5, with_precedence=False)
         got = solve(build_model(problem, SBK), SolverLimits(max_nodes=10**6, max_seconds=60))
@@ -384,6 +405,21 @@ class TestSolutionReport:
         model = build_model(problem, BK)
         rep = solution_report(model, solve(model))
         assert "elapsed" not in repr(rep)
+
+    @pytest.mark.parametrize("method", (PCBK, DARS))
+    def test_parsed_model_reports_x_names(self, method):
+        # an LP file carries no requirement ids: the report names the x variables
+        problem = case_study_problem(50.0, influence=InfluenceMatrix.zeros(27))
+        model = build_model(problem, method)
+        parsed = reparse(model)
+        got = solve(parsed)
+        rep = solution_report(parsed, got)
+        assert got.status == OPTIMAL and any(got.x)
+        assert rep["selected"] == [f"x{i + 1}" for i, xi in enumerate(got.x) if xi == 1]
+        by_id = solution_report(model, solve(model))
+        assert rep["selected"] == [f"x{problem.ids.index(r) + 1}" for r in by_id["selected"]]
+        if method == DARS:
+            assert list(rep["theta"]) == [f"x{i + 1}" for i in range(27)]
 
 
 class TestForeignModels:
@@ -662,11 +698,10 @@ class TestSearchParity:
 
     @pytest.mark.parametrize(
         "n, pdl, seed, nodes",
-        [(100, 0.02, 1, 6_322), (100, 0.02, 2, 1_277), (30, 0.0, 1, 1_831)],
+        [(100, 0.02, 1, 6_299), (100, 0.02, 2, 1_254), (30, 0.0, 1, 1_814)],
     )
     def test_select_node_counts_pinned(self, n, pdl, seed, nodes):
-        spec = SyntheticSpec(n=n, vdl=0.05, nvdl=0.2, pdl=pdl, npdl=0.2 if pdl else 0.0, seed=seed)
-        problem, _ = generate_synthetic(spec, budget_fraction=0.5)
+        problem = pinned_problem(n, pdl, seed)
         for simplify in (False, True):
             model = build_model(problem, DARS, simplify=simplify)
             got, reparsed = solve(model), solve(reparse(model))
@@ -674,3 +709,18 @@ class TestSearchParity:
             assert got.stats.nodes == reparsed.stats.nodes == nodes
             assert got.x == reparsed.x
             assert got.objective == pytest.approx(reparsed.objective, abs=1e-9)
+
+    @pytest.mark.parametrize("n, pdl, seed", [(100, 0.02, 1), (100, 0.02, 2), (30, 0.0, 1)])
+    def test_no_state_is_dived_twice(self, n, pdl, seed, monkeypatch):
+        # the root is expanded like every other node, so its dive runs once
+        starts = []
+        dive = _Search._dive
+
+        def recording_dive(search, f, mi, ma):
+            starts.append(bytes(f))
+            return dive(search, f, mi, ma)
+
+        monkeypatch.setattr(_Search, "_dive", recording_dive)
+        got = solve(build_model(pinned_problem(n, pdl, seed), DARS))
+        assert got.status == OPTIMAL
+        assert len(starts) == len(set(starts)) > 1
