@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import IO, Sequence
 
 import numpy as np
@@ -79,9 +79,7 @@ class SweepReport:
 
     def to_csv(self, sink: IO[str]) -> None:
         writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(
-            ["percent", "method", "status", "av", "ev", "ov", "pct_av", "pct_ev", "pct_ov", "selection"]
-        )
+        writer.writerow(f.name for f in fields(SweepRow))
         for r in self.rows:
             writer.writerow(
                 [
@@ -107,25 +105,7 @@ class SweepReport:
                 writer.writerow([f"{r.percent:g}", r.method, metric, f"{value:.6f}"])
 
     def to_json_obj(self) -> dict:
-        return {
-            "total_value": self.total_value,
-            "requirement_ids": list(self.requirement_ids),
-            "rows": [
-                {
-                    "percent": r.percent,
-                    "method": r.method,
-                    "status": r.status,
-                    "av": r.av,
-                    "ev": r.ev,
-                    "ov": r.ov,
-                    "pct_av": r.pct_av,
-                    "pct_ev": r.pct_ev,
-                    "pct_ov": r.pct_ov,
-                    "selection": list(r.selection),
-                }
-                for r in self.rows
-            ],
-        }
+        return asdict(self)
 
 
 def _normalized_influence(p: SelectionProblem) -> InfluenceMatrix:
@@ -350,9 +330,7 @@ class BenchmarkReport:
 
     def to_csv(self, sink: IO[str]) -> None:
         writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(
-            ["n", "seed", "vdl", "nvdl", "pdl", "npdl", "budget_fraction", "elapsed_s", "nodes", "status", "objective"]
-        )
+        writer.writerow(f.name for f in fields(BenchmarkRow))
         for r in self.rows:
             writer.writerow(
                 [
@@ -371,25 +349,7 @@ class BenchmarkReport:
             )
 
     def to_json_obj(self) -> dict:
-        return {
-            "method": self.method,
-            "rows": [
-                {
-                    "n": r.n,
-                    "seed": r.seed,
-                    "vdl": r.vdl,
-                    "nvdl": r.nvdl,
-                    "pdl": r.pdl,
-                    "npdl": r.npdl,
-                    "budget_fraction": r.budget_fraction,
-                    "elapsed_s": r.elapsed_s,
-                    "nodes": r.nodes,
-                    "status": r.status,
-                    "objective": r.objective,
-                }
-                for r in self.rows
-            ],
-        }
+        return asdict(self)
 
 
 def benchmark(

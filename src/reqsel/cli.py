@@ -2,10 +2,13 @@
 -> analyze.
 
 Every subcommand is a pure function of its declared inputs plus the seed;
-re-running a command produces byte-identical output files. File outputs
-carry a provenance line (tool version, subcommand, config hash): a leading
-`#` comment in CSV files, a `\\` comment in LP files, a "_provenance" key in
-JSON documents. Wall-clock timings go to stderr only.
+re-running a command produces byte-identical output files. The one
+exception is `bench`: its `bench.csv` records each solve's wall-clock
+`elapsed_s`, and the status, node count and objective of a solve stopped by
+`--time-limit` depend on the machine. File outputs carry a provenance line
+(tool version, subcommand, config hash): a leading `#` comment in CSV
+files, a `\\` comment in LP files, a "_provenance" key in JSON documents.
+Every other wall-clock timing goes to stderr only.
 
 Exit status: 0 on success, 1 when the model is infeasible, 2 on input
 errors (unknown flags, missing files, schema violations), 3 when a node or
@@ -19,6 +22,7 @@ UNKNOWN without one) with `proven: false`.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import io
 import json
@@ -244,17 +248,16 @@ def _cmd_identify(ns: argparse.Namespace) -> int:
     ids = prefs.requirement_ids
 
     def save_report(fh: io.StringIO) -> None:
-        fh.write("from,to,eta,odds_ratio,ci_lower,ci_upper,significant\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["from", "to", "eta", "odds_ratio", "ci_lower", "ci_upper", "significant"])
         for i in range(analysis.n):
             for j in range(analysis.n):
                 if i == j:
                     continue
                 omega = odds_ratio(analysis, i, j)
                 lower, upper, significant = significance_test(analysis, i, j, sig)
-                fh.write(
-                    f"{ids[i]},{ids[j]},{float(analysis.eells[i, j])!r},{float(omega)!r},"
-                    f"{float(lower)!r},{float(upper)!r},{int(significant)}\n"
-                )
+                numbers = (analysis.eells[i, j], omega, lower, upper)
+                writer.writerow([ids[i], ids[j], *(repr(float(v)) for v in numbers), int(significant)])
 
     out = Path(ns.out)
     _write_csv(ns, out / "vdg.csv", lambda fh: save_vdg(vdg, fh, ids=ids))

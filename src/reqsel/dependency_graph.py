@@ -499,10 +499,10 @@ def save_influence_matrix(inf: InfluenceMatrix, sink: IO[str], ids: Sequence[str
     names = tuple(ids) if ids is not None else default_ids(inf.n)
     if len(names) != inf.n:
         raise ValidationError("id list length does not match matrix dimension")
-    sink.write("id," + ",".join(names) + "\n")
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(["id", *names])
     for i, name in enumerate(names):
-        row = ",".join(repr(float(v)) for v in inf.influence[i])
-        sink.write(f"{name},{row}\n")
+        writer.writerow([name, *(repr(float(v)) for v in inf.influence[i])])
 
 
 def load_influence_matrix(source: IO[str]) -> tuple[InfluenceMatrix, tuple[str, ...]]:
@@ -513,11 +513,10 @@ def load_influence_matrix(source: IO[str]) -> tuple[InfluenceMatrix, tuple[str, 
     identical penalties.
     """
     rows: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, record in enumerate(csv.reader(source), start=1):
+        if not record or (len(record) == 1 and not record[0].strip()) or record[0].lstrip().startswith("#"):
             continue
-        rows.append((lineno, line.split(",")))
+        rows.append((lineno, [cell.strip() for cell in record]))
     if len(rows) < 2:
         raise InputFormatError("influence CSV needs a header row and one row per requirement")
     header_no, header = rows[0]

@@ -1,6 +1,7 @@
 """Compile a selection problem into solver-agnostic mixed 0/1 linear models.
 
-Four single-objective knapsack-family models share the budget row:
+`build_model` compiles all five single-objective knapsack-family models.
+Each starts from the x binaries and the budget row:
 
   BK    maximize sum v_i x_i            (no precedence; estimated values)
   PCBK  BK plus the precedence rows
@@ -10,10 +11,9 @@ Four single-objective knapsack-family models share the budget row:
         penalty rows theta_i >= (|I(i,j)| + (1 - 2 x_j) I(i,j)) / 2, and
         linking rows; at the optimum y_i = x_i theta_i, so the objective
         equals the overall value of the selection.
-
-The increase-decrease model instead adjusts the plain knapsack objective by
-per-subset corrections (w_j - sum of member values) activated when the whole
-subset is selected.
+  INCREASE_DECREASE
+        BK's objective adjusted by per-subset corrections (w_j - sum of
+        member values) activated when the whole subset is selected.
 
 The budget row is either sum c_i x_i <= b (BUDGET_COST) or the price form
 sum v_i x_i <= gamma (PRICE_VALUE); both are available on every model kind.
@@ -53,7 +53,7 @@ SBK = "SBK"
 DARS = "DARS"
 INCREASE_DECREASE = "INCREASE_DECREASE"
 
-_METHODS = (BK, PCBK, SBK, DARS)
+_METHODS = (BK, PCBK, SBK, DARS, INCREASE_DECREASE)
 
 BINARY = "binary"
 CONTINUOUS = "continuous"
@@ -225,148 +225,118 @@ def build_model(
     subsets: Sequence[SubsetEstimate] | None = None,
     simplify: bool = False,
 ) -> LinearModel:
-    """Compile the instance for one of BK / PCBK / SBK / DARS.
+    """Compile the instance for one of BK / PCBK / SBK / DARS / INCREASE_DECREASE.
 
-    `subsets` routes to the increase-decrease builder for convenience when
-    method == INCREASE_DECREASE. `simplify` (DARS only) substitutes g := x
+    Every model starts from the x binaries and the budget row; PCBK, SBK and
+    DARS add the precedence rows. `simplify` (DARS only) substitutes g := x
     and drops the duplicating rows; by default the model keeps the auxiliary
     g variables verbatim.
+
+    INCREASE_DECREASE is the plain knapsack plus per-subset value adjustments
+    from `subsets`. A binary y_j may be 1 only when every member of subset j
+    is selected (n_j y_j <= sum of member x). The objective adds w_j - sum of
+    member values, so positive adjustments are earned and negative ones
+    charged; for a negative adjustment the optimizer would leave y_j at 0, so
+    a completeness row forces y_j = 1 once the whole subset is selected.
     """
-    if method == INCREASE_DECREASE:
-        return build_increase_decrease(p, subsets or ())
     if method not in _METHODS:
         raise ValidationError(f"unknown model method {method!r}")
     n = p.n
     x_names = [f"x{i + 1}" for i in range(n)]
     variables = [Variable(name=name, kind=BINARY) for name in x_names]
     rows = [_budget_row(p, x_names)]
-
-    if method != BK:
+    if method in (PCBK, SBK, DARS):
         rows.extend(_precedence_rows(p, x_names))
+    if method in (SBK, DARS):
+        weights = [float(r.expected_value) for r in p.requirements]
+    else:
+        weights = [float(r.value) for r in p.requirements]
+    objective = dict(zip(x_names, weights))
+    metadata = {"kind": method, "x_names": list(x_names), "requirement_ids": list(p.ids)}
 
-    values = [float(r.value) for r in p.requirements]
-    expected = [float(r.expected_value) for r in p.requirements]
-    metadata: dict = {
-        "kind": method,
-        "x_names": list(x_names),
-        "requirement_ids": list(p.ids),
-    }
-
-    if method in (BK, PCBK):
-        objective = {x_names[i]: values[i] for i in range(n)}
-        return LinearModel(tuple(variables), "max", objective, tuple(rows), metadata)
-    if method == SBK:
-        objective = {x_names[i]: expected[i] for i in range(n)}
-        return LinearModel(tuple(variables), "max", objective, tuple(rows), metadata)
-
-    if p.influence is None:
-        raise ValidationError("the dependency-aware model needs an influence matrix")
-    thetas = [f"theta{i + 1}" for i in range(n)]
-    ys = [f"y{i + 1}" for i in range(n)]
-    gs = x_names if simplify else [f"g{i + 1}" for i in range(n)]
-    if not simplify:
-        variables.extend(Variable(name=name, kind=BINARY) for name in gs)
-    variables.extend(Variable(name=name, kind=CONTINUOUS, lower=0.0, upper=1.0) for name in thetas)
-    variables.extend(Variable(name=name, kind=CONTINUOUS, lower=0.0, upper=1.0) for name in ys)
-
-    # InfluenceMatrix keeps a zero diagonal, so every nonzero is a pair i != j
-    influence = p.influence.influence
-    ii, jj = np.nonzero(influence)
-    for i, j, w in zip(ii.tolist(), jj.tolist(), influence[ii, jj].tolist()):
-        # theta_i >= (|I| + (1 - 2 x_j) I) / 2, rearranged onto the left
-        rows.append(
-            LinearConstraint(
-                name=f"penalty_{x_names[i]}_{x_names[j]}",
-                coeffs={thetas[i]: 1.0, x_names[j]: w},
-                relation=">=",
-                rhs=(abs(w) + w) / 2.0,
+    if method == INCREASE_DECREASE:
+        for j, subset in enumerate(subsets or (), start=1):
+            for m in subset.members:
+                if not 0 <= m < n:
+                    raise ValidationError(f"subset {j}: member index {m} out of range")
+            y_name = f"y{j}"
+            variables.append(Variable(name=y_name, kind=BINARY))
+            size = len(subset.members)
+            coeffs = {y_name: float(size)}
+            coeffs.update({x_names[m]: -1.0 for m in subset.members})
+            rows.append(
+                LinearConstraint(name=f"subset{j}_active", coeffs=coeffs, relation="<=", rhs=0.0)
             )
-        )
-    for i in range(n):
+            # the weights are the values in this model
+            adjustment = subset.estimated_value - sum(weights[m] for m in subset.members)
+            if adjustment < 0:
+                complete = {x_names[m]: 1.0 for m in subset.members}
+                complete[y_name] = -1.0
+                rows.append(
+                    LinearConstraint(
+                        name=f"subset{j}_complete", coeffs=complete, relation="<=", rhs=float(size - 1)
+                    )
+                )
+            objective[y_name] = adjustment
+    elif method == DARS:
+        if p.influence is None:
+            raise ValidationError("the dependency-aware model needs an influence matrix")
+        thetas = [f"theta{i + 1}" for i in range(n)]
+        ys = [f"y{i + 1}" for i in range(n)]
+        gs = x_names if simplify else [f"g{i + 1}" for i in range(n)]
         if not simplify:
+            variables.extend(Variable(name=name, kind=BINARY) for name in gs)
+        variables.extend(Variable(name=name, kind=CONTINUOUS, lower=0.0, upper=1.0) for name in thetas)
+        variables.extend(Variable(name=name, kind=CONTINUOUS, lower=0.0, upper=1.0) for name in ys)
+
+        # InfluenceMatrix keeps a zero diagonal, so every nonzero is a pair i != j
+        influence = p.influence.influence
+        ii, jj = np.nonzero(influence)
+        for i, j, w in zip(ii.tolist(), jj.tolist(), influence[ii, jj].tolist()):
+            # theta_i >= (|I| + (1 - 2 x_j) I) / 2, rearranged onto the left
             rows.append(
                 LinearConstraint(
-                    name=f"link_xg_{i + 1}",
-                    coeffs={x_names[i]: 1.0, gs[i]: -1.0},
+                    name=f"penalty_{x_names[i]}_{x_names[j]}",
+                    coeffs={thetas[i]: 1.0, x_names[j]: w},
+                    relation=">=",
+                    rhs=(abs(w) + w) / 2.0,
+                )
+            )
+        for i in range(n):
+            if not simplify:
+                rows.append(
+                    LinearConstraint(
+                        name=f"link_xg_{i + 1}",
+                        coeffs={x_names[i]: 1.0, gs[i]: -1.0},
+                        relation="<=",
+                        rhs=0.0,
+                    )
+                )
+                rows.append(
+                    LinearConstraint(
+                        name=f"link_gx_{i + 1}",
+                        coeffs={gs[i]: 1.0, x_names[i]: -1.0},
+                        relation="<=",
+                        rhs=0.0,
+                    )
+                )
+            rows.append(
+                LinearConstraint(
+                    name=f"link_yg_{i + 1}",
+                    coeffs={ys[i]: 1.0, gs[i]: -1.0},
                     relation="<=",
                     rhs=0.0,
                 )
             )
             rows.append(
                 LinearConstraint(
-                    name=f"link_gx_{i + 1}",
-                    coeffs={gs[i]: 1.0, x_names[i]: -1.0},
+                    name=f"link_ty_{i + 1}",
+                    coeffs={thetas[i]: 1.0, ys[i]: -1.0, gs[i]: 1.0},
                     relation="<=",
-                    rhs=0.0,
+                    rhs=1.0,
                 )
             )
-        rows.append(
-            LinearConstraint(
-                name=f"link_yg_{i + 1}",
-                coeffs={ys[i]: 1.0, gs[i]: -1.0},
-                relation="<=",
-                rhs=0.0,
-            )
-        )
-        rows.append(
-            LinearConstraint(
-                name=f"link_ty_{i + 1}",
-                coeffs={thetas[i]: 1.0, ys[i]: -1.0, gs[i]: 1.0},
-                relation="<=",
-                rhs=1.0,
-            )
-        )
-    objective = {x_names[i]: expected[i] for i in range(n)}
-    objective.update({ys[i]: -expected[i] for i in range(n)})
-    metadata["simplified"] = simplify
-    return LinearModel(tuple(variables), "max", objective, tuple(rows), metadata)
-
-
-def build_increase_decrease(
-    p: SelectionProblem, subsets: Sequence[SubsetEstimate]
-) -> LinearModel:
-    """Plain knapsack plus per-subset value adjustments.
-
-    A binary y_j may be 1 only when every member of subset j is selected
-    (n_j y_j <= sum of member x). The objective adds w_j - sum of member
-    values, so positive adjustments are earned and negative ones charged;
-    for a negative adjustment the optimizer would leave y_j at 0, so a
-    completeness row forces y_j = 1 once the whole subset is selected.
-    """
-    n = p.n
-    x_names = [f"x{i + 1}" for i in range(n)]
-    variables = [Variable(name=name, kind=BINARY) for name in x_names]
-    rows = [_budget_row(p, x_names)]
-    values = [float(r.value) for r in p.requirements]
-    objective = {x_names[i]: values[i] for i in range(n)}
-
-    for j, subset in enumerate(subsets, start=1):
-        for m in subset.members:
-            if not 0 <= m < n:
-                raise ValidationError(f"subset {j}: member index {m} out of range")
-        y_name = f"y{j}"
-        variables.append(Variable(name=y_name, kind=BINARY))
-        size = len(subset.members)
-        coeffs = {y_name: float(size)}
-        coeffs.update({x_names[m]: -1.0 for m in subset.members})
-        rows.append(
-            LinearConstraint(name=f"subset{j}_active", coeffs=coeffs, relation="<=", rhs=0.0)
-        )
-        adjustment = subset.estimated_value - sum(values[m] for m in subset.members)
-        if adjustment < 0:
-            complete = {x_names[m]: 1.0 for m in subset.members}
-            complete[y_name] = -1.0
-            rows.append(
-                LinearConstraint(
-                    name=f"subset{j}_complete", coeffs=complete, relation="<=", rhs=float(size - 1)
-                )
-            )
-        objective[y_name] = adjustment
-    metadata = {
-        "kind": INCREASE_DECREASE,
-        "x_names": list(x_names),
-        "requirement_ids": list(p.ids),
-    }
+        objective.update({ys[i]: -weights[i] for i in range(n)})
     return LinearModel(tuple(variables), "max", objective, tuple(rows), metadata)
 
 

@@ -6,6 +6,7 @@ formulas, sharing no code with the vectorized package internals they check.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -30,6 +31,7 @@ from reqsel import (
     significance_test,
 )
 from reqsel.dependency_graph import NEGATIVE, POSITIVE
+from reqsel.selection_models import INCREASE_DECREASE
 
 
 def contingency(cells: np.ndarray, i: int, j: int) -> tuple[int, int, int, int]:
@@ -297,10 +299,19 @@ def is_feasible(problem: SelectionProblem, x) -> bool:
     return True
 
 
-def objective_value(problem: SelectionProblem, method: str, x) -> float:
+def objective_value(problem: SelectionProblem, method: str, x, subsets=()) -> float:
+    """The method's objective at selection x; `subsets` (SubsetEstimate
+    records) only shape INCREASE_DECREASE."""
     reqs = problem.requirements
     if method in (BK, PCBK):
         return sum(r.value for i, r in enumerate(reqs) if x[i])
+    if method == INCREASE_DECREASE:
+        # each fully selected subset swaps its member values for its estimate
+        total = sum(r.value for i, r in enumerate(reqs) if x[i])
+        for s in subsets:
+            if all(x[m] for m in s.members):
+                total += s.estimated_value - sum(reqs[m].value for m in s.members)
+        return total
     if method == SBK:
         return sum(r.probability * r.value for i, r in enumerate(reqs) if x[i])
     if method == DARS:
@@ -314,18 +325,21 @@ def objective_value(problem: SelectionProblem, method: str, x) -> float:
 
 
 def enumerate_optimum(
-    problem: SelectionProblem, method: str, tie_eps: float = 1e-12
+    problem: SelectionProblem, method: str, tie_eps: float = 1e-12, subsets=()
 ) -> tuple[tuple[int, ...], float] | None:
     """Exhaustive 2^n optimum; ties resolved to the smallest selection
     vector read as a binary string with x1 most significant. None when no
-    selection (including the empty one) is feasible."""
+    selection (including the empty one) is feasible. INCREASE_DECREASE
+    selections are bound by the budget row only."""
     n = len(problem.requirements)
+    if method == INCREASE_DECREASE:
+        problem = dataclasses.replace(problem, precedence=None)
     best_obj = -math.inf
     best_x: tuple[int, ...] | None = None
     for bits in itertools.product((0, 1), repeat=n):
         if not is_feasible(problem, bits):
             continue
-        obj = objective_value(problem, method, bits)
+        obj = objective_value(problem, method, bits, subsets)
         if obj > best_obj + tie_eps:
             best_obj, best_x = obj, bits
         elif obj >= best_obj - tie_eps and best_x is not None and bits < best_x:

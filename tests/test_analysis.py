@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from dataclasses import replace
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from reqsel import (
+    BenchmarkReport,
     DARS,
     PCBK,
     PRICE_VALUE,
@@ -23,15 +25,17 @@ from reqsel import (
     ValidationError,
     benchmark,
     build_model,
+    case_study_problem,
     compare_selections,
     evaluate_selection,
     frequency_profile,
     generate_synthetic,
+    propagate_strengths,
     risk_of_value_loss,
     solve,
     sweep,
 )
-from reqsel.analysis import SweepRow
+from reqsel.analysis import BenchmarkRow, SweepRow
 from reqsel.dependency_graph import NEGATIVE, vdl_nvdl, pdl_npdl
 from reqsel.solver import FEASIBLE, INFEASIBLE, OPTIMAL
 
@@ -301,3 +305,87 @@ class TestBenchmark:
         assert header[:2] == ["n", "seed"]
         obj = report.to_json_obj()
         assert obj["rows"][0]["seed"] == 7
+
+
+class TestReportBytes:
+    """The report writers' bytes, recorded before the serializers were
+    derived from the dataclass fields. The sweep texts hold .6f and :g
+    numbers only, so they do not move with the BLAS build."""
+
+    @pytest.fixture(scope="class")
+    def case_study_sweep(self):
+        # the case study with a synthetic 27-node VDG, as the benchmark sweeps it
+        _, vdg = generate_synthetic(SyntheticSpec(n=27, vdl=0.1, nvdl=0.3, seed=0))
+        problem = case_study_problem(influence=propagate_strengths(vdg))
+        return sweep(problem, [float(v) for v in range(10, 101, 10)], (PCBK, SBK, DARS))
+
+    def test_sweep_csv_texts_pinned(self, case_study_sweep):
+        wide = io.StringIO()
+        case_study_sweep.to_csv(wide)
+        long = io.StringIO()
+        case_study_sweep.to_long_csv(long)
+        assert hashlib.sha256(wide.getvalue().encode("utf-8")).hexdigest() == (
+            "2589ef02013375d13c9a9c2c6e992f5e22ba7142485a6e18eb0d4e7dc3a5db7c"
+        )
+        assert hashlib.sha256(long.getvalue().encode("utf-8")).hexdigest() == (
+            "849fc05e7030b2296302f05205eb72478a5c8f04a06b29f69d864d680e96ec9f"
+        )
+
+    def test_sweep_json_obj_lists_every_field(self, case_study_sweep):
+        r = case_study_sweep
+        explicit = {
+            "total_value": r.total_value,
+            "requirement_ids": list(r.requirement_ids),
+            "rows": [
+                {
+                    "percent": row.percent,
+                    "method": row.method,
+                    "status": row.status,
+                    "av": row.av,
+                    "ev": row.ev,
+                    "ov": row.ov,
+                    "pct_av": row.pct_av,
+                    "pct_ev": row.pct_ev,
+                    "pct_ov": row.pct_ov,
+                    "selection": list(row.selection),
+                }
+                for row in r.rows
+            ],
+        }
+        # tuples serialize as JSON arrays, so equal dumps mean equal values,
+        # equal JSON types and equal key order at every level
+        assert json.dumps(r.to_json_obj()) == json.dumps(explicit)
+
+    def test_benchmark_writers(self):
+        row = BenchmarkRow(
+            n=6, seed=3, vdl=0.2, nvdl=0.25, pdl=0.05, npdl=0.0, budget_fraction=0.5,
+            elapsed_s=0.0123, nodes=17, status=OPTIMAL, objective=41.25,
+        )
+        report = BenchmarkReport(method=DARS, rows=(row, replace(row, status=FEASIBLE, objective=None)))
+        buf = io.StringIO()
+        report.to_csv(buf)
+        assert buf.getvalue() == (
+            "n,seed,vdl,nvdl,pdl,npdl,budget_fraction,elapsed_s,nodes,status,objective\n"
+            "6,3,0.2,0.25,0.05,0,0.5,0.012,17,OPTIMAL,41.250000\n"
+            "6,3,0.2,0.25,0.05,0,0.5,0.012,17,FEASIBLE,\n"
+        )
+        explicit = {
+            "method": DARS,
+            "rows": [
+                {
+                    "n": r.n,
+                    "seed": r.seed,
+                    "vdl": r.vdl,
+                    "nvdl": r.nvdl,
+                    "pdl": r.pdl,
+                    "npdl": r.npdl,
+                    "budget_fraction": r.budget_fraction,
+                    "elapsed_s": r.elapsed_s,
+                    "nodes": r.nodes,
+                    "status": r.status,
+                    "objective": r.objective,
+                }
+                for r in report.rows
+            ],
+        }
+        assert json.dumps(report.to_json_obj()) == json.dumps(explicit)

@@ -4,6 +4,7 @@ Every test drives `reqsel.cli.run` in-process with explicit --out
 directories so nothing leaks into the working tree.
 """
 
+import csv
 import json
 
 import pytest
@@ -250,6 +251,45 @@ class TestInfluenceCommand:
         assert matrix.influence[1, 0] == pytest.approx(0.6)
         assert matrix.influence[2, :].tolist() == [0.0, 0.0, 0.0]
         assert matrix.influence[:, 2].tolist() == [0.0, 0.0, 0.0]
+
+
+    def test_ids_with_delimiters_and_quotes_round_trip(self, tmp_path):
+        # run_chain's instance with ids that CSV has to quote
+        ids = ("a,1", 'q"x', "r3")
+        (tmp_path / "plain").mkdir()
+        plain = run_chain(tmp_path / "plain")
+        quoted = {}
+        for key, name in (("prefs", "prefs.csv"), ("reqs", "reqs.csv")):
+            with open(plain[key], newline="") as src, open(tmp_path / name, "w", newline="") as dst:
+                writer = csv.writer(dst, lineterminator="\n")
+                for record in csv.reader(src):
+                    if record[0] in ("r1", "r2", "r3"):
+                        record[0] = ids[int(record[0][1]) - 1]
+                    writer.writerow(record)
+            quoted[key] = tmp_path / name
+        assert cli.run(["identify", "--preferences", str(quoted["prefs"]), "--out", str(tmp_path / "ident")]) == 0
+        with open(tmp_path / "ident" / "eells_report.csv", newline="") as fh:
+            report = list(csv.reader(fh))[1:]
+        assert all(len(row) == 7 for row in report)
+        assert {(row[0], row[1]) for row in report[1:]} == {(a, b) for a in ids for b in ids if a != b}
+
+        vdg = tmp_path / "ident" / "vdg.csv"
+        assert cli.run(["influence", "--vdg", str(vdg), "--out", str(tmp_path / "infl")]) == 0
+        with open(tmp_path / "infl" / "influence.csv", newline="") as fh:
+            matrix, names = load_influence_matrix(fh)
+        assert names == ids
+        with open(plain["influence"], newline="") as fh:
+            assert matrix.influence.tolist() == load_influence_matrix(fh)[0].influence.tolist()
+
+        rc = cli.run(
+            ["select", "--requirements", str(quoted["reqs"]),
+             "--influence", str(tmp_path / "infl" / "influence.csv"),
+             "--percent", "60", "--method", "dars", "--out", str(tmp_path / "sel")]
+        )
+        assert rc == 0
+        solution = json.loads((tmp_path / "sel" / "solution.json").read_text())
+        assert solution["selected"] == ['q"x', "r3"]
+        assert solution["objective"] == pytest.approx(5.2)
 
 
 class TestSelect:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -33,7 +34,6 @@ from reqsel.selection_models import (
     LinearConstraint,
     SubsetEstimate,
     Variable,
-    build_increase_decrease,
 )
 
 
@@ -249,7 +249,6 @@ class TestDarsStructure:
         rows = {c.name: c for c in m.constraints}
         assert rows["link_yg_1"].coeffs == {"y1": 1.0, "x1": -1.0}
         assert rows["link_ty_1"].coeffs == {"theta1": 1.0, "y1": -1.0, "x1": 1.0}
-        assert m.metadata["simplified"] is True
 
     def test_influence_required(self):
         with pytest.raises(ValidationError, match="influence"):
@@ -263,7 +262,7 @@ class TestDarsStructure:
 class TestIncreaseDecrease:
     def test_activation_row(self):
         p = make_problem(3, values=[4.0, 5.0, 6.0])
-        m = build_increase_decrease(p, (SubsetEstimate(members=(0, 2), estimated_value=12.0),))
+        m = build_model(p, INCREASE_DECREASE, (SubsetEstimate(members=(0, 2), estimated_value=12.0),))
         rows = {c.name: c for c in m.constraints}
         active = rows["subset1_active"]
         assert active.coeffs == {"y1": 2.0, "x1": -1.0, "x3": -1.0}
@@ -274,19 +273,12 @@ class TestIncreaseDecrease:
 
     def test_negative_adjustment_forces_completion(self):
         p = make_problem(2, values=[4.0, 5.0])
-        m = build_increase_decrease(p, (SubsetEstimate(members=(0, 1), estimated_value=7.0),))
+        m = build_model(p, INCREASE_DECREASE, (SubsetEstimate(members=(0, 1), estimated_value=7.0),))
         rows = {c.name: c for c in m.constraints}
         complete = rows["subset1_complete"]
         assert complete.coeffs == {"x1": 1.0, "x2": 1.0, "y1": -1.0}
         assert complete.relation == "<=" and complete.rhs == 1.0
         assert m.objective["y1"] == pytest.approx(-2.0)
-
-    def test_build_model_routes_by_method(self):
-        p = make_problem(2, values=[4.0, 5.0])
-        subsets = (SubsetEstimate(members=(0, 1), estimated_value=11.0),)
-        direct = build_increase_decrease(p, subsets)
-        routed = build_model(p, INCREASE_DECREASE, subsets=subsets)
-        assert routed == direct
 
     def test_subset_validation(self):
         with pytest.raises(ValidationError):
@@ -295,7 +287,42 @@ class TestIncreaseDecrease:
             SubsetEstimate(members=(1, 1), estimated_value=5.0)
         p = make_problem(2)
         with pytest.raises(ValidationError, match="out of range"):
-            build_increase_decrease(p, (SubsetEstimate(members=(0, 5), estimated_value=3.0),))
+            build_model(p, INCREASE_DECREASE, (SubsetEstimate(members=(0, 5), estimated_value=3.0),))
+
+
+VARIANTS = {
+    "bk": (BK, False),
+    "pcbk": (PCBK, False),
+    "sbk": (SBK, False),
+    "dars": (DARS, False),
+    "dars-simplified": (DARS, True),
+    "increase-decrease": (INCREASE_DECREASE, False),
+}
+
+# export_lp bytes of seed_subsets / zeroed_problem seeds 0-4, recorded while
+# the increase-decrease model still had a builder of its own
+LP_SHA256 = {
+    ("bk", BUDGET_COST): "3e9250e87986fe3c1f7ae6bf3cf3bcac6933790ef69de00d288594168086846e",
+    ("bk", PRICE_VALUE): "1e8fc5413af4c940acdc88a174912ed71da47081c0367c3631699591a68bde6c",
+    ("pcbk", BUDGET_COST): "915e1e8b4cf53bba771ef3dfe03208ba1e67d1bca3e55d2db2919de0e7a8e5d6",
+    ("pcbk", PRICE_VALUE): "e016b5c1001f9d645d2767a293a4b263a462f58fb7dba1ad32a1800f83eeb4b4",
+    ("sbk", BUDGET_COST): "bfd25000a771d08eab8cb0e49cdc0543feedb610d3a11cb7470098e7945ddba8",
+    ("sbk", PRICE_VALUE): "611d55209bd80b81019bc3af8e4970cb6fc64e55bce91ca4e9800faea83bcfa3",
+    ("dars", BUDGET_COST): "21a6531c5456ac4c7058304dedcb0ef4d7d6c6f515a14150d14ded8d96e484ce",
+    ("dars", PRICE_VALUE): "21e13b2d66043ff7b1d03f2eb79225b93c930c2ae305974707dc2cfac984c482",
+    ("dars-simplified", BUDGET_COST): "4b27e90250ae54d59cbe20f0bcf08dec166500a84acb9d89cc879319512daf3a",
+    ("dars-simplified", PRICE_VALUE): "c6b8b3abc721b97ed972cd310bcadc90f100e409c101fab3cb3c6d6de02d1207",
+    ("increase-decrease", BUDGET_COST): "e71ba88adeb7a11efde225097e30727e14e31afe1bc70a7c37a59b22fde48b76",
+    ("increase-decrease", PRICE_VALUE): "bcecaf7f6a3f387bbd55903999efd69474b3a7180c97f5c9d369633ad12b3651",
+}
+
+
+def seed_subsets(seed):
+    """Two subset estimates over the first four requirements."""
+    return (
+        SubsetEstimate(members=(0, 1), estimated_value=3.5),
+        SubsetEstimate(members=(1, 2, 3), estimated_value=float(seed % 3)),
+    )
 
 
 class TestModelValidation:
@@ -385,19 +412,10 @@ class TestLpFormat:
         assert buf3.getvalue() == buf2.getvalue()
 
     @pytest.mark.parametrize("mode", (BUDGET_COST, PRICE_VALUE))
-    @pytest.mark.parametrize(
-        "method, simplify",
-        [(BK, False), (PCBK, False), (SBK, False), (DARS, False), (DARS, True), (INCREASE_DECREASE, False)],
-        ids=["bk", "pcbk", "sbk", "dars", "dars-simplified", "increase-decrease"],
-    )
+    @pytest.mark.parametrize("method, simplify", VARIANTS.values(), ids=VARIANTS.keys())
     def test_parse_inverts_export(self, method, simplify, mode):
         for seed in range(20):
-            p = zeroed_problem(seed, mode)
-            subsets = (
-                SubsetEstimate(members=(0, 1), estimated_value=3.5),
-                SubsetEstimate(members=(1, 2, 3), estimated_value=float(seed % 3)),
-            )
-            m = build_model(p, method, subsets=subsets, simplify=simplify)
+            m = build_model(zeroed_problem(seed, mode), method, subsets=seed_subsets(seed), simplify=simplify)
             buf = io.StringIO()
             export_lp(m, buf)
             parsed = parse_lp(io.StringIO(buf.getvalue()))
@@ -407,6 +425,18 @@ class TestLpFormat:
             assert [(v.name, v.kind, v.lower, v.upper) for v in parsed.variables] == [
                 (v.name, v.kind, v.lower, v.upper) for v in m.variables
             ], f"seed {seed}"
+
+    @pytest.mark.parametrize("mode", (BUDGET_COST, PRICE_VALUE))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_export_bytes_pinned(self, variant, mode):
+        method, simplify = VARIANTS[variant]
+        digest = hashlib.sha256()
+        for seed in range(5):
+            m = build_model(zeroed_problem(seed, mode), method, subsets=seed_subsets(seed), simplify=simplify)
+            buf = io.StringIO()
+            export_lp(m, buf)
+            digest.update(buf.getvalue().encode("utf-8"))
+        assert digest.hexdigest() == LP_SHA256[variant, mode]
 
     def test_zero_objective_emits_placeholder_term(self):
         x = Variable(name="x1", kind=BINARY)

@@ -129,10 +129,10 @@ def reparse(model):
     return parse_lp(io.StringIO(buf.getvalue()))
 
 
-def assert_matches_oracle(problem, method, simplify=False):
-    model = build_model(problem, method, simplify=simplify)
+def assert_matches_oracle(problem, method, simplify=False, subsets=()):
+    model = build_model(problem, method, subsets=subsets, simplify=simplify)
     got = solve(model)
-    want = enumerate_optimum(problem, method)
+    want = enumerate_optimum(problem, method, subsets=subsets)
     if want is None:
         assert got.status == INFEASIBLE
         assert got.proven
@@ -216,6 +216,22 @@ class TestOracleEquivalence:
     def test_random_instances(self, method, seed):
         problem = random_problem(seed, with_precedence=(method != BK))
         assert_matches_oracle(problem, method)
+
+    @pytest.mark.parametrize("mode", (BUDGET_COST, PRICE_VALUE))
+    @pytest.mark.parametrize("seed", range(60))
+    def test_increase_decrease_instances(self, mode, seed):
+        # one subset worth more than its members, one worth less, one either
+        # way; the precedence records must not bind this model
+        n = 2 + seed % 9
+        problem = random_problem(seed + 1200, n=n, mode=mode)
+        rng = np.random.default_rng(seed)
+        subsets = []
+        for sign in (1.0, -1.0, float(rng.choice((-1.0, 1.0)))):
+            members = tuple(int(m) for m in rng.permutation(n)[: int(rng.integers(2, min(4, n) + 1))])
+            base = sum(problem.requirements[m].value for m in members)
+            shift = sign * float(np.round(rng.uniform(0.5, 6.0), 2))
+            subsets.append(SubsetEstimate(members=members, estimated_value=base + shift))
+        assert_matches_oracle(problem, INCREASE_DECREASE, subsets=tuple(subsets))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_simplified_dars_agrees(self, seed):
