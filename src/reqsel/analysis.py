@@ -362,6 +362,8 @@ def benchmark(
 
     Timeouts are recorded in the status column, never raised.
     """
+    if not max_seconds > 0:
+        raise ValidationError(f"the time limit must be positive, got {max_seconds}")
     limits = SolverLimits(max_seconds=max_seconds)
     rows = []
     for spec in specs:

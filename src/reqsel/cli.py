@@ -8,11 +8,15 @@ exception is `bench`: its `bench.csv` records each solve's wall-clock
 `--time-limit` depend on the machine. File outputs carry a provenance line
 (tool version, subcommand, config hash): a leading `#` comment in CSV
 files, a `\\` comment in LP files, a "_provenance" key in JSON documents.
+The config hash covers the flags and the contents of the input files, not
+the paths they were given by, so a run from another directory with
+relative or absolute paths writes the same bytes.
 Every other wall-clock timing goes to stderr only.
 
 Exit status: 0 on success, 1 when the model is infeasible, 2 on input
-errors (unknown flags, missing files, schema violations), 3 when a node or
-time limit stopped a solve before it proved its answer.
+errors (unknown flags, missing files, schema violations, non-finite
+numbers), 3 when a node or time limit stopped a solve before it proved its
+answer.
 
 `select` and `sweep` bound every solve by `--node-limit` and `--time-limit`;
 a limit-stopped solve keeps its incumbent and reports status FEASIBLE (or
@@ -84,11 +88,16 @@ _METHOD_CHOICES = ("bk", "pcbk", "sbk", "dars")
 DEFAULT_NODE_LIMIT = 1_000_000
 DEFAULT_TIME_LIMIT = 600.0
 EXIT_LIMIT = 3
+# flags naming an input file: the file's bytes enter the config hash, not the path
+_INPUT_FILE_FLAGS = ("preferences", "requirements", "constraints", "vdg", "influence")
 
 
 def _config_hash(ns: argparse.Namespace) -> str:
     # the output directory does not shape content, so it stays out of the hash
     payload = {k: v for k, v in vars(ns).items() if k not in ("func", "out")}
+    for flag in _INPUT_FILE_FLAGS:
+        if payload.get(flag) is not None:
+            payload[flag] = hashlib.sha256(Path(payload[flag]).read_bytes()).hexdigest()
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 

@@ -191,7 +191,7 @@ class InfluenceMatrix:
         if pos.ndim != 2 or pos.shape[0] != pos.shape[1] or pos.shape != neg.shape:
             raise ValidationError("pos and neg must be square matrices of the same shape")
         for name, mat in (("pos", pos), ("neg", neg)):
-            if ((mat < 0.0) | (mat > 1.0)).any():
+            if not ((mat >= 0.0) & (mat <= 1.0)).all():
                 raise ValidationError(f"{name} entries must lie in [0, 1]")
             if np.abs(np.diag(mat)).max(initial=0.0) != 0.0:
                 raise ValidationError(f"{name} diagonal must be zero (no self-influence)")
@@ -534,9 +534,12 @@ def load_influence_matrix(source: IO[str]) -> tuple[InfluenceMatrix, tuple[str, 
             raise InputFormatError(f"line {lineno}: row id {cells[0]!r} does not match header order")
         for j, cell in enumerate(cells[1:]):
             try:
-                matrix[i, j] = float(cell)
+                value = float(cell)
             except ValueError as exc:
                 raise InputFormatError(f"line {lineno}: bad influence value {cell!r}") from exc
+            if not -1.0 <= value <= 1.0:
+                raise InputFormatError(f"line {lineno}: influence value {cell!r} outside [-1, 1]")
+            matrix[i, j] = value
     try:
         inf = InfluenceMatrix(pos=np.clip(matrix, 0.0, None), neg=np.clip(-matrix, 0.0, None))
     except ValidationError as exc:

@@ -71,8 +71,8 @@ class SelectionProblem:
         object.__setattr__(self, "requirements", tuple(self.requirements))
         if not self.requirements:
             raise ValidationError("a selection problem needs at least one requirement")
-        if self.budget < 0:
-            raise ValidationError("budget must be non-negative")
+        if not self.budget >= 0:
+            raise ValidationError(f"budget must be non-negative, got {self.budget}")
         if self.constraint_mode not in (BUDGET_COST, PRICE_VALUE):
             raise ValidationError(f"unknown constraint mode {self.constraint_mode!r}")
         n = len(self.requirements)

@@ -22,11 +22,13 @@ Branch and bound over the binary variables:
   * at every node a unit-propagation pass over the all-binary rows fixes
     implied variables (precedence chains, exhausted budget) and detects
     infeasible subtrees early. Node state is plain Python: a bytearray of
-    fixings and float lists of row activities. Each row keeps its entries
-    sorted by |coefficient|, largest first, so a scan stops at the first
-    entry that can still move without breaking the row; the free entries
-    passed over are fixed in row order, so propagation fixes the same
-    variables in the same order as a full rescan of the row;
+    fixings and float lists of row activities. A node carries both from
+    its creation, through the heap, to its expansion; only the root's
+    activities are summed from the rows. Each row keeps its entries sorted
+    by |coefficient|, largest first, so a scan stops at the first entry
+    that can still move without breaking the row; the free entries passed
+    over are fixed in row order, so propagation fixes the same variables in
+    the same order as a full rescan of the row;
   * the knapsack row is the first non-">=" all-binary row with non-negative
     coefficients (the budget or price row every builder emits first);
   * bounds are admissible: a fractional knapsack relaxation over the
@@ -54,7 +56,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ValidationError
 from .selection_models import BINARY, CONTINUOUS, LinearModel
@@ -129,7 +130,7 @@ class _Row:
 
 class _Compiled:
     """Model preprocessed for search: compact binary indexing, row split,
-    sparse activity operators, knapsack-row detection, penalty-floor table.
+    knapsack-row detection, penalty-floor table.
 
     The theta, y and g variables of a DARS linearization, and every row over
     them, stay out of the search (the model's x core). They are found by the
@@ -213,23 +214,6 @@ class _Compiled:
         for rid, row in enumerate(self.binrows):
             for b, a in zip(row.vars, row.coefs):
                 self.occ[b].append((rid, a))
-
-        if self.nbinrows and self.nbin:
-            rows_ix, cols_ix, data = [], [], []
-            for rid, row in enumerate(self.binrows):
-                for b, a in zip(row.vars, row.coefs):
-                    rows_ix.append(rid)
-                    cols_ix.append(b)
-                    data.append(a)
-            A = sparse.csr_array(
-                (np.array(data), (np.array(rows_ix), np.array(cols_ix))),
-                shape=(self.nbinrows, self.nbin),
-            )
-            self.A = A
-            self.A_neg = A.minimum(0)
-            self.A_pos = A.maximum(0)
-        else:
-            self.A = None
 
         self._detect_knapsack_row()
         self._detect_objective_quantum()
@@ -439,15 +423,6 @@ class _Search:
                     return False
         return True
 
-    def _activities(self, fv) -> tuple[list[float], list[float]]:
-        comp = self.comp
-        if comp.A is None:
-            return [0.0] * comp.nbinrows, [0.0] * comp.nbinrows
-        sel = (fv == 1).astype(np.float64)
-        free = (fv == -1).astype(np.float64)
-        act = comp.A @ sel
-        return (act + comp.A_neg @ free).tolist(), (act + comp.A_pos @ free).tolist()
-
     # ---- bounds ----
 
     def _floor(self, fv) -> np.ndarray | None:
@@ -550,8 +525,9 @@ class _Search:
             return None
         return f, mi, ma
 
-    def _enter(self, f) -> float:
-        """A node's bound, or a leaf's objective; an unpruned non-leaf joins the heap."""
+    def _enter(self, f, mi, ma) -> float:
+        """A node's bound, or a leaf's objective; an unpruned non-leaf joins
+        the heap with its fixings and row activities."""
         fv = np.frombuffer(f, np.int8)
         floor = self._floor(fv)
         bvar = self._branch_var(f)
@@ -560,14 +536,13 @@ class _Search:
         bound = self._bound(fv, floor)
         if not self._pruned(bound, fv):
             self.seq += 1
-            heapq.heappush(self.heap, (-bound, bvar, self.seq, bytes(f)))
+            heapq.heappush(self.heap, (-bound, bvar, self.seq, f, mi, ma))
         return bound
 
-    def _expand(self, bound: float, bvar: int, f: bytearray) -> None:
+    def _expand(self, bound: float, bvar: int, f: bytearray, mi, ma) -> None:
         fv = np.frombuffer(f, np.int8)
         if self._pruned(bound, fv):
             return
-        mi, ma = self._activities(fv)
         # plunge: a greedy dive from every expanded node keeps the
         # incumbent close to the best bound instead of waiting for the
         # breadth-dominated heap to reach leaves on its own
@@ -577,7 +552,7 @@ class _Search:
         for val in (1, 0):
             child = self._try_child(f, mi, ma, bvar, val)
             if child is not None:
-                self._enter(child[0])
+                self._enter(*child)
 
     def _dive(self, f, mi, ma) -> None:
         # _try_child copies, so the caller's node state is left as it was
@@ -610,7 +585,8 @@ class _Search:
         """The root bound (a leaf root: its objective), or None for an infeasible root."""
         comp = self.comp
         fixed = bytearray([FREE]) * comp.nbin
-        minact, maxact = self._activities(np.frombuffer(fixed, np.int8))
+        minact = [sum(min(a, 0.0) for a in row.coefs) for row in comp.binrows]
+        maxact = [sum(max(a, 0.0) for a in row.coefs) for row in comp.binrows]
         queue: list[int] = []
         self.nodes = 1
         ok = all(
@@ -618,11 +594,11 @@ class _Search:
         ) and self._propagate(fixed, minact, maxact, queue)
         if not ok:
             return None
-        root_bound = self._enter(fixed)
+        root_bound = self._enter(fixed, minact, maxact)
         ticks = 0
         while self.heap:
-            negb, bvar, _, blob = heapq.heappop(self.heap)
-            self._expand(-negb, bvar, bytearray(blob))
+            negb, bvar, _, f, mi, ma = heapq.heappop(self.heap)
+            self._expand(-negb, bvar, f, mi, ma)
             ticks += 1
             if self.heap and self._over_limit(ticks):
                 self.hit_limit = True

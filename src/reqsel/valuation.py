@@ -18,6 +18,7 @@ which is what the dependency-aware model maximizes.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -36,10 +37,10 @@ class Requirement:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.cost < 0:
-            raise ValidationError(f"requirement {self.id}: cost must be non-negative")
-        if self.value < 0:
-            raise ValidationError(f"requirement {self.id}: value must be non-negative")
+        if not 0 <= self.cost < math.inf:
+            raise ValidationError(f"requirement {self.id}: cost must be finite and non-negative")
+        if not 0 <= self.value < math.inf:
+            raise ValidationError(f"requirement {self.id}: value must be finite and non-negative")
         if not 0.0 <= self.probability <= 1.0:
             raise ValidationError(f"requirement {self.id}: probability must lie in [0, 1]")
 

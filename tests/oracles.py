@@ -349,6 +349,27 @@ def enumerate_optimum(
     return best_x, best_obj
 
 
+def row_activities(rows, fixed) -> tuple[list[float], list[float]]:
+    """Least and greatest activity of each row under a partial fixing,
+    summed from scratch: a fixed entry adds its coefficient times its value,
+    a free entry its coefficient's negative part (least) or positive part
+    (greatest). `rows` holds (vars, coefs, relation, rhs) tuples and `fixed`
+    is an int8 array with -1 for free."""
+    minact, maxact = [], []
+    for vars_, coefs, _, _ in rows:
+        selected = 0.0
+        below = above = 0.0
+        for u, a in zip(vars_, coefs):
+            if fixed[u] == 1:
+                selected += a
+            elif fixed[u] == -1:
+                below += min(a, 0.0)
+                above += max(a, 0.0)
+        minact.append(selected + below)
+        maxact.append(selected + above)
+    return minact, maxact
+
+
 def reference_propagate(rows, fixed, minact, maxact, feas_eps: float = 1e-9):
     """Unit propagation over all-binary rows with a full rescan of every row.
 

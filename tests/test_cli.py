@@ -141,6 +141,47 @@ class TestExitCodes:
             assert rc == 2
             assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cost, value", [("inf", "4"), ("0", "nan"), ("nan", "4")])
+    def test_non_finite_requirement_exits_two(self, tmp_path, capsys, cost, value):
+        reqs = tmp_path / "reqs.csv"
+        reqs.write_text(f"id,name,cost,value,probability\nr1,a,1,10,1\nr3,c,{cost},{value},1\n")
+        rc = cli.run(
+            ["select", "--requirements", str(reqs), "--budget", "3", "--method", "pcbk",
+             "--out", str(tmp_path / "sel")]
+        )
+        assert rc == 2
+        assert "line 3: requirement r3" in capsys.readouterr().err
+        assert not (tmp_path / "sel").exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-1.5"])
+    def test_bad_influence_cell_exits_two(self, tmp_path, capsys, cell):
+        infl = tmp_path / "influence.csv"
+        infl.write_text(f"id,r1,r2,r3\nr1,0,0.5,0\nr2,{cell},0,0\nr3,0,0,0\n")
+        rc = cli.run(
+            ["select", "--requirements", str(write_reqs(tmp_path / "reqs.csv")),
+             "--influence", str(infl), "--budget", "3", "--method", "dars",
+             "--out", str(tmp_path / "sel")]
+        )
+        assert rc == 2
+        assert f"line 3: influence value '{cell}'" in capsys.readouterr().err
+        assert not (tmp_path / "sel").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--percent", "nan"), ("--budget", "nan")])
+    def test_nan_budget_exits_two(self, tmp_path, capsys, flag, value):
+        source = ["--dataset", "casestudy"] if flag == "--percent" else [
+            "--requirements", str(write_reqs(tmp_path / "reqs.csv"))]
+        rc = cli.run(["select", *source, flag, value, "--method", "dars", "--out", str(tmp_path / "sel")])
+        assert rc == 2
+        assert "budget must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "sel").exists()
+
+    @pytest.mark.parametrize("value", ["-5", "0", "nan"])
+    def test_bench_nonpositive_time_limit_exits_two(self, tmp_path, capsys, value):
+        rc = cli.run(["bench", "--n", "4", "--time-limit", value, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "time limit must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists()
+
     def test_bad_cuts_exit_two(self, tmp_path):
         prefs = write_prefs(tmp_path / "prefs.csv")
         rc = cli.run(
@@ -574,6 +615,28 @@ class TestProvenance:
         stamp_b = (tmp_path / "b" / "vdg.csv").read_text().splitlines()[0]
         assert stamp_a != stamp_b
         assert stamp_a.split("config=")[0] == stamp_b.split("config=")[0]
+
+    def test_input_files_enter_the_stamp_by_content_not_path(self, tmp_path, monkeypatch):
+        chain = run_chain(tmp_path)
+        flags = {"--requirements": chain["reqs"], "--influence": chain["influence"]}
+
+        def select(cwd, paths, out):
+            monkeypatch.chdir(cwd)
+            args = [a for flag, path in flags.items() for a in (flag, str(paths(path)))]
+            assert cli.run(["select", *args, "--budget", "3", "--method", "dars", "--out", str(out)]) == 0
+            return (out / "solution.json").read_bytes()
+
+        relative = select(tmp_path, lambda p: p.relative_to(tmp_path), tmp_path / "rel")
+        absolute = select(tmp_path / "infl", lambda p: p.resolve(), tmp_path / "abs")
+        assert relative == absolute
+
+        # one changed byte of an input changes the stamp and nothing else
+        text = chain["reqs"].read_text()
+        chain["reqs"].write_text(text.replace("gamma", "gammA"))
+        before = json.loads(relative)
+        after = json.loads(select(tmp_path, lambda p: p.resolve(), tmp_path / "changed"))
+        assert before.pop("_provenance")["config"] != after.pop("_provenance")["config"]
+        assert before == after
 
     def test_only_an_explicit_limit_enters_the_stamp(self):
         parser = cli.build_parser()

@@ -307,8 +307,11 @@ class TestInfluenceMatrix:
             InfluenceMatrix(pos=np.eye(2) * 0.5, neg=np.zeros((2, 2)))
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValidationError):
-            InfluenceMatrix(pos=np.array([[0.0, 1.5], [0.0, 0.0]]), neg=np.zeros((2, 2)))
+        for entry in (1.5, -0.5, np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                InfluenceMatrix(pos=np.array([[0.0, entry], [0.0, 0.0]]), neg=np.zeros((2, 2)))
+            with pytest.raises(ValidationError):
+                InfluenceMatrix(pos=np.zeros((2, 2)), neg=np.array([[0.0, 0.0], [entry, 0.0]]))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValidationError):

@@ -112,8 +112,10 @@ class TestSelectionProblem:
     def test_validation(self):
         with pytest.raises(ValidationError):
             SelectionProblem(requirements=(), budget=1.0)
-        with pytest.raises(ValidationError):
-            make_problem(2, budget=-1.0)
+        for budget in (-1.0, -math.inf, math.nan):
+            with pytest.raises(ValidationError):
+                make_problem(2, budget=budget)
+        assert make_problem(2, budget=math.inf).budget == math.inf
         with pytest.raises(ValidationError):
             make_problem(2, mode="BUDGET_TIME")
         with pytest.raises(ValidationError):

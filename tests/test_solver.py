@@ -4,7 +4,13 @@ import io
 import numpy as np
 import pytest
 
-from oracles import enumerate_optimum, objective_value, penalties, reference_propagate
+from oracles import (
+    enumerate_optimum,
+    objective_value,
+    penalties,
+    reference_propagate,
+    row_activities,
+)
 from reqsel import (
     BK,
     BUDGET_COST,
@@ -606,10 +612,10 @@ class TestSearchParity:
             search = _Search(comp, SolverLimits())
             f = bytearray(FREE if v == -1 else int(v) for v in start)
             fv = np.frombuffer(f, np.int8)
-            mi, ma = search._activities(fv)
+            rows = [(row.vars, row.coefs, row.relation, row.rhs) for row in comp.binrows]
+            mi, ma = row_activities(rows, start)
             ref_fixed = start.copy()
             ref_min, ref_max = np.array(mi), np.array(ma)
-            rows = [(row.vars, row.coefs, row.relation, row.rhs) for row in comp.binrows]
             queue = []
             ok = all(
                 search._scan_row(rid, f, mi, ma, queue) for rid in range(comp.nbinrows)
@@ -740,3 +746,40 @@ class TestSearchParity:
         got = solve(build_model(pinned_problem(n, pdl, seed), DARS))
         assert got.status == OPTIMAL
         assert len(starts) == len(set(starts)) > 1
+
+    @staticmethod
+    def assert_carried_match_oracle(model, monkeypatch):
+        """Solve `model`, checking the row activities each node carries to
+        its expansion against a from-scratch sum; returns the expansions."""
+        records = []
+        expand = _Search._expand
+
+        def recording_expand(search, bound, bvar, f, mi, ma):
+            rows = [(row.vars, row.coefs, row.relation, row.rhs) for row in search.comp.binrows]
+            records.append((rows, np.frombuffer(bytes(f), np.int8), mi[:], ma[:]))
+            return expand(search, bound, bvar, f, mi, ma)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_Search, "_expand", recording_expand)
+            solve(model)
+        for rows, fv, mi, ma in records:
+            want_mi, want_ma = row_activities(rows, fv)
+            for rid, (_, coefs, _, _) in enumerate(rows):
+                # quarter multiples add exactly in any order; float costs do not
+                tol = 0.0 if all((4.0 * a).is_integer() for a in coefs) else 1e-9
+                assert abs(mi[rid] - want_mi[rid]) <= tol and abs(ma[rid] - want_ma[rid]) <= tol
+        return len(records)
+
+    @pytest.mark.parametrize("n, pdl, seed", [(100, 0.02, 1), (100, 0.02, 2), (30, 0.0, 1)])
+    def test_carried_activities_match_rescan_pinned(self, n, pdl, seed, monkeypatch):
+        model = build_model(pinned_problem(n, pdl, seed), DARS)
+        assert self.assert_carried_match_oracle(model, monkeypatch) > 50
+
+    def test_carried_activities_match_rescan_random(self, monkeypatch):
+        expanded = 0
+        for seed in range(120):
+            model, _ = random_row_set(seed)
+            expanded += self.assert_carried_match_oracle(model, monkeypatch)
+            problem = random_problem(seed + 700, n=6 + seed % 6)
+            expanded += self.assert_carried_match_oracle(build_model(problem, DARS), monkeypatch)
+        assert expanded > 1000

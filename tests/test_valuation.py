@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -171,10 +172,11 @@ class TestRequirement:
         assert r.expected_value == pytest.approx(9.0)
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            Requirement(id="x", cost=-1.0, value=1.0, probability=0.5)
-        with pytest.raises(ValidationError):
-            Requirement(id="x", cost=1.0, value=-1.0, probability=0.5)
+        for bad in (-1.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValidationError):
+                Requirement(id="x", cost=bad, value=1.0, probability=0.5)
+            with pytest.raises(ValidationError):
+                Requirement(id="x", cost=1.0, value=bad, probability=0.5)
         with pytest.raises(ValidationError):
             Requirement(id="x", cost=1.0, value=1.0, probability=1.5)
 
