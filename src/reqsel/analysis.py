@@ -227,6 +227,8 @@ class SyntheticSpec:
             raise ValidationError("npdl > 0 requires pdl > 0")
         for nm in ("cost_range", "value_range", "probability_range"):
             lo, hi = getattr(self, nm)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValidationError(f"{nm} must be finite: ({lo}, {hi})")
             if lo > hi:
                 raise ValidationError(f"{nm} is empty: ({lo}, {hi})")
         plo, phi = self.probability_range

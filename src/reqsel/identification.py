@@ -29,19 +29,24 @@ the Haldane-Anscombe correction (+0.5 on all four cells). Surviving pairs
 map into graph edges with strength membership(|eta|) and quality given by
 the sign of eta.
 
-`build_vdg` runs that filter on whole n x n arrays: the corrected cells,
-log omega and the radius, and the verdict as the signs of
-log omega -/+ radius (the interval excludes 1 iff its lower log end is
+Each `CausalAnalysis` builds one table of corrected cells on first use:
+omega, the radius per unit z', and whether the pair is defined, as n x n
+arrays. The table does not depend on z', and it serves `build_vdg` and the
+per-pair `odds_ratio` and `significance_test` alike. Its products,
+quotients, sums and square roots are correctly rounded in numpy as in
+Python, so it equals the scalar formulas bit for bit; the logarithm and
+exponential stay scalar `math` calls per pair, which keeps the all-pairs
+report `repr`-exact. `build_vdg` decides every pair from the signs of
+log omega -/+ z' * radius (the interval excludes 1 iff its lower log end is
 positive or its upper log end negative). The array logarithm may differ
 from `math.log` by an ulp, so a pair with either log end within 1e-9 of 0
 is re-decided by the scalar `significance_test`; outside that band both
 agree on the sign, and the edge set equals the per-pair filter's exactly.
-`odds_ratio` and `significance_test` stay scalar: the all-pairs report is
-written from them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,10 +82,31 @@ class CausalAnalysis:
         if self.user_count < 1:
             raise ValidationError("user count must be positive")
 
+    @functools.cached_property
+    def woolf_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(omega, radius per unit z', pair_defined) for every ordered pair,
+        from the Haldane-Anscombe corrected cells (+0.5 on all four when any
+        is zero)."""
+        n = self.n
+        n11 = self.counts[:, :n].astype(np.float64)
+        n10 = self.counts[:, n:].astype(np.float64)
+        n01 = n10.T
+        n00 = float(self.user_count) - n11 - n10 - n01
+        zero = (n11 == 0.0) | (n10 == 0.0) | (n01 == 0.0) | (n00 == 0.0)
+        half = np.where(zero, 0.5, 0.0)
+        n11, n10, n01, n00 = n11 + half, n10 + half, n01 + half, n00 + half
+        omega = (n11 * n00) / (n10 * n01)
+        root = np.sqrt(1.0 / n11 + 1.0 / n00 + 1.0 / n10 + 1.0 / n01)
+        wanted = np.diag(self.counts[:, :n])
+        defined = ((wanted > 0) & (wanted < self.user_count))[None, :] & ~np.eye(n, dtype=bool)
+        for table in (omega, root, defined):
+            table.flags.writeable = False  # shared by every caller
+        return omega, root, defined
+
     def pair_defined(self, i: int, j: int) -> bool:
         """True when both conditionals of (i, j) exist: r_j was wanted by
         some users and ignored by others."""
-        return i != j and 0 < int(self.counts[j, j]) < self.user_count
+        return self.woolf_table[2].item(i, j)
 
 
 @dataclass(frozen=True)
@@ -88,8 +114,8 @@ class SignificanceConfig:
     z_prime: float = 1.96
 
     def __post_init__(self) -> None:
-        if self.z_prime <= 0:
-            raise ValidationError("critical value z' must be positive")
+        if not (math.isfinite(self.z_prime) and self.z_prime > 0):
+            raise ValidationError(f"critical value z' must be finite and > 0, got {self.z_prime}")
 
 
 @dataclass(frozen=True)
@@ -130,24 +156,11 @@ def compute_eells(m: PreferenceMatrix) -> CausalAnalysis:
     return CausalAnalysis(n=m.n, counts=counts, eells=eells, user_count=k)
 
 
-def _contingency(analysis: CausalAnalysis, i: int, j: int) -> tuple[float, float, float, float]:
-    """2x2 cell counts for the pair, Haldane-Anscombe corrected when needed."""
-    if i == j:
-        raise ValidationError("contingency table requires two distinct requirements")
-    n = analysis.n
-    n11 = float(analysis.counts[i, j])
-    n10 = float(analysis.counts[i, j + n])
-    n01 = float(analysis.counts[j, i + n])
-    n00 = float(analysis.user_count) - n11 - n10 - n01
-    if min(n11, n10, n01, n00) == 0.0:
-        n11, n10, n01, n00 = n11 + 0.5, n10 + 0.5, n01 + 0.5, n00 + 0.5
-    return n11, n10, n01, n00
-
-
 def odds_ratio(analysis: CausalAnalysis, i: int, j: int) -> float:
     """omega = (n11 * n00) / (n10 * n01); symmetric in (i, j) exactly."""
-    n11, n10, n01, n00 = _contingency(analysis, i, j)
-    return (n11 * n00) / (n10 * n01)
+    if i == j:
+        raise ValidationError("odds ratios require two distinct requirements")
+    return analysis.woolf_table[0].item(i, j)
 
 
 def significance_test(
@@ -161,14 +174,14 @@ def significance_test(
     without counterfactual evidence are reported insignificant regardless of
     the interval.
     """
-    n11, n10, n01, n00 = _contingency(analysis, i, j)
-    log_omega = math.log((n11 * n00) / (n10 * n01))
-    radius = cfg.z_prime * math.sqrt(1.0 / n11 + 1.0 / n00 + 1.0 / n10 + 1.0 / n01)
+    if i == j:
+        raise ValidationError("odds ratios require two distinct requirements")
+    omega, root, defined = analysis.woolf_table
+    log_omega = math.log(omega.item(i, j))
+    radius = cfg.z_prime * root.item(i, j)
     lower = math.exp(log_omega - radius)
     upper = math.exp(log_omega + radius)
-    if not analysis.pair_defined(i, j):
-        return lower, upper, False
-    return lower, upper, not (lower <= 1.0 <= upper)
+    return lower, upper, defined.item(i, j) and not (lower <= 1.0 <= upper)
 
 
 def _membership(eta: np.ndarray, cfg: MembershipConfig) -> np.ndarray:
@@ -188,24 +201,6 @@ def membership(eta: float, cfg: MembershipConfig) -> float:
     return float(_membership(eta, cfg))
 
 
-def _log_interval_ends(
-    analysis: CausalAnalysis, sig: SignificanceConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """log omega - radius and log omega + radius for every ordered pair, from
-    the same corrected cells and operation order as `significance_test`."""
-    n = analysis.n
-    n11 = analysis.counts[:, :n].astype(np.float64)
-    n10 = analysis.counts[:, n:].astype(np.float64)
-    n01 = n10.T
-    n00 = float(analysis.user_count) - n11 - n10 - n01
-    zero = (n11 == 0.0) | (n10 == 0.0) | (n01 == 0.0) | (n00 == 0.0)
-    half = np.where(zero, 0.5, 0.0)
-    n11, n10, n01, n00 = n11 + half, n10 + half, n01 + half, n00 + half
-    log_omega = np.log((n11 * n00) / (n10 * n01))
-    radius = sig.z_prime * np.sqrt(1.0 / n11 + 1.0 / n00 + 1.0 / n10 + 1.0 / n01)
-    return log_omega - radius, log_omega + radius
-
-
 def build_vdg(
     analysis: CausalAnalysis, sig: SignificanceConfig, mem: MembershipConfig
 ) -> ValueDependencyGraph:
@@ -215,10 +210,10 @@ def build_vdg(
     sign of eta(i, j). Insignificant pairs and strengths mapped to zero emit
     no edge (absence means strength 0 with non-specified quality).
     """
-    n = analysis.n
-    wanted = np.diag(analysis.counts[:, :n])
-    defined = ((wanted > 0) & (wanted < analysis.user_count))[None, :] & ~np.eye(n, dtype=bool)
-    lower, upper = _log_interval_ends(analysis, sig)
+    omega, root, defined = analysis.woolf_table
+    log_omega = np.log(omega)
+    radius = sig.z_prime * root
+    lower, upper = log_omega - radius, log_omega + radius
     significant = (lower > 0.0) | (upper < 0.0)
     band = defined & ((np.abs(lower) < _RECHECK_BAND) | (np.abs(upper) < _RECHECK_BAND))
     for i, j in zip(*np.nonzero(band)):
@@ -230,4 +225,4 @@ def build_vdg(
     edges = dict(
         zip(zip(rows.tolist(), cols.tolist()), zip(rho[rows, cols].tolist(), qualities))
     )
-    return ValueDependencyGraph(n=n, edges=edges)
+    return ValueDependencyGraph(n=analysis.n, edges=edges)

@@ -28,7 +28,6 @@ from reqsel import (
     SelectionProblem,
     ValidationError,
     ValueDependencyGraph,
-    significance_test,
 )
 from reqsel.dependency_graph import NEGATIVE, POSITIVE
 from reqsel.selection_models import INCREASE_DECREASE
@@ -62,14 +61,29 @@ def causal_strength(cells: np.ndarray, i: int, j: int) -> float:
 
 def woolf_interval(
     counts: tuple[int, int, int, int], z: float
-) -> tuple[float, float]:
-    """Odds-ratio confidence interval, 0.5 added to all cells on any zero."""
+) -> tuple[float, float, float]:
+    """(omega, lower, upper) of the odds-ratio confidence interval, one scalar
+    `math` call per step, 0.5 added to all cells on any zero."""
     n11, n10, n01, n00 = (float(c) for c in counts)
     if min(n11, n10, n01, n00) == 0.0:
         n11, n10, n01, n00 = n11 + 0.5, n10 + 0.5, n01 + 0.5, n00 + 0.5
     omega = (n11 * n00) / (n10 * n01)
-    radius = z * math.sqrt(1.0 / n11 + 1.0 / n10 + 1.0 / n01 + 1.0 / n00)
-    return math.exp(math.log(omega) - radius), math.exp(math.log(omega) + radius)
+    log_omega = math.log(omega)
+    radius = z * math.sqrt(1.0 / n11 + 1.0 / n00 + 1.0 / n10 + 1.0 / n01)
+    return omega, math.exp(log_omega - radius), math.exp(log_omega + radius)
+
+
+def woolf_pair(analysis, i: int, j: int, z: float) -> tuple[float, float, float, bool]:
+    """(omega, lower, upper, significant) for one ordered pair, from the 2x2
+    table read off the analysis tallies; the verdict is False unless r_j was
+    wanted by some users and ignored by others."""
+    n, u = analysis.n, analysis.user_count
+    n11 = int(analysis.counts[i, j])
+    n10 = int(analysis.counts[i, j + n])
+    n01 = int(analysis.counts[j, i + n])
+    omega, lower, upper = woolf_interval((n11, n10, n01, u - n11 - n10 - n01), z)
+    defined = i != j and 0 < int(analysis.counts[j, j]) < u
+    return omega, lower, upper, defined and not (lower <= 1.0 <= upper)
 
 
 def phi2(a: float, b: float, rho: float) -> float:
@@ -224,15 +238,12 @@ def brute_force_influence(g: ValueDependencyGraph, max_len: int) -> InfluenceMat
 
 
 def per_pair_vdg_edges(analysis, sig, mem) -> dict[tuple[int, int], tuple[float, str]]:
-    """The VDG edge dict from one scalar significance_test per ordered pair
+    """The VDG edge dict from one scalar woolf_pair verdict per ordered pair
     and the membership map written out per pair."""
     edges: dict[tuple[int, int], tuple[float, str]] = {}
     for i in range(analysis.n):
         for j in range(analysis.n):
-            if i == j or not analysis.pair_defined(i, j):
-                continue
-            _, _, significant = significance_test(analysis, i, j, sig)
-            if not significant:
+            if i == j or not woolf_pair(analysis, i, j, sig.z_prime)[3]:
                 continue
             eta = float(analysis.eells[i, j])
             s = abs(eta)

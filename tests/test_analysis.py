@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -122,6 +123,14 @@ class TestSyntheticGeneration:
             SyntheticSpec(n=5, vdl=0.1, cost_range=(3.0, 2.0))
         with pytest.raises(ValidationError):
             generate_synthetic(SyntheticSpec(n=5, vdl=0.1), budget_fraction=-1.0)
+
+    @pytest.mark.parametrize("field", ["cost_range", "value_range", "probability_range"])
+    @pytest.mark.parametrize(
+        "ends", [(math.nan, 0.5), (0.5, math.nan), (0.5, math.inf), (-math.inf, 0.5)]
+    )
+    def test_spec_rejects_non_finite_range_ends(self, field, ends):
+        with pytest.raises(ValidationError, match="finite"):
+            SyntheticSpec(n=5, vdl=0.1, **{field: ends})
 
 
 def forced_pick_problem():

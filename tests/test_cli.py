@@ -5,8 +5,10 @@ directories so nothing leaks into the working tree.
 """
 
 import csv
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from reqsel import cli
@@ -245,6 +247,43 @@ class TestIdentify:
         assert rc == 0
         graph, _ = load_vdg((tmp_path / "wide" / "vdg.csv").open())
         assert graph.edges == {}
+
+    @pytest.mark.parametrize("z", ["nan", "inf"])
+    def test_non_finite_critical_value_exits_two(self, tmp_path, capsys, z):
+        prefs = write_prefs(tmp_path / "prefs.csv")
+        rc = cli.run(
+            ["identify", "--preferences", str(prefs), "--z", z, "--out", str(tmp_path / "o")]
+        )
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_resampled_outputs_pinned(self, tmp_path):
+        # 40 requirements over 80 users, two shared factors plus five sparse
+        # rows, resampled to 300 users: the 1,560-row report holds both
+        # verdicts and Haldane-corrected zero cells
+        rng = np.random.default_rng(11)
+        factor = rng.random((2, 80)) < 0.5
+        shared = rng.random((40, 80)) < 0.7
+        cells = np.where(shared, factor[np.arange(40) % 2], rng.random((40, 80)) < 0.5)
+        cells[:5] = rng.random((5, 80)) < rng.uniform(0.05, 0.3, (5, 1))
+        source = tmp_path / "source.csv"
+        with open(source, "w") as fh:
+            for i, row in enumerate(cells.astype(int)):
+                fh.write(f"r{i + 1}," + ",".join(map(str, row)) + "\n")
+        rs, ident = tmp_path / "rs", tmp_path / "id"
+        args = ["resample", "--preferences", str(source), "--count", "300", "--seed", "7"]
+        assert cli.run(args + ["--out", str(rs)]) == 0
+        args = ["identify", "--preferences", str(rs / "samples.csv"), "--out", str(ident)]
+        assert cli.run(args) == 0
+        digests = {
+            name: hashlib.sha256((ident / name).read_bytes()).hexdigest()
+            for name in ("vdg.csv", "eells_report.csv")
+        }
+        assert digests == {
+            "vdg.csv": "f5c3e3fed6ae1d5525444cd4c4f4a57d54a53f705eee391b17b9d9875bd89417",
+            "eells_report.csv": "1f68942e13e982ee02b113860094b306c957c2a51be4d09436bb1b4ab8ac33b7",
+        }
 
 
 class TestResample:
@@ -545,6 +584,14 @@ class TestSimulate:
         )
         assert rc == 2
         assert "--cost-range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--cost-range", "nan,3"), ("--cost-range", "1,inf"), ("--value-range", "1,nan")]
+    )
+    def test_non_finite_range_exits_two(self, tmp_path, capsys, flag, value):
+        rc = cli.run(["simulate", "--n", "6", "--seed", "1", flag, value, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestBench:

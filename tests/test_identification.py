@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import causal_strength, per_pair_vdg_edges, woolf_interval
+from oracles import causal_strength, per_pair_vdg_edges, woolf_interval, woolf_pair
 from reqsel import (
     MembershipConfig,
     PreferenceMatrix,
@@ -130,7 +130,7 @@ class TestSignificance:
     def test_matches_oracle(self, counts):
         analysis = compute_eells(pair_matrix(*counts))
         lower, upper, _ = significance_test(analysis, 0, 1, SignificanceConfig())
-        want_lower, want_upper = woolf_interval(counts, 1.96)
+        _, want_lower, want_upper = woolf_interval(counts, 1.96)
         assert lower == pytest.approx(want_lower, rel=1e-12)
         assert upper == pytest.approx(want_upper, rel=1e-12)
 
@@ -161,6 +161,44 @@ class TestSignificance:
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             SignificanceConfig(z_prime=0.0)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_critical_value_rejected(self, z):
+        # a NaN radius would leave every interval end NaN, which no
+        # comparison places around 1
+        with pytest.raises(ValidationError):
+            SignificanceConfig(z_prime=z)
+
+    def test_every_pair_matches_the_scalar_oracle_exactly(self):
+        # 320 random analyses: Haldane zero cells from sparse and dense rows,
+        # unanimous and never-wanted rows, one-user matrices; plus the
+        # fixture at the z' that puts its lower interval end on 1
+        rng = np.random.default_rng(2024)
+        cases = [(compute_eells(WOOLF_FIXTURE), math.log(16.0) / 0.5)]
+        for case in range(320):
+            n = int(rng.integers(2, 9))
+            k = 1 if case % 8 == 0 else int(rng.integers(1, 61))
+            cells = (rng.random((n, k)) < rng.uniform(0.02, 0.98, (n, 1))).astype(np.int8)
+            if case % 3 == 0:
+                cells[rng.integers(n)] = 1
+            if case % 5 == 0:
+                cells[rng.integers(n)] = 0
+            z = (0.5, 1.0, 1.96, 3.3)[case % 4]
+            cases.append((compute_eells(matrix_from_cells(cells)), z))
+        pairs, verdicts = 0, set()
+        for analysis, z in cases:
+            sig = SignificanceConfig(z_prime=z)
+            for i in range(analysis.n):
+                for j in range(analysis.n):
+                    if i == j:
+                        continue
+                    omega, lower, upper, significant = woolf_pair(analysis, i, j, z)
+                    got = (odds_ratio(analysis, i, j), *significance_test(analysis, i, j, sig))
+                    want = (omega, lower, upper, significant)
+                    assert [repr(v) for v in got] == [repr(v) for v in want]
+                    pairs += 1
+                    verdicts.add(significant)
+        assert pairs > 5000 and verdicts == {False, True}
 
 
 class TestMembership:
