@@ -217,6 +217,8 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValidationError("synthetic instances need n >= 2")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         for nm in ("vdl", "nvdl", "pdl", "npdl"):
             t = getattr(self, nm)
             if not 0.0 <= t <= 1.0:
@@ -246,8 +248,8 @@ def generate_synthetic(
     Budget is budget_fraction * total cost under BUDGET_COST mode; sweeps
     re-budget per level anyway. Deterministic per seed.
     """
-    if budget_fraction < 0:
-        raise ValidationError("budget fraction must be non-negative")
+    if not (math.isfinite(budget_fraction) and budget_fraction >= 0):
+        raise ValidationError(f"budget fraction must be finite and non-negative, got {budget_fraction}")
     n = spec.n
     rng = np.random.default_rng(spec.seed)
     npairs = n * (n - 1)

@@ -359,6 +359,8 @@ def sample_dichotomized_gaussian(
     """
     if count < 1:
         raise ValidationError("sample count must be at least 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     n = model.n
     if requirement_ids is None:
         requirement_ids = tuple(f"r{i + 1}" for i in range(n))

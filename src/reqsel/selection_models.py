@@ -29,7 +29,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import IO, Sequence
+from operator import attrgetter
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -159,8 +160,14 @@ class LinearModel:
         for name in self.objective:
             if name not in declared:
                 raise ValidationError(f"objective references undeclared variable {name!r}")
+        rows = self.constraints
+        if len({c.name for c in rows}) == len(rows) and declared.issuperset(
+            chain.from_iterable(map(attrgetter("coeffs"), rows))
+        ):
+            return
+        # walk the rows only to report the first fault
         seen_rows = set()
-        for c in self.constraints:
+        for c in rows:
             if c.name in seen_rows:
                 raise ValidationError(f"duplicate constraint name {c.name!r}")
             seen_rows.add(c.name)
@@ -341,8 +348,7 @@ def build_model(
 
 
 def _lp_number(value: float) -> str:
-    text = f"{value:.12g}"
-    return text
+    return f"{value:.12g}"
 
 
 def _lp_terms(coeffs: dict[str, float], pos: dict[str, int], fallback: str) -> str:
@@ -393,6 +399,9 @@ def export_lp(m: LinearModel, sink: IO[str]) -> None:
 
 _TOKEN = re.compile(r"<=|>=|=|[+-]|[A-Za-z_][A-Za-z0-9_]*|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
+_RELATIONS = frozenset(("<=", ">=", "="))
+_NUMBER_START = frozenset("0123456789.")
+
 _SECTION_STARTS = {
     "maximize": "objective",
     "minimize": "objective",
@@ -411,26 +420,23 @@ _SECTION_STARTS = {
 
 
 def _parse_terms(tokens: list[str], where: str) -> dict[str, float]:
+    # every _TOKEN number starts with a digit or '.', so `inf` and `nan` are names
     coeffs: dict[str, float] = {}
     sign = 1.0
     pending: float | None = None
     for tok in tokens:
-        if tok == "+":
+        first = tok[0]
+        if first == "+":
             continue
-        if tok == "-":
+        if first == "-":
             sign = -sign
             continue
-        try:
-            number = float(tok)
-        except ValueError:
-            number = None
-        if number is not None:
+        if first in _NUMBER_START:
             if pending is not None:
                 raise InputFormatError(f"{where}: two consecutive numbers")
-            pending = number
+            pending = float(tok)
             continue
-        coef = sign * (pending if pending is not None else 1.0)
-        coeffs[tok] = coeffs.get(tok, 0.0) + coef
+        coeffs[tok] = coeffs.get(tok, 0.0) + sign * (pending if pending is not None else 1.0)
         sign = 1.0
         pending = None
     if pending is not None:
@@ -438,34 +444,45 @@ def _parse_terms(tokens: list[str], where: str) -> dict[str, float]:
     return coeffs
 
 
-def parse_lp(source: IO[str]) -> LinearModel:
+def _constraint(name: str, tokens: list[str]) -> LinearConstraint:
+    """The row `name: terms rel rhs` from its tokens."""
+    if len(tokens) < 2 or tokens[-2] not in _RELATIONS or not _RELATIONS.isdisjoint(tokens[:-2]):
+        raise InputFormatError(f"constraint {name}: expected `terms rel rhs`")
+    coeffs = _parse_terms(tokens[:-2], f"constraint {name}")
+    try:
+        rhs = float(tokens[-1])
+    except ValueError as exc:
+        raise InputFormatError(f"constraint {name}: bad right-hand side") from exc
+    return LinearConstraint(name, coeffs, tokens[-2], rhs)
+
+
+def parse_lp(source: Iterable[str]) -> LinearModel:
     """Minimal LP-format reader for files written by export_lp.
 
     Handles the objective, constraint rows `name: terms rel rhs`, simple
     one- and two-sided bounds (signed numbers, -inf, +inf), and
-    Binary/General sections. Variables that appear in rows but in no
-    Bounds/Binary section default to continuous [0, +inf). Variables are
-    declared in Binary-section order, then Bounds-section order, then any
-    other name by first appearance (objective first, then rows), which is
-    the order export_lp wrote them in. The model carries
-    no metadata beyond {"kind": "PARSED"}: the solver reads the roles of a
-    DARS model's variables off the row shapes, so a parsed DARS file is
-    searched like the model it was written from.
+    Binary/General sections. Reads `source`, any iterable of lines, in one
+    pass and builds each row as soon as it ends, at the next row or section
+    header. Any name matching [A-Za-z_][A-Za-z0-9_]* is a variable, `inf` and
+    `nan` too. Variables that appear in rows but in no Bounds/Binary section
+    default to continuous [0, +inf). Variables are declared in Binary-section
+    order, then Bounds-section order, then any other name by first appearance
+    (objective first, then rows), which is the order export_lp wrote them in.
+    The model carries no metadata beyond {"kind": "PARSED"}: the solver reads
+    the roles of a DARS model's variables off the row shapes, so a parsed
+    DARS file is searched like the model it was written from.
     """
     sense = "max"
     section = None
     objective_tokens: list[str] = []
-    constraint_lines: list[tuple[str, list[str]]] = []
+    row: tuple[str, list[str]] | None = None  # the constraint row being read
+    constraints: list[LinearConstraint] = []
     bounds: dict[str, tuple[float, float]] = {}
     binaries: list[str] = []
 
     def parse_bound_token(text: str) -> float:
-        lowered = text.lower().lstrip("+")
-        if lowered in ("-inf", "-infinity"):
-            return -math.inf
-        if lowered in ("inf", "infinity"):
-            return math.inf
         try:
+            # float reads inf, -inf, +inf and infinity in any case
             return float(text)
         except ValueError as exc:
             raise InputFormatError(f"bounds: bad number {text!r}") from exc
@@ -474,26 +491,30 @@ def parse_lp(source: IO[str]) -> LinearModel:
         line = raw_line.split("\\")[0].strip()
         if not line:
             continue
-        lowered = line.lower()
-        matched_section = _SECTION_STARTS.get(lowered)
+        head, colon, body = line.partition(":")
+        # no section header holds a colon
+        matched_section = None if colon else _SECTION_STARTS.get(line.lower())
         if matched_section is not None:
+            if row is not None:
+                constraints.append(_constraint(*row))
+                row = None
             section = matched_section
-            if lowered in ("minimize", "min"):
+            if line.lower() in ("minimize", "min"):
                 sense = "min"
             if section == "end":
                 break
             continue
-        if section == "objective":
-            body = line.split(":", 1)[1] if ":" in line else line
-            objective_tokens.extend(_TOKEN.findall(body))
-        elif section == "constraints":
-            if ":" in line:
-                name, body = line.split(":", 1)
-                constraint_lines.append((name.strip(), _TOKEN.findall(body)))
+        if section == "constraints":
+            if colon:
+                if row is not None:
+                    constraints.append(_constraint(*row))
+                row = (head.strip(), _TOKEN.findall(body))
+            elif row is None:
+                raise InputFormatError("constraint continuation before any named row")
             else:
-                if not constraint_lines:
-                    raise InputFormatError("constraint continuation before any named row")
-                constraint_lines[-1][1].extend(_TOKEN.findall(line))
+                row[1].extend(_TOKEN.findall(line))
+        elif section == "objective":
+            objective_tokens.extend(_TOKEN.findall(body if colon else line))
         elif section == "bounds":
             tokens = []
             for tok in _TOKEN.findall(line):
@@ -503,16 +524,11 @@ def parse_lp(source: IO[str]) -> LinearModel:
                 tokens.append(tok)
             if len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
                 bounds[tokens[2]] = (parse_bound_token(tokens[0]), parse_bound_token(tokens[4]))
-            elif len(tokens) == 3 and tokens[1] in ("<=", ">=", "="):
-                name = tokens[0]
-                value = parse_bound_token(tokens[2])
+            elif len(tokens) == 3 and tokens[1] in _RELATIONS:
+                name, relation, text = tokens
+                value = parse_bound_token(text)
                 lo, hi = bounds.get(name, (0.0, math.inf))
-                if tokens[1] == "<=":
-                    bounds[name] = (lo, value)
-                elif tokens[1] == ">=":
-                    bounds[name] = (value, hi)
-                else:
-                    bounds[name] = (value, value)
+                bounds[name] = (lo if relation == "<=" else value, hi if relation == ">=" else value)
             else:
                 raise InputFormatError(f"bounds: unsupported line {line!r}")
         elif section == "binary":
@@ -521,29 +537,10 @@ def parse_lp(source: IO[str]) -> LinearModel:
             raise InputFormatError("general integer variables are not supported")
         else:
             raise InputFormatError(f"content before any section header: {line!r}")
+    if row is not None:
+        constraints.append(_constraint(*row))
 
     objective = _parse_terms(objective_tokens, "objective")
-
-    constraints: list[LinearConstraint] = []
-    for row_name, tokens in constraint_lines:
-        relation = None
-        split_at = None
-        for pos, tok in enumerate(tokens):
-            if tok in ("<=", ">=", "="):
-                relation = tok
-                split_at = pos
-                break
-        if relation is None or split_at is None or split_at != len(tokens) - 2:
-            raise InputFormatError(f"constraint {row_name}: expected `terms rel rhs`")
-        coeffs = _parse_terms(tokens[:split_at], f"constraint {row_name}")
-        try:
-            rhs = float(tokens[-1])
-        except ValueError as exc:
-            raise InputFormatError(f"constraint {row_name}: bad right-hand side") from exc
-        constraints.append(
-            LinearConstraint(name=row_name, coeffs=coeffs, relation=relation, rhs=rhs)
-        )
-
     binary_set = set(binaries)
     declared = chain(binaries, bounds, objective, chain.from_iterable(c.coeffs for c in constraints))
     variables = []
@@ -553,6 +550,4 @@ def parse_lp(source: IO[str]) -> LinearModel:
         else:
             lo, hi = bounds.get(name, (0.0, math.inf))
             variables.append(Variable(name=name, kind=CONTINUOUS, lower=lo, upper=hi))
-    return LinearModel(
-        tuple(variables), sense, objective, tuple(constraints), {"kind": "PARSED"}
-    )
+    return LinearModel(tuple(variables), sense, objective, tuple(constraints), {"kind": "PARSED"})

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 from scipy import integrate
@@ -23,6 +24,8 @@ from reqsel import (
     Conflicts,
     ExactlyOne,
     InfluenceMatrix,
+    InputFormatError,
+    LinearModel,
     RequiresAll,
     RequiresAny,
     SelectionProblem,
@@ -30,7 +33,7 @@ from reqsel import (
     ValueDependencyGraph,
 )
 from reqsel.dependency_graph import NEGATIVE, POSITIVE
-from reqsel.selection_models import INCREASE_DECREASE
+from reqsel.selection_models import BINARY, CONTINUOUS, INCREASE_DECREASE, LinearConstraint, Variable
 
 
 def contingency(cells: np.ndarray, i: int, j: int) -> tuple[int, int, int, int]:
@@ -449,3 +452,162 @@ def reference_propagate(rows, fixed, minact, maxact, feas_eps: float = 1e-9):
             if not scan(rid, queue):
                 return False, queue
     return True, queue
+
+
+_LP_TOKEN = re.compile(r"<=|>=|=|[+-]|[A-Za-z_][A-Za-z0-9_]*|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+
+_LP_SECTIONS = {
+    "maximize": "objective",
+    "minimize": "objective",
+    "max": "objective",
+    "min": "objective",
+    "subject to": "constraints",
+    "such that": "constraints",
+    "st": "constraints",
+    "s.t.": "constraints",
+    "bounds": "bounds",
+    "binary": "binary",
+    "binaries": "binary",
+    "general": "general",
+    "end": "end",
+}
+
+
+def _reference_parse_terms(tokens: list[str], where: str) -> dict[str, float]:
+    coeffs: dict[str, float] = {}
+    sign = 1.0
+    pending: float | None = None
+    for tok in tokens:
+        if tok == "+":
+            continue
+        if tok == "-":
+            sign = -sign
+            continue
+        try:
+            number = float(tok)
+        except ValueError:
+            number = None
+        if number is not None:
+            if pending is not None:
+                raise InputFormatError(f"{where}: two consecutive numbers")
+            pending = number
+            continue
+        coef = sign * (pending if pending is not None else 1.0)
+        coeffs[tok] = coeffs.get(tok, 0.0) + coef
+        sign = 1.0
+        pending = None
+    if pending is not None:
+        raise InputFormatError(f"{where}: dangling number without a variable")
+    return coeffs
+
+
+def reference_parse_lp(source) -> LinearModel:
+    """The two-pass LP reader `parse_lp` replaced: it collects every row's
+    tokens first, then builds the rows, and tells numbers from names by
+    probing each token with float(), so a variable named `inf` or `nan`
+    reads as a number."""
+    sense = "max"
+    section = None
+    objective_tokens: list[str] = []
+    constraint_lines: list[tuple[str, list[str]]] = []
+    bounds: dict[str, tuple[float, float]] = {}
+    binaries: list[str] = []
+
+    def parse_bound_token(text: str) -> float:
+        lowered = text.lower().lstrip("+")
+        if lowered in ("-inf", "-infinity"):
+            return -math.inf
+        if lowered in ("inf", "infinity"):
+            return math.inf
+        try:
+            return float(text)
+        except ValueError as exc:
+            raise InputFormatError(f"bounds: bad number {text!r}") from exc
+
+    for raw_line in source:
+        line = raw_line.split("\\")[0].strip()
+        if not line:
+            continue
+        lowered = line.lower()
+        matched_section = _LP_SECTIONS.get(lowered)
+        if matched_section is not None:
+            section = matched_section
+            if lowered in ("minimize", "min"):
+                sense = "min"
+            if section == "end":
+                break
+            continue
+        if section == "objective":
+            body = line.split(":", 1)[1] if ":" in line else line
+            objective_tokens.extend(_LP_TOKEN.findall(body))
+        elif section == "constraints":
+            if ":" in line:
+                name, body = line.split(":", 1)
+                constraint_lines.append((name.strip(), _LP_TOKEN.findall(body)))
+            else:
+                if not constraint_lines:
+                    raise InputFormatError("constraint continuation before any named row")
+                constraint_lines[-1][1].extend(_LP_TOKEN.findall(line))
+        elif section == "bounds":
+            tokens = []
+            for tok in _LP_TOKEN.findall(line):
+                if tokens and tokens[-1] in ("+", "-"):
+                    tok = tokens.pop() + tok
+                tokens.append(tok)
+            if len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
+                bounds[tokens[2]] = (parse_bound_token(tokens[0]), parse_bound_token(tokens[4]))
+            elif len(tokens) == 3 and tokens[1] in ("<=", ">=", "="):
+                name = tokens[0]
+                value = parse_bound_token(tokens[2])
+                lo, hi = bounds.get(name, (0.0, math.inf))
+                if tokens[1] == "<=":
+                    bounds[name] = (lo, value)
+                elif tokens[1] == ">=":
+                    bounds[name] = (value, hi)
+                else:
+                    bounds[name] = (value, value)
+            else:
+                raise InputFormatError(f"bounds: unsupported line {line!r}")
+        elif section == "binary":
+            binaries.extend(_LP_TOKEN.findall(line))
+        elif section == "general":
+            raise InputFormatError("general integer variables are not supported")
+        else:
+            raise InputFormatError(f"content before any section header: {line!r}")
+
+    objective = _reference_parse_terms(objective_tokens, "objective")
+
+    constraints: list[LinearConstraint] = []
+    for row_name, tokens in constraint_lines:
+        relation = None
+        split_at = None
+        for pos, tok in enumerate(tokens):
+            if tok in ("<=", ">=", "="):
+                relation = tok
+                split_at = pos
+                break
+        if relation is None or split_at is None or split_at != len(tokens) - 2:
+            raise InputFormatError(f"constraint {row_name}: expected `terms rel rhs`")
+        coeffs = _reference_parse_terms(tokens[:split_at], f"constraint {row_name}")
+        try:
+            rhs = float(tokens[-1])
+        except ValueError as exc:
+            raise InputFormatError(f"constraint {row_name}: bad right-hand side") from exc
+        constraints.append(
+            LinearConstraint(name=row_name, coeffs=coeffs, relation=relation, rhs=rhs)
+        )
+
+    binary_set = set(binaries)
+    declared = itertools.chain(
+        binaries, bounds, objective, itertools.chain.from_iterable(c.coeffs for c in constraints)
+    )
+    variables = []
+    for name in dict.fromkeys(declared):
+        if name in binary_set:
+            variables.append(Variable(name=name, kind=BINARY))
+        else:
+            lo, hi = bounds.get(name, (0.0, math.inf))
+            variables.append(Variable(name=name, kind=CONTINUOUS, lower=lo, upper=hi))
+    return LinearModel(
+        tuple(variables), sense, objective, tuple(constraints), {"kind": "PARSED"}
+    )

@@ -121,8 +121,11 @@ class TestSyntheticGeneration:
             SyntheticSpec(n=5, vdl=0.1, probability_range=(0.5, 1.5))
         with pytest.raises(ValidationError):
             SyntheticSpec(n=5, vdl=0.1, cost_range=(3.0, 2.0))
-        with pytest.raises(ValidationError):
-            generate_synthetic(SyntheticSpec(n=5, vdl=0.1), budget_fraction=-1.0)
+        with pytest.raises(ValidationError, match="seed"):
+            SyntheticSpec(n=5, vdl=0.1, seed=-1)
+        for fraction in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="budget fraction"):
+                generate_synthetic(SyntheticSpec(n=5, vdl=0.1), budget_fraction=fraction)
 
     @pytest.mark.parametrize("field", ["cost_range", "value_range", "probability_range"])
     @pytest.mark.parametrize(

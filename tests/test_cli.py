@@ -319,6 +319,16 @@ class TestResample:
         b = (tmp_path / "b" / "samples.csv").read_text().splitlines()[2:]
         assert a != b
 
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        prefs = write_prefs(tmp_path / "prefs.csv")
+        rc = cli.run(
+            ["resample", "--preferences", str(prefs), "--count", "10", "--seed", "-1",
+             "--out", str(tmp_path / "out")]
+        )
+        assert rc == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestInfluenceCommand:
     def test_propagates_and_keeps_isolated_nodes(self, tmp_path):
@@ -592,6 +602,22 @@ class TestSimulate:
         rc = cli.run(["simulate", "--n", "6", "--seed", "1", flag, value, "--out", str(tmp_path)])
         assert rc == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        rc = cli.run(["simulate", "--n", "6", "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_bad_budget_fraction_exits_two(self, tmp_path, capsys, value):
+        rc = cli.run(
+            ["simulate", "--n", "6", "--seed", "1", "--budget-fraction", value,
+             "--out", str(tmp_path / "out")]
+        )
+        assert rc == 2
+        assert "budget fraction must be finite and non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestBench:

@@ -284,6 +284,8 @@ class TestSampling:
         model = fit_dichotomized_gaussian(binary_stats(random_matrix(2, 60, 2)))
         with pytest.raises(ValidationError):
             sample_dichotomized_gaussian(model, 0, seed=0)
+        with pytest.raises(ValidationError, match="seed"):
+            sample_dichotomized_gaussian(model, 10, seed=-1)
 
 
 class TestResamplingReport:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import reference_parse_lp
 
 from reqsel import (
     BK,
@@ -517,3 +518,108 @@ class TestLpFormat:
         assert [(v.name, v.kind, v.lower, v.upper) for v in parsed.variables] == [
             (v.name, v.kind, v.lower, v.upper) for v in m.variables
         ]
+
+    def test_names_that_spell_numbers_round_trip(self):
+        # float() reads all of these, so a reader that probes tokens with it
+        # takes them for numbers
+        binaries = ("inf", "nan", "Infinity", "NaN", "INF")
+        m = LinearModel(
+            (*(Variable(name, BINARY) for name in binaries), Variable("infinity", CONTINUOUS)),
+            "max",
+            {name: float(k + 1) for k, name in enumerate(binaries)},
+            (
+                LinearConstraint("c1", {name: 1.0 for name in binaries}, "<=", 2.0),
+                LinearConstraint("c2", {"infinity": 1.0, "nan": -2.5}, ">=", 0.0),
+            ),
+        )
+        buf = io.StringIO()
+        export_lp(m, buf)
+        parsed = parse_lp(io.StringIO(buf.getvalue()))
+        assert parsed.variables == m.variables
+        assert parsed.objective == m.objective
+        assert parsed.constraints == m.constraints
+
+
+def model_key(m):
+    """Everything a parsed model holds, in order; repr keeps -0.0 and nan apart."""
+    return (
+        [(v.name, v.kind, repr(v.lower), repr(v.upper)) for v in m.variables],
+        m.objective_sense,
+        repr(list(m.objective.items())),
+        [(c.name, repr(list(c.coeffs.items())), c.relation, repr(c.rhs)) for c in m.constraints],
+        m.metadata,
+    )
+
+
+# No input below names a variable `inf`, `nan` or `infinity`: the reference
+# reads such a name as a number, which is the fault parse_lp no longer has.
+HAND_WRITTEN_LP = [
+    "Maximize\n obj: + 1 x1\nSubject To\n c1: + 1 x1\n + 1 x2\n + 0 x3 <= 1\n c2: x3\n >= 1\nBinary\n x1\n x2\nEnd\n",
+    "Maximize\n obj: x1 - x2 + 2 x3\nSubject To\n c: x1 + x2 + x3 <= 2\nEnd\n",
+    "Max\n obj: - - x1 + - 2 x2 3 - x3 - x1\nst\n c:x1+2x2-.5e1x3>=0\n d: - 0 x1 + x2 + x2 = 1e3\nEnd\n",
+    "\\ a comment\nMaximize \\ trailing\n obj: 2 x1 \\ + 5 x2\n\nSubject To\n c: x1 + x2 <= 4 \\ note\nEnd\n",
+    "Maximize\n obj: x1 + t\nSubject To\n c: x1 + t <= 5\nBounds\n t <= 3\n t >= 1\nBinary\n x1\nEnd\n",
+    "Maximize\n obj: a + b + c + d\nSubject To\n r: a + b + c + d <= 5\n"
+    "Bounds\n -inf <= a <= +inf\n 0 <= b <= +Infinity\n -INFINITY <= c <= 2\n d = 4\n b >= -3\nEnd\n",
+    "Minimize\n obj: 2.5 x1\nSubject To\n c: x1 >= 1\nBinary\n x1\nEnd\n",
+    "min\n obj: y\ns.t.\n c: y + z <= inf\nBinaries\n z\n",
+    "Maximize\n obj: x1\n obj2: x2\nSuch That\n c: x1 + x2 <= 1\nEND\n ignored: after end\n",
+    "MAXIMIZE\n obj: + 0 x1\nSUBJECT TO\n c: + 1 x1 <= 1\nBinary\n x1\nEnd\n",
+]
+
+MALFORMED_LP = [
+    "Maximize\n obj: x1\nSubject To\n c: x1 x2\nEnd\n",
+    "Maximize\n obj: x1 + 3\nSubject To\n c: x1 <= 1\nEnd\n",
+    "Maximize\n obj: 2 3 x1\nSubject To\n c: x1 <= 1\nEnd\n",
+    "Maximize\n obj: x1\nSubject To\n c: x1 <= 1\nGeneral\n x1\nEnd\n",
+    "obj: x1\n",
+    "Maximize\n obj: x1\nSubject To\n + x1 <= 1\nEnd\n",
+    "Maximize\n obj: x1\nSubject To\n c: x1 <= y\nEnd\n",
+    "Maximize\n obj: x1\nSubject To\n c: x1 <= 1 + x2\nEnd\n",
+    "Maximize\n obj: x1\nSubject To\n c: x1 = <= 1\nEnd\n",
+    "Maximize\n obj: x1\nSubject To\n c: x1 <= =\nEnd\n",
+    "Maximize\n obj: x1\nSubject To\n c: <=\nEnd\n",
+    "Maximize\n obj: x1\nSubject To\n c: <= 1\nEnd\n",
+    "Maximize\n obj: x1\nSubject To\n c: 2 3 x1 <= 1\nEnd\n",
+    "Maximize\n obj: x1\nSubject To\n c: x1 + 4 <= 1\nEnd\n",
+    "Maximize\n obj: x1\nSubject To\n c: x1 <= 1\n c: x1 >= 0\nEnd\n",
+    "Maximize\n obj: x1\nSubject To\n c: x1 <= 1\nBounds\n 0 <= x1 <= y\nEnd\n",
+    "Maximize\n obj: x1\nSubject To\n c: x1 <= 1\nBounds\n x1 <= 1 <= 2\nEnd\n",
+    "Maximize\n obj: x1\nSubject To\n c: x1 <= 1\nBounds\n 2 <= x1 <= 1\nEnd\n",
+]
+
+
+def reference_outcome(text):
+    try:
+        return model_key(reference_parse_lp(io.StringIO(text)))
+    except (InputFormatError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+class TestParseMatchesReference:
+    """parse_lp against the two-pass reader it replaced (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("mode", (BUDGET_COST, PRICE_VALUE))
+    @pytest.mark.parametrize("method, simplify", VARIANTS.values(), ids=VARIANTS.keys())
+    def test_exported_models(self, method, simplify, mode):
+        # the models test_parse_inverts_export builds
+        for seed in range(20):
+            m = build_model(zeroed_problem(seed, mode), method, subsets=seed_subsets(seed), simplify=simplify)
+            buf = io.StringIO()
+            export_lp(m, buf)
+            text = buf.getvalue()
+            assert model_key(parse_lp(io.StringIO(text))) == reference_outcome(text), f"seed {seed}"
+
+    @pytest.mark.parametrize("text", HAND_WRITTEN_LP)
+    def test_hand_written(self, text):
+        assert model_key(parse_lp(text.splitlines(keepends=True))) == reference_outcome(text)
+
+    @pytest.mark.parametrize("text", MALFORMED_LP)
+    def test_malformed(self, text):
+        # each input holds one fault, so reading rows as they end or after
+        # the whole file reports the same one
+        want = reference_outcome(text)
+        assert isinstance(want[0], type), "the reference accepted a malformed input"
+        with pytest.raises(want[0]) as info:
+            parse_lp(io.StringIO(text))
+        assert (type(info.value), str(info.value)) == want
