@@ -397,7 +397,7 @@ def export_lp(m: LinearModel, sink: IO[str]) -> None:
     sink.write("End\n")
 
 
-_TOKEN = re.compile(r"<=|>=|=|[+-]|[A-Za-z_][A-Za-z0-9_]*|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_TOKEN = re.compile(r"<=|>=|=|[+-]|[A-Za-z_][A-Za-z0-9_.]*|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 _RELATIONS = frozenset(("<=", ">=", "="))
 _NUMBER_START = frozenset("0123456789.")
@@ -417,6 +417,19 @@ _SECTION_STARTS = {
     "general": "general",
     "end": "end",
 }
+
+
+def _tokens(text: str, section: str, row: str = "") -> list[str]:
+    """The _TOKEN tokens of `text`, which must cover every non-blank character
+    (an error names the section and the row)."""
+    tokens = _TOKEN.findall(text)
+    # most lines hold no blank but spaces: look closer only when that fails
+    if len("".join(tokens)) + text.count(" ") != len(text):
+        stray = _TOKEN.sub(" ", text).split()
+        if stray:
+            where = f"{section} {row}" if row else section
+            raise InputFormatError(f"{where}: unexpected {stray[0]!r}")
+    return tokens
 
 
 def _parse_terms(tokens: list[str], where: str) -> dict[str, float]:
@@ -446,6 +459,8 @@ def _parse_terms(tokens: list[str], where: str) -> dict[str, float]:
 
 def _constraint(name: str, tokens: list[str]) -> LinearConstraint:
     """The row `name: terms rel rhs` from its tokens."""
+    if len(tokens) > 2 and tokens[-2] in ("+", "-") and tokens[-3] in _RELATIONS:
+        tokens[-2:] = [tokens[-2] + tokens[-1]]  # a signed right-hand side: >= -1
     if len(tokens) < 2 or tokens[-2] not in _RELATIONS or not _RELATIONS.isdisjoint(tokens[:-2]):
         raise InputFormatError(f"constraint {name}: expected `terms rel rhs`")
     coeffs = _parse_terms(tokens[:-2], f"constraint {name}")
@@ -459,15 +474,18 @@ def _constraint(name: str, tokens: list[str]) -> LinearConstraint:
 def parse_lp(source: Iterable[str]) -> LinearModel:
     """Minimal LP-format reader for files written by export_lp.
 
-    Handles the objective, constraint rows `name: terms rel rhs`, simple
-    one- and two-sided bounds (signed numbers, -inf, +inf), and
-    Binary/General sections. Reads `source`, any iterable of lines, in one
-    pass and builds each row as soon as it ends, at the next row or section
-    header. Any name matching [A-Za-z_][A-Za-z0-9_]* is a variable, `inf` and
-    `nan` too. Variables that appear in rows but in no Bounds/Binary section
-    default to continuous [0, +inf). Variables are declared in Binary-section
-    order, then Bounds-section order, then any other name by first appearance
-    (objective first, then rows), which is the order export_lp wrote them in.
+    Handles the objective, constraint rows `name: terms rel rhs` with a
+    signed or unsigned rhs, simple one- and two-sided bounds (signed
+    numbers, -inf, +inf), and Binary/General sections. Reads `source`, any
+    iterable of lines, in one pass and builds each row as soon as it ends, at
+    the next row or section header. Any name matching [A-Za-z_][A-Za-z0-9_.]*
+    is a variable, `inf` and `nan` too. A character that starts no name,
+    number, sign or relation (`*` in `x1 * x2`, say) is an error naming its
+    row or section. Variables that appear in rows but in no Bounds/Binary
+    section default to continuous [0, +inf). Variables are declared in
+    Binary-section order, then Bounds-section order, then any other name by
+    first appearance (objective first, then rows), which is the order
+    export_lp wrote them in.
     The model carries no metadata beyond {"kind": "PARSED"}: the solver reads
     the roles of a DARS model's variables off the row shapes, so a parsed
     DARS file is searched like the model it was written from.
@@ -508,16 +526,17 @@ def parse_lp(source: Iterable[str]) -> LinearModel:
             if colon:
                 if row is not None:
                     constraints.append(_constraint(*row))
-                row = (head.strip(), _TOKEN.findall(body))
+                name = head.strip()
+                row = (name, _tokens(body, "constraint", name))
             elif row is None:
                 raise InputFormatError("constraint continuation before any named row")
             else:
-                row[1].extend(_TOKEN.findall(line))
+                row[1].extend(_tokens(line, "constraint", row[0]))
         elif section == "objective":
-            objective_tokens.extend(_TOKEN.findall(body if colon else line))
+            objective_tokens.extend(_tokens(body if colon else line, "objective"))
         elif section == "bounds":
             tokens = []
-            for tok in _TOKEN.findall(line):
+            for tok in _tokens(line, "bounds"):
                 # a sign belongs to the number or infinity after it: -inf, +inf, -5
                 if tokens and tokens[-1] in ("+", "-"):
                     tok = tokens.pop() + tok
@@ -532,7 +551,7 @@ def parse_lp(source: Iterable[str]) -> LinearModel:
             else:
                 raise InputFormatError(f"bounds: unsupported line {line!r}")
         elif section == "binary":
-            binaries.extend(_TOKEN.findall(line))
+            binaries.extend(_tokens(line, "binary"))
         elif section == "general":
             raise InputFormatError("general integer variables are not supported")
         else:

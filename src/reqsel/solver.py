@@ -19,11 +19,15 @@ Branch and bound over the binary variables:
     first. The root is an ordinary node: once its rows are propagated it is
     scored, pushed and expanded like any other, and each expanded node
     starts one greedy dive to a leaf;
-  * at every node a unit-propagation pass over the all-binary rows fixes
-    implied variables (precedence chains, exhausted budget) and detects
-    infeasible subtrees early. Node state is plain Python: a bytearray of
-    fixings and float lists of row activities. A node carries both from
-    its creation, through the heap, to its expansion; only the root's
+  * every all-binary row is searched in the form a.x <= b: a ">=" row as
+    its negation, an "=" row as its "<=" half followed by its negated half.
+    Negation is exact in floating point, so each test on a negated row
+    gives the verdict the ">=" test on the row itself would;
+  * at every node a unit-propagation pass over these rows fixes implied
+    variables (precedence chains, exhausted budget) and detects infeasible
+    subtrees early. Node state is plain Python: a bytearray of fixings and
+    one float list of least row activities. A node carries both from its
+    creation, through the heap, to its expansion; only the root's
     activities are summed from the rows. Each row keeps its entries sorted
     by |coefficient|, largest first, so a scan stops at the first entry
     that can still move without breaking the row; the free entries passed
@@ -117,20 +121,22 @@ class VerificationReport:
 
 
 class _Row:
-    __slots__ = ("vars", "coefs", "relation", "rhs", "order")
+    """An all-binary row sum(coefs[p] * x[vars[p]]) <= rhs over compact
+    binary indices; a ">=" or "=" model row becomes one or two of these."""
 
-    def __init__(self, vars_: list[int], coefs: list[float], relation: str, rhs: float):
+    __slots__ = ("vars", "coefs", "rhs", "order")
+
+    def __init__(self, vars_: list[int], coefs: list[float], rhs: float):
         self.vars = vars_
         self.coefs = coefs
-        self.relation = relation
         self.rhs = rhs
         # (position, |coefficient|) by |coefficient| descending, ties by position
         self.order = sorted(((p, abs(a)) for p, a in enumerate(coefs)), key=lambda e: -e[1])
 
 
 class _Compiled:
-    """Model preprocessed for search: compact binary indexing, row split,
-    knapsack-row detection, penalty-floor table.
+    """Model preprocessed for search: compact binary indexing, all-binary
+    rows in "<=" form, the knapsack row, penalty-floor table.
 
     The theta, y and g variables of a DARS linearization, and every row over
     them, stay out of the search (the model's x core). They are found by the
@@ -189,11 +195,18 @@ class _Compiled:
             self.B0 = np.zeros((self.nbin, self.nbin))
             self.B1 = np.zeros((self.nbin, self.nbin))
         self.binrows: list[_Row] = []
+        self.kn_row: int | None = None
         for con, (idxs, coefs) in zip(m.constraints, rows):
             if linear.isdisjoint(idxs):
-                self.binrows.append(
-                    _Row([self.bpos[i] for i in idxs], coefs, con.relation, float(con.rhs))
-                )
+                bidx = [self.bpos[i] for i in idxs]
+                rhs = float(con.rhs)
+                if con.relation != ">=":
+                    # the first one: every builder emits its budget/price row first
+                    if self.kn_row is None and all(a >= 0 for a in coefs):
+                        self.kn_row = len(self.binrows)
+                    self.binrows.append(_Row(bidx, coefs, rhs))
+                if con.relation != "<=":
+                    self.binrows.append(_Row(bidx, [-a for a in coefs], -rhs))
                 continue
             if con.relation == ">=" and len(idxs) == 2:
                 (t, a), (j, w) = sorted(zip(idxs, coefs), key=lambda e: e[0] not in owner)
@@ -215,7 +228,12 @@ class _Compiled:
             for b, a in zip(row.vars, row.coefs):
                 self.occ[b].append((rid, a))
 
-        self._detect_knapsack_row()
+        self.w_bin = np.zeros(self.nbin)
+        self.kn_rhs = math.inf
+        if self.kn_row is not None:
+            kn = self.binrows[self.kn_row]
+            self.w_bin[kn.vars] = kn.coefs
+            self.kn_rhs = kn.rhs
         self._detect_objective_quantum()
 
         x_names = m.metadata.get("x_names")
@@ -228,25 +246,6 @@ class _Compiled:
         tiny = 1e-300
         ratio = self.c_bin / np.maximum(self.w_bin, tiny)
         self.branch_order = sorted(range(self.nbin), key=lambda b: (-ratio[b], b))
-
-    def _detect_knapsack_row(self) -> None:
-        self.w_bin = np.zeros(self.nbin)
-        self.kn_rhs = math.inf
-        # the first one: every builder emits its budget/price row first
-        self.kn_row = next(
-            (
-                rid
-                for rid, row in enumerate(self.binrows)
-                if row.relation != ">=" and all(a >= 0 for a in row.coefs)
-            ),
-            None,
-        )
-        if self.kn_row is None:
-            return
-        row = self.binrows[self.kn_row]
-        for b, a in zip(row.vars, row.coefs):
-            self.w_bin[b] = a
-        self.kn_rhs = row.rhs
 
     def _detect_objective_quantum(self) -> None:
         """Find a common quantum of the objective coefficients, if any.
@@ -368,43 +367,26 @@ class _Search:
 
     # ---- propagation over all-binary rows ----
 
-    def _scan_row(self, rid: int, fixed, minact, maxact, queue) -> bool:
+    def _scan_row(self, rid: int, fixed, minact, queue) -> bool:
         # entries go by |a| descending and float addition is monotone, so the
         # first entry that fits ends a scan; fixings keep row order
         row = self.comp.binrows[rid]
-        rel = row.relation
         rhs = row.rhs
         lo = minact[rid]
-        hi = maxact[rid]
-        if rel != ">=":
-            if lo > rhs + FEAS_EPS:
-                return False
-            if hi > rhs + FEAS_EPS:  # slack rows cannot force anything
-                forced = []
-                for p, au in row.order:
-                    if not lo + au > rhs + FEAS_EPS:
-                        break
-                    if fixed[row.vars[p]] == FREE:
-                        forced.append(p)
-                for p in sorted(forced):
-                    fixed[row.vars[p]] = 0 if row.coefs[p] > 0 else 1
-                    queue.append(row.vars[p])
-        if rel != "<=":
-            if hi < rhs - FEAS_EPS:
-                return False
-            if lo < rhs - FEAS_EPS:
-                forced = []
-                for p, au in row.order:
-                    if not hi - au < rhs - FEAS_EPS:
-                        break
-                    if fixed[row.vars[p]] == FREE:
-                        forced.append(p)
-                for p in sorted(forced):
-                    fixed[row.vars[p]] = 1 if row.coefs[p] > 0 else 0
-                    queue.append(row.vars[p])
+        if lo > rhs + FEAS_EPS:
+            return False
+        forced = []
+        for p, au in row.order:
+            if not lo + au > rhs + FEAS_EPS:
+                break
+            if fixed[row.vars[p]] == FREE:
+                forced.append(p)
+        for p in sorted(forced):
+            fixed[row.vars[p]] = 0 if row.coefs[p] > 0 else 1
+            queue.append(row.vars[p])
         return True
 
-    def _propagate(self, fixed, minact, maxact, queue) -> bool:
+    def _propagate(self, fixed, minact, queue) -> bool:
         # queue entries are set in `fixed` but not yet folded into activities
         occ = self.comp.occ
         head = 0
@@ -415,11 +397,9 @@ class _Search:
             for rid, a in occ[b]:
                 if val == 1:
                     minact[rid] += a - (a if a < 0 else 0.0)
-                    maxact[rid] += a - (a if a > 0 else 0.0)
                 else:
                     minact[rid] -= a if a < 0 else 0.0
-                    maxact[rid] -= a if a > 0 else 0.0
-                if not self._scan_row(rid, fixed, minact, maxact, queue):
+                if not self._scan_row(rid, fixed, minact, queue):
                     return False
         return True
 
@@ -515,17 +495,16 @@ class _Search:
                 return b
         return -1
 
-    def _try_child(self, fixed, minact, maxact, b: int, val: int):
+    def _try_child(self, fixed, minact, b: int, val: int):
         f = fixed[:]
         mi = minact[:]
-        ma = maxact[:]
         f[b] = val
         self.nodes += 1
-        if not self._propagate(f, mi, ma, [b]):
+        if not self._propagate(f, mi, [b]):
             return None
-        return f, mi, ma
+        return f, mi
 
-    def _enter(self, f, mi, ma) -> float:
+    def _enter(self, f, mi) -> float:
         """A node's bound, or a leaf's objective; an unpruned non-leaf joins
         the heap with its fixings and row activities."""
         fv = np.frombuffer(f, np.int8)
@@ -536,25 +515,25 @@ class _Search:
         bound = self._bound(fv, floor)
         if not self._pruned(bound, fv):
             self.seq += 1
-            heapq.heappush(self.heap, (-bound, bvar, self.seq, f, mi, ma))
+            heapq.heappush(self.heap, (-bound, bvar, self.seq, f, mi))
         return bound
 
-    def _expand(self, bound: float, bvar: int, f: bytearray, mi, ma) -> None:
+    def _expand(self, bound: float, bvar: int, f: bytearray, mi) -> None:
         fv = np.frombuffer(f, np.int8)
         if self._pruned(bound, fv):
             return
         # plunge: a greedy dive from every expanded node keeps the
         # incumbent close to the best bound instead of waiting for the
         # breadth-dominated heap to reach leaves on its own
-        self._dive(f, mi, ma)
+        self._dive(f, mi)
         if self._pruned(bound, fv):
             return
         for val in (1, 0):
-            child = self._try_child(f, mi, ma, bvar, val)
+            child = self._try_child(f, mi, bvar, val)
             if child is not None:
                 self._enter(*child)
 
-    def _dive(self, f, mi, ma) -> None:
+    def _dive(self, f, mi) -> None:
         # _try_child copies, so the caller's node state is left as it was
         while True:
             b = self._branch_var(f)
@@ -562,12 +541,12 @@ class _Search:
                 fv = np.frombuffer(f, np.int8)
                 self._leaf(fv, self._floor(fv))
                 return
-            child = self._try_child(f, mi, ma, b, 1)
+            child = self._try_child(f, mi, b, 1)
             if child is None:
-                child = self._try_child(f, mi, ma, b, 0)
+                child = self._try_child(f, mi, b, 0)
             if child is None:
                 return
-            f, mi, ma = child
+            f, mi = child
 
     def _over_limit(self, ticks: int) -> bool:
         lim = self.limits
@@ -586,19 +565,18 @@ class _Search:
         comp = self.comp
         fixed = bytearray([FREE]) * comp.nbin
         minact = [sum(min(a, 0.0) for a in row.coefs) for row in comp.binrows]
-        maxact = [sum(max(a, 0.0) for a in row.coefs) for row in comp.binrows]
         queue: list[int] = []
         self.nodes = 1
         ok = all(
-            self._scan_row(rid, fixed, minact, maxact, queue) for rid in range(comp.nbinrows)
-        ) and self._propagate(fixed, minact, maxact, queue)
+            self._scan_row(rid, fixed, minact, queue) for rid in range(comp.nbinrows)
+        ) and self._propagate(fixed, minact, queue)
         if not ok:
             return None
-        root_bound = self._enter(fixed, minact, maxact)
+        root_bound = self._enter(fixed, minact)
         ticks = 0
         while self.heap:
-            negb, bvar, _, f, mi, ma = heapq.heappop(self.heap)
-            self._expand(-negb, bvar, f, mi, ma)
+            negb, bvar, _, f, mi = heapq.heappop(self.heap)
+            self._expand(-negb, bvar, f, mi)
             ticks += 1
             if self.heap and self._over_limit(ticks):
                 self.hit_limit = True

@@ -490,6 +490,45 @@ class TestLpFormat:
         with pytest.raises(InputFormatError, match="consecutive numbers"):
             parse_lp(io.StringIO("Maximize\n obj: 2 3 x1\nSubject To\n c: x1 <= 1\nEnd\n"))
 
+    @pytest.mark.parametrize(
+        "where, text",
+        [
+            ("objective", "Maximize\n obj: 2 * x1\nSubject To\n c: x1 <= 1\nEnd\n"),
+            ("constraint c", "Maximize\n obj: x1\nSubject To\n c: x1 * x2 <= 1\nEnd\n"),
+            ("constraint c", "Maximize\n obj: x1\nSubject To\n c: x1\n * x2 <= 1\nEnd\n"),
+            ("constraint c", "Maximize\n obj: x1\nSubject To\n c: x1 =< 1\nEnd\n"),
+            ("bounds", "Maximize\n obj: x1\nSubject To\n c: x1 <= 1\nBounds\n 0 <= t <= 1;\nEnd\n"),
+            ("binary", "Maximize\n obj: x1\nSubject To\n c: x1 <= 1\nBinary\n x1, x2\nEnd\n"),
+        ],
+    )
+    def test_parse_rejects_characters_no_token_reads(self, where, text):
+        with pytest.raises(InputFormatError, match=f"^{where}: unexpected"):
+            parse_lp(io.StringIO(text))
+
+    def test_negative_right_hand_sides_round_trip(self):
+        names = ("x1", "x2", "x3")
+        m = LinearModel(
+            tuple(Variable(nm, BINARY) for nm in names),
+            "max",
+            {nm: 1.0 for nm in names},
+            (
+                LinearConstraint("c", {"x1": 1.0}, ">=", -1.0),
+                LinearConstraint("d", {"x1": 1.0, "x2": -3.0}, "=", -2.5),
+                LinearConstraint("e", {"x3": 1.0}, "<=", -0.0),
+            ),
+        )
+        buf = io.StringIO()
+        export_lp(m, buf)
+        text = buf.getvalue()
+        assert " c: + 1 x1 >= -1\n" in text and " e: + 1 x3 <= -0\n" in text
+        parsed = parse_lp(io.StringIO(text))
+        assert [(c.name, c.coeffs, c.relation, repr(c.rhs)) for c in parsed.constraints] == [
+            (c.name, c.coeffs, c.relation, repr(c.rhs)) for c in m.constraints
+        ]
+        again = io.StringIO()
+        export_lp(parsed, again)
+        assert again.getvalue() == text
+
     def test_parse_one_sided_bounds(self):
         text = (
             "Maximize\n obj: x1 + t\nSubject To\n c: x1 + t <= 5\n"
@@ -589,6 +628,23 @@ MALFORMED_LP = [
 ]
 
 
+# Inputs parse_lp reads differently from the reference, with parse_lp's
+# reading: a signed right-hand side, which the reference rejects, and
+# characters that start no token, which the reference skips (reading
+# `x1 * x2` as x1 + x2, and `x.1 + y` as x + 0.1 y).
+KNOWN_DIFFERENCES = [
+    (
+        "Maximize\n obj: x1\nSubject To\n c: x1 - x2 >= -1\nEnd\n",
+        [("c", {"x1": 1.0, "x2": -1.0}, ">=", "-1.0")],
+    ),
+    ("Maximize\n obj: x1\nSubject To\n c: x1 * x2 <= 1\nEnd\n", "constraint c: unexpected '*'"),
+    (
+        "Maximize\n obj: x1\nSubject To\n d: x.1 + y <= 2\nEnd\n",
+        [("d", {"x.1": 1.0, "y": 1.0}, "<=", "2.0")],
+    ),
+]
+
+
 def reference_outcome(text):
     try:
         return model_key(reference_parse_lp(io.StringIO(text)))
@@ -613,6 +669,17 @@ class TestParseMatchesReference:
     @pytest.mark.parametrize("text", HAND_WRITTEN_LP)
     def test_hand_written(self, text):
         assert model_key(parse_lp(text.splitlines(keepends=True))) == reference_outcome(text)
+
+    @pytest.mark.parametrize("text, want", KNOWN_DIFFERENCES)
+    def test_known_differences(self, text, want):
+        def rows(parse):
+            try:
+                m = parse(io.StringIO(text))
+            except InputFormatError as exc:
+                return str(exc)
+            return [(c.name, c.coeffs, c.relation, repr(c.rhs)) for c in m.constraints]
+
+        assert rows(parse_lp) == want != rows(reference_parse_lp)
 
     @pytest.mark.parametrize("text", MALFORMED_LP)
     def test_malformed(self, text):

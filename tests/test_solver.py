@@ -598,6 +598,29 @@ def random_row_set(seed):
     return LinearModel(variables, "max", {names[0]: 1.0}, tuple(rows)), start
 
 
+def model_rows(comp):
+    """The model's all-binary rows as (vars, coefs, relation, rhs) tuples over
+    the compact binary indices, and for each searched row the (model row,
+    sign) it is compiled from: a "<=" half (+1) or a negated half (-1)."""
+    rows, halves = [], []
+    for con in comp.model.constraints:
+        idxs = [comp.index[name] for name in con.coeffs]
+        if all(i in comp.bpos for i in idxs):
+            rid = len(rows)
+            coefs = [float(a) for a in con.coeffs.values()]
+            rows.append(([comp.bpos[i] for i in idxs], coefs, con.relation, float(con.rhs)))
+            halves += {"<=": [(rid, 1)], ">=": [(rid, -1)], "=": [(rid, 1), (rid, -1)]}[
+                con.relation
+            ]
+    return rows, halves
+
+
+def least_activities(halves, minact, maxact):
+    """A searched row's least activity: the model row's least activity on a
+    "<=" half, minus its greatest activity on a negated half."""
+    return [minact[r] if sign > 0 else -maxact[r] for r, sign in halves]
+
+
 class TestSearchParity:
     """The node kernel (bytearray state, sorted knapsack-row scan) against
     the full-rescan reference, and the search against pinned node counts."""
@@ -612,24 +635,45 @@ class TestSearchParity:
             search = _Search(comp, SolverLimits())
             f = bytearray(FREE if v == -1 else int(v) for v in start)
             fv = np.frombuffer(f, np.int8)
-            rows = [(row.vars, row.coefs, row.relation, row.rhs) for row in comp.binrows]
-            mi, ma = row_activities(rows, start)
+            rows, halves = model_rows(comp)
+            assert [(r.vars, r.coefs, r.rhs) for r in comp.binrows] == [
+                (rows[r][0], [sign * a for a in rows[r][1]], sign * rows[r][3]) for r, sign in halves
+            ], seed
+            ref_min, ref_max = (np.array(act) for act in row_activities(rows, start))
+            mi = least_activities(halves, ref_min.tolist(), ref_max.tolist())
             ref_fixed = start.copy()
-            ref_min, ref_max = np.array(mi), np.array(ma)
             queue = []
             ok = all(
-                search._scan_row(rid, f, mi, ma, queue) for rid in range(comp.nbinrows)
-            ) and search._propagate(f, mi, ma, queue)
+                search._scan_row(rid, f, mi, queue) for rid in range(comp.nbinrows)
+            ) and search._propagate(f, mi, queue)
             ref_ok, ref_queue = reference_propagate(rows, ref_fixed, ref_min, ref_max)
             assert ok == ref_ok, seed
             assert queue == ref_queue, seed
             assert np.array_equal(fv, ref_fixed), seed
             if ok:
-                assert mi == ref_min.tolist() and ma == ref_max.tolist(), seed
+                assert mi == least_activities(halves, ref_min.tolist(), ref_max.tolist()), seed
             verdicts.add(ok)
             forced += bool(queue)
         assert verdicts == {True, False}
         assert forced > 100
+
+    def test_knapsack_row_skips_negated_rows(self):
+        # -x1 - x2 >= -1 is searched as x1 + x2 <= 1: non-negative
+        # coefficients after negation, but a ">=" row is no knapsack row
+        names = ("x1", "x2", "x3")
+        rows = (
+            LinearConstraint("cover", {"x1": -1.0, "x2": -1.0}, ">=", -1.0),
+            LinearConstraint("budget", {"x1": 2.0, "x2": 1.0, "x3": 1.0}, "<=", 2.0),
+        )
+        model = LinearModel(
+            tuple(Variable(nm, BINARY) for nm in names), "max", dict(zip(names, (3.0, 2.0, 2.0))), rows
+        )
+        comp = _Compiled(model)
+        assert comp.kn_row == 1
+        assert (comp.binrows[1].coefs, comp.kn_rhs) == ([2.0, 1.0, 1.0], 2.0)
+        assert comp.w_bin.tolist() == [2.0, 1.0, 1.0]
+        got = solve(model)
+        assert (got.status, got.x, got.objective) == (OPTIMAL, (0, 1, 1), 4.0)
 
     @pytest.mark.parametrize("method", (BK, PCBK, SBK, DARS, INCREASE_DECREASE))
     @pytest.mark.parametrize("mode", (BUDGET_COST, PRICE_VALUE))
@@ -677,7 +721,7 @@ class TestSearchParity:
         # sees the x binaries, the PCBK rows and one penalty-floor table
         def rows(comp):
             # an LP file lists a row's terms in variable order
-            return [(sorted(zip(r.vars, r.coefs)), r.relation, r.rhs) for r in comp.binrows]
+            return [(sorted(zip(r.vars, r.coefs)), r.rhs) for r in comp.binrows]
 
         problem = random_problem(seed + 300, n=4 + seed)
         core = rows(_Compiled(build_model(problem, PCBK)))
@@ -738,9 +782,9 @@ class TestSearchParity:
         starts = []
         dive = _Search._dive
 
-        def recording_dive(search, f, mi, ma):
+        def recording_dive(search, f, mi):
             starts.append(bytes(f))
-            return dive(search, f, mi, ma)
+            return dive(search, f, mi)
 
         monkeypatch.setattr(_Search, "_dive", recording_dive)
         got = solve(build_model(pinned_problem(n, pdl, seed), DARS))
@@ -754,20 +798,20 @@ class TestSearchParity:
         records = []
         expand = _Search._expand
 
-        def recording_expand(search, bound, bvar, f, mi, ma):
-            rows = [(row.vars, row.coefs, row.relation, row.rhs) for row in search.comp.binrows]
-            records.append((rows, np.frombuffer(bytes(f), np.int8), mi[:], ma[:]))
-            return expand(search, bound, bvar, f, mi, ma)
+        def recording_expand(search, bound, bvar, f, mi):
+            records.append((model_rows(search.comp), np.frombuffer(bytes(f), np.int8), mi[:]))
+            return expand(search, bound, bvar, f, mi)
 
         with monkeypatch.context() as patch:
             patch.setattr(_Search, "_expand", recording_expand)
             solve(model)
-        for rows, fv, mi, ma in records:
-            want_mi, want_ma = row_activities(rows, fv)
-            for rid, (_, coefs, _, _) in enumerate(rows):
+        for (rows, halves), fv, mi in records:
+            want = least_activities(halves, *row_activities(rows, fv))
+            assert len(mi) == len(want)
+            for k, (r, _) in enumerate(halves):
                 # quarter multiples add exactly in any order; float costs do not
-                tol = 0.0 if all((4.0 * a).is_integer() for a in coefs) else 1e-9
-                assert abs(mi[rid] - want_mi[rid]) <= tol and abs(ma[rid] - want_ma[rid]) <= tol
+                tol = 0.0 if all((4.0 * a).is_integer() for a in rows[r][1]) else 1e-9
+                assert abs(mi[k] - want[k]) <= tol
         return len(records)
 
     @pytest.mark.parametrize("n, pdl, seed", [(100, 0.02, 1), (100, 0.02, 2), (30, 0.0, 1)])
