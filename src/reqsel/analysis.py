@@ -68,12 +68,6 @@ class SweepReport:
     requirement_ids: tuple[str, ...]
     rows: tuple[SweepRow, ...]
 
-    def methods(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for row in self.rows:
-            seen.setdefault(row.method)
-        return tuple(seen)
-
     def rows_for(self, method: str) -> tuple[SweepRow, ...]:
         return tuple(r for r in self.rows if r.method == method)
 
@@ -108,10 +102,6 @@ class SweepReport:
         return asdict(self)
 
 
-def _normalized_influence(p: SelectionProblem) -> InfluenceMatrix:
-    return p.influence if p.influence is not None else InfluenceMatrix.zeros(p.n)
-
-
 def sweep(
     p: SelectionProblem,
     percents: Sequence[float],
@@ -129,7 +119,7 @@ def sweep(
     total = float(sum(r.value for r in p.requirements))
     if total == 0.0:
         raise ValidationError("a price sweep needs a positive total value")
-    inf = _normalized_influence(p)
+    inf = p.influence if p.influence is not None else InfluenceMatrix.zeros(p.n)
     rows = []
     for percent in percents:
         level = replace(

@@ -61,8 +61,8 @@ class PreferenceMatrix:
     cells: np.ndarray
 
     def __post_init__(self) -> None:
-        cells = np.asarray(self.cells, dtype=np.int8)
-        object.__setattr__(self, "cells", cells)
+        # checked before the int8 cast, which would wrap 257 and truncate 1.7 to 1
+        cells = np.asarray(self.cells)
         object.__setattr__(self, "requirement_ids", tuple(self.requirement_ids))
         object.__setattr__(self, "user_ids", tuple(self.user_ids))
         n, k = len(self.requirement_ids), len(self.user_ids)
@@ -76,6 +76,7 @@ class PreferenceMatrix:
             raise ValidationError("duplicate user ids")
         if not np.isin(cells, (0, 1)).all():
             raise ValidationError("preference cells must be 0 or 1")
+        object.__setattr__(self, "cells", cells.astype(np.int8, copy=False))
 
     @property
     def n(self) -> int:
@@ -189,7 +190,11 @@ def load_preference_matrix(source: IO[str] | Iterable[str]) -> PreferenceMatrix:
     width = len(user_ids) + 1
     requirement_ids: list[str] = []
     rows: list[list[int]] = []
-    for lineno, record in _iter_fixed_width(data, width):
+    for lineno, record in data:
+        if len(record) != width:
+            raise InputFormatError(
+                f"line {lineno}: expected {width} fields, found {len(record)} (ragged row)"
+            )
         requirement_ids.append(record[0])
         row = []
         for col, cell in enumerate(record[1:], start=2):
@@ -200,15 +205,6 @@ def load_preference_matrix(source: IO[str] | Iterable[str]) -> PreferenceMatrix:
     if len(set(requirement_ids)) != len(requirement_ids):
         raise InputFormatError("duplicate requirement ids in preference CSV")
     return PreferenceMatrix(tuple(requirement_ids), user_ids, np.array(rows, dtype=np.int8))
-
-
-def _iter_fixed_width(data: list[tuple[int, list[str]]], width: int):
-    for lineno, record in data:
-        if len(record) != width:
-            raise InputFormatError(
-                f"line {lineno}: expected {width} fields, found {len(record)} (ragged row)"
-            )
-        yield lineno, record
 
 
 def save_preference_matrix(m: PreferenceMatrix, sink: IO[str]) -> None:

@@ -397,7 +397,8 @@ def export_lp(m: LinearModel, sink: IO[str]) -> None:
     sink.write("End\n")
 
 
-_TOKEN = re.compile(r"<=|>=|=|[+-]|[A-Za-z_][A-Za-z0-9_.]*|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
+_TOKEN = re.compile(rf"<=|>=|=|[+-]|{_NAME.pattern}|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 _RELATIONS = frozenset(("<=", ">=", "="))
 _NUMBER_START = frozenset("0123456789.")
@@ -430,6 +431,12 @@ def _tokens(text: str, section: str, row: str = "") -> list[str]:
             where = f"{section} {row}" if row else section
             raise InputFormatError(f"{where}: unexpected {stray[0]!r}")
     return tokens
+
+
+def _name(token: str, section: str) -> str:
+    if not _NAME.fullmatch(token):
+        raise InputFormatError(f"{section}: {token!r} is not a variable name")
+    return token
 
 
 def _parse_terms(tokens: list[str], where: str) -> dict[str, float]:
@@ -479,9 +486,10 @@ def parse_lp(source: Iterable[str]) -> LinearModel:
     numbers, -inf, +inf), and Binary/General sections. Reads `source`, any
     iterable of lines, in one pass and builds each row as soon as it ends, at
     the next row or section header. Any name matching [A-Za-z_][A-Za-z0-9_.]*
-    is a variable, `inf` and `nan` too. A character that starts no name,
-    number, sign or relation (`*` in `x1 * x2`, say) is an error naming its
-    row or section. Variables that appear in rows but in no Bounds/Binary
+    is a variable, `inf` and `nan` too; a Binary-section token or the name
+    slot of a Bounds line that is no such name is an error. A character that
+    starts no name, number, sign or relation (`*` in `x1 * x2`, say) is an
+    error naming its row or section. Variables that appear in rows but in no Bounds/Binary
     section default to continuous [0, +inf). Variables are declared in
     Binary-section order, then Bounds-section order, then any other name by
     first appearance (objective first, then rows), which is the order
@@ -542,16 +550,17 @@ def parse_lp(source: Iterable[str]) -> LinearModel:
                     tok = tokens.pop() + tok
                 tokens.append(tok)
             if len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
-                bounds[tokens[2]] = (parse_bound_token(tokens[0]), parse_bound_token(tokens[4]))
+                name, lo_hi = tokens[2], (parse_bound_token(tokens[0]), parse_bound_token(tokens[4]))
             elif len(tokens) == 3 and tokens[1] in _RELATIONS:
                 name, relation, text = tokens
                 value = parse_bound_token(text)
                 lo, hi = bounds.get(name, (0.0, math.inf))
-                bounds[name] = (lo if relation == "<=" else value, hi if relation == ">=" else value)
+                lo_hi = (lo if relation == "<=" else value, hi if relation == ">=" else value)
             else:
                 raise InputFormatError(f"bounds: unsupported line {line!r}")
+            bounds[_name(name, "bounds")] = lo_hi
         elif section == "binary":
-            binaries.extend(_tokens(line, "binary"))
+            binaries.extend(_name(tok, "binary") for tok in _tokens(line, "binary"))
         elif section == "general":
             raise InputFormatError("general integer variables are not supported")
         else:

@@ -6,19 +6,18 @@ Branch and bound over the binary variables:
     binaries and the rows over x alone (budget and precedence). Its g, theta
     and y variables and their penalty and linking rows only linearize the
     penalty; leaves fill them in closed form (g = x, theta = the penalty
-    floor, y = theta x). All of them are read off the row shapes, so a
-    model parsed from an LP file is searched exactly like a built one: a
-    link row theta - y + b <= 1 names theta, y and b; b is an echo g of x
-    when x - b <= 0 and b - x <= 0 are rows and x owns no link row, else b
-    is x; a penalty row is a ">=" row with one theta entry at 1 and one x
-    entry, and penalty rows become a dense floor table. A continuous
-    variable or a row over theta, y or g that fits none of these shapes is
-    rejected;
+    floor, y = theta x). One walk over the rows indexes them and finds the
+    link and pair rows by shape, and a second sorts them into search rows,
+    penalty floors and linking rows (see _Compiled), so a model parsed from
+    an LP file is searched exactly like a built one. A continuous variable
+    or a row over theta, y or g that fits no shape is rejected.
+    Solution.theta and Solution.y hold one entry per x;
   * node order: best bound first, ties by lowest branching-variable index,
     then by creation order; the child fixing the variable to 1 is created
     first. The root is an ordinary node: once its rows are propagated it is
     scored, pushed and expanded like any other, and each expanded node
-    starts one greedy dive to a leaf;
+    starts one greedy dive to a leaf. Its leaves complete the node, so the
+    node is not checked again after the dive;
   * every all-binary row is searched in the form a.x <= b: a ">=" row as
     its negation, an "=" row as its "<=" half followed by its negated half.
     Negation is exact in floating point, so each test on a negated row
@@ -98,7 +97,7 @@ class Solution:
     objective: float | None
     values: dict[str, float]
     x: tuple[int, ...]
-    theta: tuple[float, ...] | None
+    theta: tuple[float, ...] | None  # one per x; None for a model without link rows
     y: tuple[float, ...] | None
     proven: bool
     stats: SolveStats
@@ -139,12 +138,16 @@ class _Compiled:
     rows in "<=" form, the knapsack row, penalty-floor table.
 
     The theta, y and g variables of a DARS linearization, and every row over
-    them, stay out of the search (the model's x core). They are found by the
-    shape of the rows, so a model read from an LP file searches like the
-    model it was written from."""
+    them, stay out of the search (the model's x core). A link row
+    theta - y + b <= 1 has one continuous entry at +1 (theta), one at -1 (y)
+    and one binary at +1 (b). b is the echo g of x when the rows x - b <= 0
+    and b - x <= 0 both exist and x owns no link row; otherwise b is x.
+    Every continuous variable must be the theta or y of one link row and
+    each x may own one link row. The closed form at the leaves needs the
+    objective to read E x - E y with E >= 0 and no theta or g term, and
+    theta and y to lie in [0, 1]."""
 
     def __init__(self, m: LinearModel):
-        self.model = m
         self.names = [v.name for v in m.variables]
         self.index = {name: i for i, name in enumerate(self.names)}
         self.nvars = len(self.names)
@@ -154,11 +157,48 @@ class _Compiled:
             c[self.index[name]] = coef
         self.c = c if self.maximize else -c
 
-        rows = [
-            ([self.index[name] for name in con.coeffs], [float(a) for a in con.coeffs.values()])
-            for con in m.constraints
-        ]
-        links = self._find_links(rows)
+        # one walk indexes every row and collects the link rows (theta, y, b)
+        # and the pair rows u - v <= 0 (below[v] lists u)
+        kinds = [v.kind for v in m.variables]
+        rows, links, below = [], [], {}
+        for con in m.constraints:
+            idxs = [self.index[name] for name in con.coeffs]
+            coefs = [float(a) for a in con.coeffs.values()]
+            rows.append((idxs, coefs))
+            if con.relation != "<=" or (len(idxs), con.rhs) not in ((3, 1.0), (2, 0.0)):
+                continue
+            shape = {(kinds[i], a): i for i, a in zip(idxs, coefs)}
+            if shape.keys() == _LINK_SHAPE:
+                links.append(
+                    (shape[CONTINUOUS, 1.0], shape[CONTINUOUS, -1.0], shape[BINARY, 1.0])
+                )
+            elif shape.keys() == _PAIR_SHAPE:
+                below.setdefault(shape[BINARY, -1.0], []).append(shape[BINARY, 1.0])
+        bs = {b for *_, b in links}
+
+        def x_of(b: int) -> int:
+            return next((x for x in below.get(b, ()) if x not in bs and b in below.get(x, ())), b)
+
+        links = [(t, y, b, x_of(b)) for t, y, b in links]
+        roles = sorted(i for t, y, *_ in links for i in (t, y))
+        cont = [i for i, kind in enumerate(kinds) if kind == CONTINUOUS]
+        if roles != cont:
+            stray = next(i for i in cont if roles.count(i) != 1)
+            raise ValidationError(
+                f"variable {self.names[stray]}: a continuous variable must be the theta "
+                "or y of exactly one link row"
+            )
+        if len({x for *_, x in links}) != len(links):
+            raise ValidationError("a binary owns more than one link row")
+        c = self.c.tolist()
+        for t, y, b, x in links:
+            bounds = [(m.variables[i].lower, m.variables[i].upper) for i in (t, y)]
+            if c[y] != -c[x] or c[x] < 0 or c[t] or (b != x and c[b]) or bounds != [(0, 1)] * 2:
+                raise ValidationError(
+                    f"variables {self.names[t]}, {self.names[y]}: the objective must read "
+                    "E x - E y with E >= 0 and no theta or g term, and theta and y must lie "
+                    "in [0, 1]"
+                )
         linear = {i for t, y, b, x in links for i in (t, y, b) if i != x}
 
         self.bin_vars = [
@@ -168,8 +208,7 @@ class _Compiled:
         self.bpos = {v: b for b, v in enumerate(self.bin_vars)}
         self.c_bin = self.c[self.bin_vars] if self.nbin else np.zeros(0)
 
-        # theta_i, y_i and g_i belong to their owner x_i: Solution.theta and
-        # Solution.y follow the owners' binary order
+        # theta_i, y_i and g_i belong to their owner x_i, in binary order
         links.sort(key=lambda link: self.bpos[link[3]])
         self.theta_idx = np.array([t for t, *_ in links], dtype=np.intp)
         self.y_idx = np.array([y for _, y, *_ in links], dtype=np.intp)
@@ -273,66 +312,10 @@ class _Compiled:
             scaled = nz * scale
             ints = np.rint(scaled)
             if np.abs(scaled - ints).max() <= 1e-7:
-                g = 0
-                for v in ints.astype(np.int64):
-                    g = math.gcd(g, int(v))
-                    if g == 1:
-                        break
-                q = g / scale
+                q = math.gcd(*ints.astype(np.int64).tolist()) / scale
                 if q >= floor_guard:
                     self.obj_quantum = q
                 return
-
-    def _find_links(self, rows: list[tuple[list[int], list[float]]]) -> list[tuple]:
-        """(theta, y, b, x) of every link row theta - y + b <= 1: one
-        continuous entry at +1 (theta), one at -1 (y), one binary at +1 (b).
-
-        b is the echo g of x when the rows x - b <= 0 and b - x <= 0 both
-        exist and x owns no link row; otherwise b is x itself. Every
-        continuous variable must be the theta or y of one link row and each
-        x may own one link row. The closed form at the leaves needs the
-        objective to read E x - E y with E >= 0 and no theta or g term, and
-        theta and y to lie in [0, 1].
-        """
-        m = self.model
-        kinds = [v.kind for v in m.variables]
-        links, below = [], {}
-        for con, (idxs, coefs) in zip(m.constraints, rows):
-            if con.relation != "<=" or (len(idxs), con.rhs) not in ((3, 1.0), (2, 0.0)):
-                continue
-            shape = {(kinds[i], a): i for i, a in zip(idxs, coefs)}
-            if shape.keys() == _LINK_SHAPE:
-                links.append(
-                    (shape[CONTINUOUS, 1.0], shape[CONTINUOUS, -1.0], shape[BINARY, 1.0])
-                )
-            elif shape.keys() == _PAIR_SHAPE:
-                below.setdefault(shape[BINARY, -1.0], []).append(shape[BINARY, 1.0])
-        bs = {b for *_, b in links}
-
-        def x_of(b: int) -> int:
-            return next((x for x in below.get(b, ()) if x not in bs and b in below.get(x, ())), b)
-
-        links = [(t, y, b, x_of(b)) for t, y, b in links]
-        roles = sorted(i for t, y, *_ in links for i in (t, y))
-        cont = [i for i, kind in enumerate(kinds) if kind == CONTINUOUS]
-        if roles != cont:
-            stray = next(i for i in cont if roles.count(i) != 1)
-            raise ValidationError(
-                f"variable {self.names[stray]}: a continuous variable must be the theta "
-                "or y of exactly one link row"
-            )
-        if len({x for *_, x in links}) != len(links):
-            raise ValidationError("a binary owns more than one link row")
-        c = self.c.tolist()
-        for t, y, b, x in links:
-            bounds = [(m.variables[i].lower, m.variables[i].upper) for i in (t, y)]
-            if c[y] != -c[x] or c[x] < 0 or c[t] or (b != x and c[b]) or bounds != [(0, 1)] * 2:
-                raise ValidationError(
-                    f"variables {self.names[t]}, {self.names[y]}: the objective must read "
-                    "E x - E y with E >= 0 and no theta or g term, and theta and y must lie "
-                    "in [0, 1]"
-                )
-        return links
 
 
 def _frac_knapsack(w: np.ndarray, p: np.ndarray, cap: float) -> float:
@@ -471,9 +454,7 @@ class _Search:
     def _improves(self, obj: float, key: tuple[int, ...]) -> bool:
         if obj > self.inc_obj + TIE_EPS:
             return True
-        if obj >= self.inc_obj - TIE_EPS and self.inc_key is not None and key < self.inc_key:
-            return True
-        return False
+        return obj >= self.inc_obj - TIE_EPS and self.inc_key is not None and key < self.inc_key
 
     def _pruned(self, bound: float, fv) -> bool:
         if bound < self.inc_obj - PRUNE_EPS:
@@ -526,8 +507,6 @@ class _Search:
         # incumbent close to the best bound instead of waiting for the
         # breadth-dominated heap to reach leaves on its own
         self._dive(f, mi)
-        if self._pruned(bound, fv):
-            return
         for val in (1, 0):
             child = self._try_child(f, mi, bvar, val)
             if child is not None:
@@ -603,8 +582,11 @@ def solve(m: LinearModel, limits: SolverLimits | None = None) -> Solution:
     x = tuple(int(round(vals[i])) for i in comp.x_var_idx)
     theta = y = None
     if comp.B0 is not None:
-        theta = tuple(float(vals[i]) for i in comp.theta_idx)
-        y = tuple(float(vals[i]) for i in comp.y_idx)
+        # one entry per x; an x that owns no link row reads 0.0
+        th, yy = np.zeros(comp.nbin), np.zeros(comp.nbin)
+        th[comp.theta_pos] = vals[comp.theta_idx]
+        yy[comp.theta_pos] = vals[comp.y_idx]
+        theta, y = tuple(th[comp.x_compact].tolist()), tuple(yy[comp.x_compact].tolist())
     objective = sign * search.inc_obj
     status = FEASIBLE if search.hit_limit else OPTIMAL
     x_names = tuple(comp.names[i] for i in comp.x_var_idx)
@@ -653,10 +635,8 @@ def solution_report(m: LinearModel, s: Solution) -> dict:
     """Solution as a JSON-ready dict keyed by requirement ids, or by the
     names of the x variables when the model carries no ids (a parsed LP)."""
     ids = m.metadata.get("requirement_ids") or s.x_names
-    selected = [ids[i] for i, xi in enumerate(s.x) if xi == 1 and i < len(ids)]
-    theta = {}
-    if s.theta is not None:
-        theta = {ids[i]: s.theta[i] for i in range(min(len(ids), len(s.theta)))}
+    selected = [ids[i] for i, xi in enumerate(s.x) if xi == 1]
+    theta = {ids[i]: t for i, t in enumerate(s.theta or ())}
     return {
         "status": s.status,
         "selected": selected,

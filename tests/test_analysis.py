@@ -164,7 +164,6 @@ class TestSweep:
             (100.0, PCBK),
             (100.0, DARS),
         ]
-        assert report.methods() == (PCBK, DARS)
         assert len(report.rows_for(DARS)) == 3
         assert report.total_value == pytest.approx(20.0)
 

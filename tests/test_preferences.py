@@ -41,6 +41,12 @@ class TestPreferenceMatrix:
         with pytest.raises(ValidationError):
             PreferenceMatrix(("a",), ("u1",), np.array([[2]]))
 
+    @pytest.mark.parametrize("cells", [np.array([[257, 0]]), np.array([[1.7, 0.0]]), [[-255, 0]]])
+    def test_rejects_cells_before_the_int8_cast(self, cells):
+        # an int8 cast would store 257 and 1.7 as 1 and overflow on -255
+        with pytest.raises(ValidationError, match="must be 0 or 1"):
+            PreferenceMatrix(("a",), ("u1", "u2"), cells)
+
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValidationError):
             PreferenceMatrix(("a", "a"), ("u1",), np.zeros((2, 1)))

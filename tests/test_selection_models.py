@@ -629,9 +629,10 @@ MALFORMED_LP = [
 
 
 # Inputs parse_lp reads differently from the reference, with parse_lp's
-# reading: a signed right-hand side, which the reference rejects, and
-# characters that start no token, which the reference skips (reading
-# `x1 * x2` as x1 + x2, and `x.1 + y` as x + 0.1 y).
+# reading: a signed right-hand side, which the reference rejects, characters
+# that start no token, which the reference skips (reading `x1 * x2` as
+# x1 + x2, and `x.1 + y` as x + 0.1 y), and a number or relation where a
+# variable name belongs, which the reference declares as a variable.
 KNOWN_DIFFERENCES = [
     (
         "Maximize\n obj: x1\nSubject To\n c: x1 - x2 >= -1\nEnd\n",
@@ -641,6 +642,14 @@ KNOWN_DIFFERENCES = [
     (
         "Maximize\n obj: x1\nSubject To\n d: x.1 + y <= 2\nEnd\n",
         [("d", {"x.1": 1.0, "y": 1.0}, "<=", "2.0")],
+    ),
+    (
+        "Maximize\n obj: x1\nSubject To\n c: x1 <= 1\nBinary\n x1 5 <=\nEnd\n",
+        "binary: '5' is not a variable name",
+    ),
+    (
+        "Maximize\n obj: x1\nSubject To\n c: x1 <= 1\nBounds\n 0 <= 5 <= 1\nEnd\n",
+        "bounds: '5' is not a variable name",
     ),
 ]
 

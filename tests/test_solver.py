@@ -443,6 +443,27 @@ class TestSolutionReport:
         if method == DARS:
             assert list(rep["theta"]) == [f"x{i + 1}" for i in range(27)]
 
+    def test_penalty_is_labelled_by_its_owner(self):
+        # x1 owns no link row, so theta and y carry 0.0 for it and the
+        # penalty of x2 is reported under x2
+        variables = (
+            Variable("x1", BINARY),
+            Variable("x2", BINARY),
+            Variable("theta2", CONTINUOUS, 0.0, 1.0),
+            Variable("y2", CONTINUOUS, 0.0, 1.0),
+        )
+        rows = (
+            LinearConstraint("budget", {"x1": 1.0, "x2": 1.0}, "<=", 1.0),
+            LinearConstraint("link2", {"theta2": 1.0, "y2": -1.0, "x2": 1.0}, "<=", 1.0),
+            LinearConstraint("floor2", {"theta2": 1.0, "x1": 0.5}, ">=", 0.5),
+        )
+        model = LinearModel(variables, "max", {"x1": 1.0, "x2": 3.0, "y2": -3.0}, rows)
+        got = solve(model)
+        assert (got.status, got.x, got.objective) == (OPTIMAL, (0, 1), 1.5)
+        assert (got.theta, got.y) == ((0.0, 0.5), (0.0, 0.5))
+        assert solution_report(model, got)["theta"] == {"x1": 0.0, "x2": 0.5}
+        assert verify_solution(model, got).ok
+
 
 class TestForeignModels:
     def test_handwritten_lp_solves(self):
@@ -598,12 +619,12 @@ def random_row_set(seed):
     return LinearModel(variables, "max", {names[0]: 1.0}, tuple(rows)), start
 
 
-def model_rows(comp):
+def model_rows(model, comp):
     """The model's all-binary rows as (vars, coefs, relation, rhs) tuples over
     the compact binary indices, and for each searched row the (model row,
     sign) it is compiled from: a "<=" half (+1) or a negated half (-1)."""
     rows, halves = [], []
-    for con in comp.model.constraints:
+    for con in model.constraints:
         idxs = [comp.index[name] for name in con.coeffs]
         if all(i in comp.bpos for i in idxs):
             rid = len(rows)
@@ -635,7 +656,7 @@ class TestSearchParity:
             search = _Search(comp, SolverLimits())
             f = bytearray(FREE if v == -1 else int(v) for v in start)
             fv = np.frombuffer(f, np.int8)
-            rows, halves = model_rows(comp)
+            rows, halves = model_rows(model, comp)
             assert [(r.vars, r.coefs, r.rhs) for r in comp.binrows] == [
                 (rows[r][0], [sign * a for a in rows[r][1]], sign * rows[r][3]) for r, sign in halves
             ], seed
@@ -762,6 +783,27 @@ class TestSearchParity:
         reparsed = solve(parsed)
         assert reparsed.values == pytest.approx(got.values, abs=1e-12)
 
+    @pytest.mark.parametrize("simplify", (False, True))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_row_order_leaves_the_compile_unchanged(self, seed, simplify):
+        # the echo rule needs every pair row before it decides, so shuffling
+        # the rows after the budget row changes neither the compiled model
+        # (up to row order) nor the answer
+        model = build_model(random_problem(seed + 500, n=5 + seed), DARS, simplify=simplify)
+        budget, *rest = model.constraints
+        order = np.random.default_rng(seed).permutation(len(rest))
+        shuffled = dataclasses.replace(model, constraints=(budget, *(rest[i] for i in order)))
+        built, moved = _Compiled(model), _Compiled(shuffled)
+
+        def rows(comp):
+            return sorted((r.vars, r.coefs, r.rhs) for r in comp.binrows)
+
+        assert rows(moved) == rows(built) and moved.kn_row == built.kn_row == 0
+        for name in ("B0", "B1", "theta_idx", "y_idx", "g_idx"):
+            assert np.array_equal(getattr(moved, name), getattr(built, name)), name
+        got, want = solve(shuffled), solve(model)
+        assert (got.x, got.objective) == (want.x, want.objective)
+
     @pytest.mark.parametrize(
         "n, pdl, seed, nodes",
         [(100, 0.02, 1, 6_299), (100, 0.02, 2, 1_254), (30, 0.0, 1, 1_814)],
@@ -799,7 +841,7 @@ class TestSearchParity:
         expand = _Search._expand
 
         def recording_expand(search, bound, bvar, f, mi):
-            records.append((model_rows(search.comp), np.frombuffer(bytes(f), np.int8), mi[:]))
+            records.append((model_rows(model, search.comp), np.frombuffer(bytes(f), np.int8), mi[:]))
             return expand(search, bound, bvar, f, mi)
 
         with monkeypatch.context() as patch:
