@@ -342,9 +342,6 @@ class BenchmarkReport:
                 ]
             )
 
-    def to_json_obj(self) -> dict:
-        return asdict(self)
-
 
 def benchmark(
     specs: Sequence[SyntheticSpec],

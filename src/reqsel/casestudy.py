@@ -10,8 +10,8 @@ the published two-decimal figure.
 Costs were not published (selection ran under a price constraint, price =
 percent/100 * 342), so every cost is zero and the dataset is meant for
 PRICE_VALUE mode. The published value dependency graph exists only as a
-heatmap figure, so the bundle ships an empty VDG; pass your own influence
-matrix (or a synthetic VDG) for dependency-aware runs.
+heatmap figure, so the bundle carries no VDG: a dependency-aware run on it
+takes `--vdg` or `--influence`, and without either it has no dependencies.
 
 Note the dataset's own quirk: r19 and r20 require both r2 and r6 while
 exactly one of r2, r6 may be selected, so r19 and r20 are never selectable.
@@ -27,7 +27,6 @@ from .dependency_graph import (
     PrecedenceGraph,
     RequiresAll,
     RequiresAny,
-    ValueDependencyGraph,
 )
 from .selection_models import PRICE_VALUE, SelectionProblem
 from .valuation import Requirement
@@ -95,11 +94,6 @@ def case_study_precedence() -> PrecedenceGraph:
         RequiresAll(source=i("r27"), target=i("r6")),
     )
     return PrecedenceGraph(n=len(_TABLE), constraints=constraints)
-
-
-def case_study_vdg() -> ValueDependencyGraph:
-    """Placeholder for the unpublished dependency graph (no edges)."""
-    return ValueDependencyGraph(n=len(_TABLE), edges={})
 
 
 def case_study_problem(

@@ -179,8 +179,6 @@ def _load_instance(ns: argparse.Namespace, need_budget: bool) -> SelectionProble
     if ns.dataset is not None and ns.requirements is not None:
         raise InputFormatError("give either --dataset casestudy or --requirements, not both")
     if ns.dataset is not None:
-        if ns.dataset != "casestudy":
-            raise InputFormatError(f"unknown dataset {ns.dataset!r}")
         if ns.constraints is not None:
             raise InputFormatError("the bundled dataset ships its own constraints")
         reqs = case_study_requirements()

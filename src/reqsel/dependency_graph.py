@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence, Union
 
@@ -330,25 +331,26 @@ def pdl_npdl(p: PrecedenceGraph) -> tuple[float, float | None]:
     return pdl, negative / k
 
 
-def default_ids(n: int) -> tuple[str, ...]:
-    return tuple(f"r{i + 1}" for i in range(n))
+def _check_distinct(names: Sequence[str], lineno: int, where: str) -> None:
+    dup = next((name for name, k in Counter(names).items() if k > 1), None)
+    if dup is not None:
+        raise InputFormatError(f"line {lineno}: requirement id {dup!r} repeats in the {where}")
 
 
-def save_vdg(g: ValueDependencyGraph, sink: IO[str], ids: Sequence[str] | None = None) -> None:
+def save_vdg(g: ValueDependencyGraph, sink: IO[str], ids: Sequence[str]) -> None:
     """Write `from,to,strength,quality` rows, quality in {+, -}.
 
     A `# nodes` comment records the full node universe so isolated nodes
     survive a round trip through the edge list.
     """
-    names = tuple(ids) if ids is not None else default_ids(g.n)
-    if len(names) != g.n:
+    if len(ids) != g.n:
         raise ValidationError("id list length does not match node count")
     writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["# nodes", *names])
+    writer.writerow(["# nodes", *ids])
     writer.writerow(["from", "to", "strength", "quality"])
     for (i, j) in sorted(g.edges):
         rho, q = g.edges[(i, j)]
-        writer.writerow([names[i], names[j], repr(float(rho)), q])
+        writer.writerow([ids[i], ids[j], repr(float(rho)), q])
 
 
 def load_vdg(
@@ -368,6 +370,7 @@ def load_vdg(
         if record[0].lstrip().startswith("#"):
             if record[0].strip().lower() == "# nodes" and len(record) > 1:
                 universe = tuple(cell.strip() for cell in record[1:])
+                _check_distinct(universe, lineno, "# nodes comment")
             continue
         rows.append((lineno, [cell.strip() for cell in record]))
     if rows and [c.lower() for c in rows[0][1]] == ["from", "to", "strength", "quality"]:
@@ -494,14 +497,13 @@ def save_constraints(p: PrecedenceGraph, sink: IO[str], ids: Sequence[str]) -> N
     sink.write("\n")
 
 
-def save_influence_matrix(inf: InfluenceMatrix, sink: IO[str], ids: Sequence[str] | None = None) -> None:
+def save_influence_matrix(inf: InfluenceMatrix, sink: IO[str], ids: Sequence[str]) -> None:
     """Write the net influence matrix as `id,<id1>,...` CSV rows."""
-    names = tuple(ids) if ids is not None else default_ids(inf.n)
-    if len(names) != inf.n:
+    if len(ids) != inf.n:
         raise ValidationError("id list length does not match matrix dimension")
     writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["id", *names])
-    for i, name in enumerate(names):
+    writer.writerow(["id", *ids])
+    for i, name in enumerate(ids):
         writer.writerow([name, *(repr(float(v)) for v in inf.influence[i])])
 
 
@@ -523,6 +525,7 @@ def load_influence_matrix(source: IO[str]) -> tuple[InfluenceMatrix, tuple[str, 
     if header[0] != "id":
         raise InputFormatError(f"line {header_no}: expected header starting with \"id\"")
     names = tuple(header[1:])
+    _check_distinct(names, header_no, "header")
     n = len(names)
     if len(rows) - 1 != n:
         raise InputFormatError(f"expected {n} matrix rows, found {len(rows) - 1}")

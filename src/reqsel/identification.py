@@ -84,9 +84,9 @@ class CausalAnalysis:
 
     @functools.cached_property
     def woolf_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(omega, radius per unit z', pair_defined) for every ordered pair,
-        from the Haldane-Anscombe corrected cells (+0.5 on all four when any
-        is zero)."""
+        """(omega, radius per unit z', defined) for every ordered pair, from
+        the Haldane-Anscombe corrected cells (+0.5 on all four when any is
+        zero); defined: r_j was wanted by some users and ignored by others."""
         n = self.n
         n11 = self.counts[:, :n].astype(np.float64)
         n10 = self.counts[:, n:].astype(np.float64)
@@ -102,11 +102,6 @@ class CausalAnalysis:
         for table in (omega, root, defined):
             table.flags.writeable = False  # shared by every caller
         return omega, root, defined
-
-    def pair_defined(self, i: int, j: int) -> bool:
-        """True when both conditionals of (i, j) exist: r_j was wanted by
-        some users and ignored by others."""
-        return self.woolf_table[2].item(i, j)
 
 
 @dataclass(frozen=True)

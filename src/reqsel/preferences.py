@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     DegenerateMarginalError,
@@ -240,6 +239,8 @@ def _phi2(
     and |rho| within 1e-12 of 1 takes the closed-form limits Phi(min(a, b))
     and max(0, Phi(a) + Phi(b) - 1).
     """
+    from scipy import special  # loaded by the DG fit only, not by `import reqsel`
+
     a, b, rho, pa, pb = np.broadcast_arrays(
         *(np.asarray(v, dtype=np.float64) for v in (a, b, rho, pa, pb))
     )
@@ -257,20 +258,6 @@ def _phi2(
     value = np.where(rho >= 1.0 - 1e-12, np.minimum(pa, pb), value)
     value = np.where(rho <= -1.0 + 1e-12, np.maximum(0.0, pa + pb - 1.0), value)
     return np.clip(value, 0.0, 1.0)
-
-
-def bivariate_normal_cdf(a: float, b: float, rho: float) -> float:
-    """Phi2(a, b; rho) = P(Z1 <= a, Z2 <= b), standard normals, corr rho.
-
-    Evaluated through Owen's T function (Owen 1956; Genz 2004), the same
-    kernel `fit_dichotomized_gaussian` runs on whole arrays. It is smooth
-    and strictly increasing in rho for fixed (a, b); the degenerate
-    correlations have closed forms: Phi(min(a, b)) at rho = 1 and
-    max(0, Phi(a) + Phi(b) - 1) at rho = -1.
-    """
-    if not -1.0 <= rho <= 1.0:
-        raise ValidationError(f"correlation {rho} outside [-1, 1]")
-    return float(_phi2(a, b, rho, _std_normal_cdf(a), _std_normal_cdf(b)))
 
 
 def fit_dichotomized_gaussian(stats: BinaryStats) -> DichotomizedGaussianModel:
@@ -292,6 +279,7 @@ def fit_dichotomized_gaussian(stats: BinaryStats) -> DichotomizedGaussianModel:
             raise DegenerateMarginalError(
                 f"requirement index {idx}: mean {mean} is degenerate; drop the row before fitting"
             )
+    from scipy import special
     gamma = special.ndtri(means)
     n = stats.n
     iu, ju = np.triu_indices(n, 1)

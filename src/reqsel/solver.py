@@ -5,12 +5,13 @@ Branch and bound over the binary variables:
   * a dependency-aware (DARS) model is searched on its x core: the x
     binaries and the rows over x alone (budget and precedence). Its g, theta
     and y variables and their penalty and linking rows only linearize the
-    penalty; leaves fill them in closed form (g = x, theta = the penalty
-    floor, y = theta x). One walk over the rows indexes them and finds the
-    link and pair rows by shape, and a second sorts them into search rows,
-    penalty floors and linking rows (see _Compiled), so a model parsed from
-    an LP file is searched exactly like a built one. A continuous variable
-    or a row over theta, y or g that fits no shape is rejected.
+    penalty. One walk over the rows indexes them and finds the link and pair
+    rows by shape, and a second sorts them into search rows, penalty floors
+    and linking rows (see _Compiled), so a model parsed from an LP file is
+    searched exactly like a built one. A continuous variable or a row over
+    theta, y or g that fits no shape is rejected. The incumbent is kept as
+    its fixings; `solve` fills every value once from that final selection
+    in closed form (g = x, theta = the penalty floor, y = theta x), and
     Solution.theta and Solution.y hold one entry per x;
   * node order: best bound first, ties by lowest branching-variable index,
     then by creation order; the child fixing the variable to 1 is created
@@ -280,7 +281,6 @@ class _Compiled:
             self.x_compact = np.array([self.bpos[self.index[nm]] for nm in x_names], dtype=np.intp)
         else:
             self.x_compact = np.arange(self.nbin, dtype=np.intp)
-        self.x_var_idx = np.array([self.bin_vars[b] for b in self.x_compact], dtype=np.intp)
 
         tiny = 1e-300
         ratio = self.c_bin / np.maximum(self.w_bin, tiny)
@@ -344,7 +344,7 @@ class _Search:
         self.heap: list = []
         self.inc_obj = -math.inf
         self.inc_key: tuple[int, ...] | None = None
-        self.inc_vals: np.ndarray | None = None
+        self.inc_fix: np.ndarray | None = None
         self.hit_limit = False
         self.t0 = time.perf_counter()
 
@@ -436,19 +436,8 @@ class _Search:
         else:
             obj = float(np.dot(comp.c_bin, sel.astype(np.float64)))
         key = tuple(fv[comp.x_compact].tolist())
-        if not self._improves(obj, key):
-            return obj
-        vals = np.zeros(comp.nvars)
-        vals[comp.bin_vars] = fv
-        # the linearization in closed form: g = x, theta = floor, y = theta x
-        vals[comp.g_idx] = vals[comp.g_src]
-        if floor is not None:
-            theta = floor[comp.theta_pos]
-            vals[comp.theta_idx] = theta
-            vals[comp.y_idx] = theta * sel[comp.theta_pos]
-        self.inc_obj = obj
-        self.inc_key = key
-        self.inc_vals = vals
+        if self._improves(obj, key):
+            self.inc_obj, self.inc_key, self.inc_fix = obj, key, fv.copy()
         return obj
 
     def _improves(self, obj: float, key: tuple[int, ...]) -> bool:
@@ -573,24 +562,29 @@ def solve(m: LinearModel, limits: SolverLimits | None = None) -> Solution:
     root = None if root_bound is None or not math.isfinite(root_bound) else sign * root_bound
     stats = SolveStats(nodes=search.nodes, elapsed_s=elapsed, root_bound=root)
 
-    if search.inc_vals is None:
+    if search.inc_fix is None:
         status = UNKNOWN if search.hit_limit else INFEASIBLE
         return Solution(status, None, {}, (), None, None, not search.hit_limit, stats)
 
-    vals = search.inc_vals
-    values = {comp.names[i]: float(vals[i]) for i in range(comp.nvars)}
-    x = tuple(int(round(vals[i])) for i in comp.x_var_idx)
+    fv = search.inc_fix
+    floor = search._floor(fv)
+    vals = np.zeros(comp.nvars)
+    vals[comp.bin_vars] = fv
+    # the linearization in closed form: g = x, theta = floor, y = theta x
+    vals[comp.g_idx] = vals[comp.g_src]
     theta = y = None
-    if comp.B0 is not None:
-        # one entry per x; an x that owns no link row reads 0.0
-        th, yy = np.zeros(comp.nbin), np.zeros(comp.nbin)
-        th[comp.theta_pos] = vals[comp.theta_idx]
-        yy[comp.theta_pos] = vals[comp.y_idx]
-        theta, y = tuple(th[comp.x_compact].tolist()), tuple(yy[comp.x_compact].tolist())
+    if floor is not None:
+        yy = floor * (fv == 1)
+        vals[comp.theta_idx] = floor[comp.theta_pos]
+        vals[comp.y_idx] = yy[comp.theta_pos]
+        theta, y = tuple(floor[comp.x_compact].tolist()), tuple(yy[comp.x_compact].tolist())
+    values = dict(zip(comp.names, vals.tolist()))
     objective = sign * search.inc_obj
     status = FEASIBLE if search.hit_limit else OPTIMAL
-    x_names = tuple(comp.names[i] for i in comp.x_var_idx)
-    return Solution(status, objective, values, x, theta, y, not search.hit_limit, stats, x_names)
+    x_names = tuple(comp.names[comp.bin_vars[b]] for b in comp.x_compact)
+    return Solution(
+        status, objective, values, search.inc_key, theta, y, not search.hit_limit, stats, x_names
+    )
 
 
 def verify_solution(m: LinearModel, s: Solution) -> VerificationReport:

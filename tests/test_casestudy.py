@@ -18,7 +18,7 @@ from reqsel import (
     case_study_requirements,
     solve,
 )
-from reqsel.casestudy import TOTAL_EXPECTED_VALUE, TOTAL_VALUE, case_study_vdg
+from reqsel.casestudy import TOTAL_EXPECTED_VALUE, TOTAL_VALUE
 from reqsel.solver import INFEASIBLE, OPTIMAL
 
 REQS = case_study_requirements()
@@ -60,10 +60,6 @@ class TestDataset:
 
     def test_costs_unpublished_so_zero(self):
         assert all(r.cost == 0.0 for r in REQS)
-
-    def test_bundled_vdg_is_an_empty_placeholder(self):
-        g = case_study_vdg()
-        assert g.n == 27 and g.edge_count == 0
 
 
 class TestPrecedence:

@@ -342,6 +342,13 @@ class TestInfluenceCommand:
         assert matrix.influence[2, :].tolist() == [0.0, 0.0, 0.0]
         assert matrix.influence[:, 2].tolist() == [0.0, 0.0, 0.0]
 
+    def test_repeated_node_id_exits_two(self, tmp_path, capsys):
+        vdg = tmp_path / "vdg.csv"
+        vdg.write_text("# nodes,a,b,a\nfrom,to,strength,quality\na,b,0.5,+\nb,a,0.25,-\n")
+        rc = cli.run(["influence", "--vdg", str(vdg), "--out", str(tmp_path / "infl")])
+        assert rc == 2
+        assert "requirement id 'a' repeats" in capsys.readouterr().err
+        assert not (tmp_path / "infl" / "influence.csv").exists()
 
     def test_ids_with_delimiters_and_quotes_round_trip(self, tmp_path):
         # run_chain's instance with ids that CSV has to quote
@@ -463,6 +470,48 @@ class TestSelect:
         assert report["proven"] is False
         assert report["selected"]
         assert report["objective"] <= report["stats"]["root_bound"]
+
+    # a simulated DARS instance: every theta entry is an influence value
+    # with no sum in it, so it is pinned exactly; objective and root bound
+    # pass through BLAS and numpy sums
+    PINNED_THETA = {
+        "r4": 0.8841343875292297, "r5": 0.03007458678386743, "r7": 0.38699669894695954,
+        "r8": 0.7965447593238504, "r9": 0.27521005922646635, "r13": 0.8393479912248731,
+    }
+
+    @pytest.mark.parametrize(
+        "limit, rc, expected",
+        [
+            ([], 0, ("OPTIMAL", True, 90, ["r2", "r5", "r7", "r11", "r12"], 38.044728928414244,
+                     {})),
+            (["--node-limit", "5"], 3,
+             ("FEASIBLE", False, 8, ["r5", "r7", "r9", "r11", "r12"], 36.26757315501587,
+              {"r4": 0.5148090255683649})),
+        ],
+        ids=["unlimited", "node-limit-5"],
+    )
+    def test_simulated_dars_results_pinned(self, tmp_path, limit, rc, expected):
+        sim = tmp_path / "sim"
+        assert cli.run(
+            ["simulate", "--n", "14", "--vdl", "0.1", "--nvdl", "0.3", "--pdl", "0.05",
+             "--npdl", "0.2", "--seed", "1", "--out", str(sim)]
+        ) == 0
+        assert cli.run(
+            ["select", "--requirements", str(sim / "requirements.csv"),
+             "--constraints", str(sim / "constraints.json"),
+             "--influence", str(sim / "influence.csv"), "--method", "dars",
+             "--budget", "20", *limit, "--out", str(tmp_path / "sel")]
+        ) == rc
+        report = json.loads((tmp_path / "sel" / "solution.json").read_text())
+        status, proven, nodes, selected, objective, theta_changes = expected
+        assert report["status"] == status
+        assert report["proven"] is proven
+        assert report["stats"]["nodes"] == nodes
+        assert report["selected"] == selected
+        assert report["objective"] == pytest.approx(objective, abs=1e-12)
+        assert report["stats"]["root_bound"] == pytest.approx(50.69013887552267, abs=1e-12)
+        theta = {f"r{i}": 0.0 for i in range(1, 15)} | self.PINNED_THETA | theta_changes
+        assert report["theta"] == theta
 
     def test_bk_warns_when_precedence_present(self, tmp_path, capsys):
         rc = cli.run(

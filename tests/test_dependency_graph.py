@@ -425,7 +425,7 @@ class TestVdgCsv:
     def test_strengths_round_trip_exactly(self):
         g = random_graph(5, 0.5, 0.4, 99)
         buf = io.StringIO()
-        save_vdg(g, buf)
+        save_vdg(g, buf, ids=("a", "b", "c", "d", "e"))
         back, _ = load_vdg(io.StringIO(buf.getvalue()))
         assert back.edges == g.edges
 
@@ -457,6 +457,13 @@ class TestVdgCsv:
         g, names = load_vdg(io.StringIO(buf.getvalue()))
         assert names == ("x", "y")
         assert g.edge_count == 0
+
+    def test_repeated_universe_id_rejected(self):
+        # the edges of a repeated id would land on its last position and
+        # leave an all-zero phantom node at the first
+        text = "# nodes,a,b,a\nfrom,to,strength,quality\na,b,0.5,+\nb,a,0.25,-\n"
+        with pytest.raises(InputFormatError, match="line 1: requirement id 'a' repeats"):
+            load_vdg(io.StringIO(text))
 
 
 class TestConstraintsJson:
@@ -551,6 +558,11 @@ class TestInfluenceCsv:
     def test_row_count_must_match(self):
         with pytest.raises(InputFormatError, match="matrix rows"):
             load_influence_matrix(io.StringIO("id,a,b\na,0.0,0.1\n"))
+
+    def test_repeated_header_id_rejected(self):
+        text = "# written by hand\nid,a,a\na,0.0,0.1\na,0.1,0.0\n"
+        with pytest.raises(InputFormatError, match="line 2: requirement id 'a' repeats"):
+            load_influence_matrix(io.StringIO(text))
 
 
 @settings(max_examples=30, deadline=None)

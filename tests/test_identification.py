@@ -67,15 +67,15 @@ class TestComputeEells:
         m = matrix_from_cells([[1, 0, 1, 0], [1, 1, 1, 1]])
         analysis = compute_eells(m)
         assert analysis.eells[0, 1] == 0.0
-        assert not analysis.pair_defined(0, 1)
+        assert not analysis.woolf_table[2][0, 1]
         # conditioning on the varied row is still fine
-        assert analysis.pair_defined(1, 0)
+        assert analysis.woolf_table[2][1, 0]
 
     def test_never_wanted_requirement_gives_zero_and_undefined(self):
         m = matrix_from_cells([[1, 0, 1, 0], [0, 0, 0, 0]])
         analysis = compute_eells(m)
         assert analysis.eells[0, 1] == 0.0
-        assert not analysis.pair_defined(0, 1)
+        assert not analysis.woolf_table[2][0, 1]
 
     def test_strength_bounded(self):
         rng = np.random.default_rng(5)
