@@ -16,7 +16,7 @@ Every other wall-clock timing goes to stderr only.
 Exit status: 0 on success, 1 when the model is infeasible, 2 on input
 errors (unknown flags, missing files, schema violations, non-finite
 numbers), 3 when a node or time limit stopped a solve before it proved its
-answer.
+answer, 4 when `select`'s solution breaks its own model.
 
 `select` and `sweep` bound every solve by `--node-limit` and `--time-limit`;
 a limit-stopped solve keeps its incumbent and reports status FEASIBLE (or
@@ -78,7 +78,7 @@ from .selection_models import (
     build_model,
     export_lp,
 )
-from .solver import INFEASIBLE, OPTIMAL, SolverLimits, solution_report, solve
+from .solver import INFEASIBLE, OPTIMAL, SolverLimits, solution_report, solve, verify_solution
 from .valuation import load_requirements, save_requirements
 
 _METHOD_CHOICES = ("bk", "pcbk", "sbk", "dars")
@@ -88,6 +88,7 @@ _METHOD_CHOICES = ("bk", "pcbk", "sbk", "dars")
 DEFAULT_NODE_LIMIT = 1_000_000
 DEFAULT_TIME_LIMIT = 600.0
 EXIT_LIMIT = 3
+EXIT_UNVERIFIED = 4
 # flags naming an input file: the file's bytes enter the config hash, not the path
 _INPUT_FILE_FLAGS = ("preferences", "requirements", "constraints", "vdg", "influence")
 
@@ -327,6 +328,13 @@ def _cmd_select(ns: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     solution = solve(model, limits)
     print(f"solved in {time.perf_counter() - t0:.3f}s", file=sys.stderr)
+    check = verify_solution(model, solution)
+    if not check.ok:
+        # a selection that breaks its model is a solver fault: no output file
+        for line in check.violations:
+            print(f"error: {line}", file=sys.stderr)
+        print(f"error: objective off by {check.objective_delta:.3g}", file=sys.stderr)
+        return EXIT_UNVERIFIED
     report = solution_report(model, solution)
     report["_provenance"] = _provenance_obj(ns)
     _write_json(Path(ns.out) / "solution.json", report)

@@ -25,19 +25,29 @@ Branch and bound over the binary variables:
     gives the verdict the ">=" test on the row itself would;
   * at every node a unit-propagation pass over these rows fixes implied
     variables (precedence chains, exhausted budget) and detects infeasible
-    subtrees early. Node state is plain Python: a bytearray of fixings and
-    one float list of least row activities. A node carries both from its
-    creation, through the heap, to its expansion; only the root's
-    activities are summed from the rows. Each row keeps its entries sorted
-    by |coefficient|, largest first, so a scan stops at the first entry
-    that can still move without breaking the row; the free entries passed
-    over are fixed in row order, so propagation fixes the same variables in
-    the same order as a full rescan of the row;
+    subtrees early. Each row keeps its entries sorted by |coefficient|,
+    largest first, so a scan stops at the first entry that can still move
+    without breaking the row; the free entries passed over are fixed in row
+    order, so propagation fixes the same variables in the same order as a
+    full rescan of the row;
+  * node state only grows along a path, so each node carries it from its
+    creation, through the heap, to its expansion, and a child adds only
+    what it fixed: a bytearray of fixings, one float list of least row
+    activities, one scan cursor per row (the entries before it are fixed
+    and passed, so a scan resumes there, and a row whose cursor entry
+    still fits is not scanned), and the penalty floor. Only the root sums
+    its activities from the rows and starts from a zero floor. The
+    branching variable is the first free one in branch_order at or after
+    the rank just past the parent's;
   * the knapsack row is the first non-">=" all-binary row with non-negative
     coefficients (the budget or price row every builder emits first);
   * bounds are admissible: a fractional knapsack relaxation over the
     knapsack row of the objective still obtainable, each value discounted
     by the penalty floor already implied by the fixed part of the selection.
+    The floor tables B0 and B1 are stored once, transposed: row j holds the
+    floors that fixing x_j to 0 or 1 imposes, so a child raises its
+    parent's floor by the rows of the binaries its propagation fixed (a
+    dive raises it once, at its leaf, over every fixing on the way).
 
 Ties between equal-objective optima (within 1e-12) break lexicographically:
 the smallest selection vector read as a binary string, x1 most significant.
@@ -124,14 +134,18 @@ class _Row:
     """An all-binary row sum(coefs[p] * x[vars[p]]) <= rhs over compact
     binary indices; a ">=" or "=" model row becomes one or two of these."""
 
-    __slots__ = ("vars", "coefs", "rhs", "order")
+    __slots__ = ("vars", "coefs", "rhs", "lim", "order")
 
     def __init__(self, vars_: list[int], coefs: list[float], rhs: float):
         self.vars = vars_
         self.coefs = coefs
         self.rhs = rhs
-        # (position, |coefficient|) by |coefficient| descending, ties by position
+        self.lim = rhs + FEAS_EPS
+        # (position, |coefficient|) by |coefficient| descending, ties by
+        # position, closed by a (len, 0.0) entry that only an infeasible
+        # activity passes, so a scan cursor never runs off the end
         self.order = sorted(((p, abs(a)) for p, a in enumerate(coefs)), key=lambda e: -e[1])
+        self.order.append((len(coefs), 0.0))
 
 
 class _Compiled:
@@ -228,12 +242,14 @@ class _Compiled:
                 allowed.add(("<=", 0.0, frozenset(((x, 1.0), (b, -1.0)))))
                 allowed.add(("<=", 0.0, frozenset(((b, 1.0), (x, -1.0)))))
         # penalty rows theta_i + w x_j >= rhs floor theta_i at rhs while x_j = 0
-        # and at rhs - w once x_j = 1
+        # and at rhs - w once x_j = 1: B0[j, i] and B1[j, i], so row j holds
+        # the floors that fixing x_j imposes. Both are views of one table B
+        # whose row j + nbin * v is the row of x_j = v.
         owner = dict(zip(self.theta_idx.tolist(), self.theta_pos.tolist()))
-        self.B0 = self.B1 = None
+        self.B = self.B0 = self.B1 = None
         if links:
-            self.B0 = np.zeros((self.nbin, self.nbin))
-            self.B1 = np.zeros((self.nbin, self.nbin))
+            self.B = np.zeros((2 * self.nbin, self.nbin))
+            self.B0, self.B1 = self.B[: self.nbin], self.B[self.nbin :]
         self.binrows: list[_Row] = []
         self.kn_row: int | None = None
         for con, (idxs, coefs) in zip(m.constraints, rows):
@@ -251,15 +267,15 @@ class _Compiled:
             if con.relation == ">=" and len(idxs) == 2:
                 (t, a), (j, w) = sorted(zip(idxs, coefs), key=lambda e: e[0] not in owner)
                 if t in owner and a == 1.0 and j in self.bpos:
-                    self.B0[owner[t], self.bpos[j]] = con.rhs
-                    self.B1[owner[t], self.bpos[j]] = con.rhs - w
+                    self.B0[self.bpos[j], owner[t]] = con.rhs
+                    self.B1[self.bpos[j], owner[t]] = con.rhs - w
                     continue
             if (con.relation, con.rhs, frozenset(zip(idxs, coefs))) not in allowed:
                 raise ValidationError(
                     f"constraint {con.name}: a row over theta, y or g must be a link, "
                     "echo or penalty row"
                 )
-        if links and max(self.B0.max(), self.B1.max()) > 1.0:
+        if links and self.B.max() > 1.0:
             raise ValidationError("penalty rows floor theta above its upper bound 1")
         self.nbinrows = len(self.binrows)
 
@@ -285,6 +301,9 @@ class _Compiled:
         tiny = 1e-300
         ratio = self.c_bin / np.maximum(self.w_bin, tiny)
         self.branch_order = sorted(range(self.nbin), key=lambda b: (-ratio[b], b))
+        self.branch_rank = [0] * self.nbin
+        for k, b in enumerate(self.branch_order):
+            self.branch_rank[b] = k
 
     def _detect_objective_quantum(self) -> None:
         """Find a common quantum of the objective coefficients, if any.
@@ -345,33 +364,40 @@ class _Search:
         self.inc_obj = -math.inf
         self.inc_key: tuple[int, ...] | None = None
         self.inc_fix: np.ndarray | None = None
+        self.inc_floor: np.ndarray | None = None  # the penalty floor of inc_fix
         self.hit_limit = False
         self.t0 = time.perf_counter()
 
     # ---- propagation over all-binary rows ----
 
-    def _scan_row(self, rid: int, fixed, minact, queue) -> bool:
+    def _scan_row(self, rid: int, fixed, minact, pos, queue) -> bool:
         # entries go by |a| descending and float addition is monotone, so the
-        # first entry that fits ends a scan; fixings keep row order
+        # first entry that fits ends a scan; fixings keep row order. minact
+        # only rises along a path and every entry a scan passes is fixed when
+        # it ends, so the scan resumes at the row's cursor pos[rid] and forces
+        # what a scan from the first entry would
         row = self.comp.binrows[rid]
-        rhs = row.rhs
+        lim = row.lim
         lo = minact[rid]
-        if lo > rhs + FEAS_EPS:
+        if lo > lim:
             return False
+        order, vars_ = row.order, row.vars
+        k = pos[rid]
         forced = []
-        for p, au in row.order:
-            if not lo + au > rhs + FEAS_EPS:
-                break
-            if fixed[row.vars[p]] == FREE:
+        while lo + order[k][1] > lim:
+            p = order[k][0]
+            if fixed[vars_[p]] == FREE:
                 forced.append(p)
+            k += 1
+        pos[rid] = k
         for p in sorted(forced):
-            fixed[row.vars[p]] = 0 if row.coefs[p] > 0 else 1
-            queue.append(row.vars[p])
+            fixed[vars_[p]] = 0 if row.coefs[p] > 0 else 1
+            queue.append(vars_[p])
         return True
 
-    def _propagate(self, fixed, minact, queue) -> bool:
+    def _propagate(self, fixed, minact, pos, queue) -> bool:
         # queue entries are set in `fixed` but not yet folded into activities
-        occ = self.comp.occ
+        binrows, occ = self.comp.binrows, self.comp.occ
         head = 0
         while head < len(queue):
             b = queue[head]
@@ -379,29 +405,29 @@ class _Search:
             val = fixed[b]
             for rid, a in occ[b]:
                 if val == 1:
-                    minact[rid] += a - (a if a < 0 else 0.0)
+                    lo = minact[rid] = minact[rid] + (a - (a if a < 0 else 0.0))
                 else:
-                    minact[rid] -= a if a < 0 else 0.0
-                if not self._scan_row(rid, fixed, minact, queue):
+                    lo = minact[rid] = minact[rid] - (a if a < 0 else 0.0)
+                # while the entry at the cursor fits (|a| >= 0) the row is
+                # feasible and a scan would force nothing
+                row = binrows[rid]
+                if lo + row.order[pos[rid]][1] > row.lim and not self._scan_row(
+                    rid, fixed, minact, pos, queue
+                ):
                     return False
         return True
 
     # ---- bounds ----
 
-    def _floor(self, fv) -> np.ndarray | None:
-        """Penalty floor of each binary's requirement implied by the fixed
-        binaries, or None for a model without penalty rows."""
-        comp = self.comp
-        if comp.B0 is None:
-            return None
-        th = np.zeros(comp.nbin)
-        m1 = fv == 1
-        m0 = fv == 0
-        if m1.any():
-            np.maximum(th, comp.B1[:, m1].max(axis=1), out=th)
-        if m0.any():
-            np.maximum(th, comp.B0[:, m0].max(axis=1), out=th)
-        return th
+    def _raise(self, floor, fixed, fixings) -> np.ndarray | None:
+        """The penalty floor raised by the floors the given fixed binaries
+        impose; None for a model without penalty rows. Floors are never
+        written in place, so nodes share them freely."""
+        if floor is None or not fixings:
+            return floor
+        n = self.comp.nbin
+        rows = self.comp.B.take([b + n * fixed[b] for b in fixings], axis=0)
+        return np.maximum(floor, rows.max(axis=0))
 
     def _grid_floor(self, bound: float) -> float:
         # attainable objectives sit on the quantum grid, so a fractional
@@ -437,7 +463,8 @@ class _Search:
             obj = float(np.dot(comp.c_bin, sel.astype(np.float64)))
         key = tuple(fv[comp.x_compact].tolist())
         if self._improves(obj, key):
-            self.inc_obj, self.inc_key, self.inc_fix = obj, key, fv.copy()
+            self.inc_obj, self.inc_key = obj, key
+            self.inc_fix, self.inc_floor = fv.copy(), floor
         return obj
 
     def _improves(self, obj: float, key: tuple[int, ...]) -> bool:
@@ -459,62 +486,72 @@ class _Search:
 
     # ---- tree ----
 
-    def _branch_var(self, fixed) -> int:
-        for b in self.comp.branch_order:
-            if fixed[b] == FREE:
-                return b
+    def _branch_var(self, fixed, k: int) -> int:
+        # the variables before rank k of branch_order are fixed on this path
+        order = self.comp.branch_order
+        for r in range(k, len(order)):
+            if fixed[order[r]] == FREE:
+                return order[r]
         return -1
 
-    def _try_child(self, fixed, minact, b: int, val: int):
+    def _try_child(self, fixed, minact, pos, b: int, val: int):
+        """The child's fixings, activities and cursors, and the queue of the
+        binaries it fixed; None when propagation proves it infeasible."""
         f = fixed[:]
         mi = minact[:]
+        ps = pos[:]
         f[b] = val
         self.nodes += 1
-        if not self._propagate(f, mi, [b]):
+        queue = [b]
+        if not self._propagate(f, mi, ps, queue):
             return None
-        return f, mi
+        return f, mi, ps, queue
 
-    def _enter(self, f, mi) -> float:
+    def _enter(self, f, mi, pos, floor, k: int) -> float:
         """A node's bound, or a leaf's objective; an unpruned non-leaf joins
-        the heap with its fixings and row activities."""
+        the heap with its fixings, row activities, scan cursors and floor."""
         fv = np.frombuffer(f, np.int8)
-        floor = self._floor(fv)
-        bvar = self._branch_var(f)
+        bvar = self._branch_var(f, k)
         if bvar == -1:
             return self._leaf(fv, floor)
         bound = self._bound(fv, floor)
         if not self._pruned(bound, fv):
             self.seq += 1
-            heapq.heappush(self.heap, (-bound, bvar, self.seq, f, mi))
+            heapq.heappush(self.heap, (-bound, bvar, self.seq, f, mi, pos, floor))
         return bound
 
-    def _expand(self, bound: float, bvar: int, f: bytearray, mi) -> None:
+    def _expand(self, bound: float, bvar: int, f: bytearray, mi, pos, floor) -> None:
         fv = np.frombuffer(f, np.int8)
         if self._pruned(bound, fv):
             return
         # plunge: a greedy dive from every expanded node keeps the
         # incumbent close to the best bound instead of waiting for the
         # breadth-dominated heap to reach leaves on its own
-        self._dive(f, mi)
+        k = self.comp.branch_rank[bvar]
+        self._dive(f, mi, pos, floor, k)
         for val in (1, 0):
-            child = self._try_child(f, mi, bvar, val)
+            child = self._try_child(f, mi, pos, bvar, val)
             if child is not None:
-                self._enter(*child)
+                cf, cmi, cpos, queue = child
+                self._enter(cf, cmi, cpos, self._raise(floor, cf, queue), k + 1)
 
-    def _dive(self, f, mi) -> None:
-        # _try_child copies, so the caller's node state is left as it was
+    def _dive(self, f, mi, pos, floor, k: int) -> None:
+        # _try_child copies, so the caller's node state is left as it was;
+        # the floor is raised once, at the leaf, over every queue on the way
+        fixings: list[int] = []
         while True:
-            b = self._branch_var(f)
+            b = self._branch_var(f, k)
             if b == -1:
-                fv = np.frombuffer(f, np.int8)
-                self._leaf(fv, self._floor(fv))
+                self._leaf(np.frombuffer(f, np.int8), self._raise(floor, f, fixings))
                 return
-            child = self._try_child(f, mi, b, 1)
+            child = self._try_child(f, mi, pos, b, 1)
             if child is None:
-                child = self._try_child(f, mi, b, 0)
+                child = self._try_child(f, mi, pos, b, 0)
             if child is None:
                 return
-            f, mi = child
+            f, mi, pos, queue = child
+            fixings += queue
+            k = self.comp.branch_rank[b] + 1
 
     def _over_limit(self, ticks: int) -> bool:
         lim = self.limits
@@ -533,18 +570,20 @@ class _Search:
         comp = self.comp
         fixed = bytearray([FREE]) * comp.nbin
         minact = [sum(min(a, 0.0) for a in row.coefs) for row in comp.binrows]
+        pos = [0] * comp.nbinrows
         queue: list[int] = []
         self.nodes = 1
         ok = all(
-            self._scan_row(rid, fixed, minact, queue) for rid in range(comp.nbinrows)
-        ) and self._propagate(fixed, minact, queue)
+            self._scan_row(rid, fixed, minact, pos, queue) for rid in range(comp.nbinrows)
+        ) and self._propagate(fixed, minact, pos, queue)
         if not ok:
             return None
-        root_bound = self._enter(fixed, minact)
+        floor = None if comp.B is None else np.zeros(comp.nbin)
+        root_bound = self._enter(fixed, minact, pos, self._raise(floor, fixed, queue), 0)
         ticks = 0
         while self.heap:
-            negb, bvar, _, f, mi = heapq.heappop(self.heap)
-            self._expand(-negb, bvar, f, mi)
+            negb, bvar, _, *node = heapq.heappop(self.heap)
+            self._expand(-negb, bvar, *node)
             ticks += 1
             if self.heap and self._over_limit(ticks):
                 self.hit_limit = True
@@ -566,8 +605,7 @@ def solve(m: LinearModel, limits: SolverLimits | None = None) -> Solution:
         status = UNKNOWN if search.hit_limit else INFEASIBLE
         return Solution(status, None, {}, (), None, None, not search.hit_limit, stats)
 
-    fv = search.inc_fix
-    floor = search._floor(fv)
+    fv, floor = search.inc_fix, search.inc_floor
     vals = np.zeros(comp.nvars)
     vals[comp.bin_vars] = fv
     # the linearization in closed form: g = x, theta = floor, y = theta x

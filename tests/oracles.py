@@ -289,6 +289,31 @@ def penalties(influence: np.ndarray, x) -> list[float]:
     return out
 
 
+def penalty_floor(model: LinearModel, fixed) -> np.ndarray | None:
+    """The floor a partial fixing puts on each theta_i of a DARS model, from
+    scratch: the largest of 0 and of rhs - w x_j over its penalty rows
+    theta_i + w x_j >= rhs whose x_j is fixed. `fixed` is an int8 array over
+    model.metadata["x_names"] with -1 for free; None for a model without
+    theta variables."""
+    x_pos = {name: j for j, name in enumerate(model.metadata.get("x_names", ()))}
+    theta_of = {f"theta{i + 1}": i for i in range(len(x_pos))}
+    names = {v.name for v in model.variables}
+    if not x_pos or not set(theta_of) <= names:
+        return None
+    floor = np.zeros(len(x_pos))
+    for con in model.constraints:
+        terms = dict(con.coeffs)
+        theta = next((nm for nm in terms if nm in theta_of), None)
+        if con.relation != ">=" or len(terms) != 2 or theta is None or terms[theta] != 1.0:
+            continue
+        del terms[theta]
+        ((x, w),) = terms.items()
+        if x in x_pos and fixed[x_pos[x]] != -1:
+            i = theta_of[theta]
+            floor[i] = max(floor[i], con.rhs - w * fixed[x_pos[x]])
+    return floor
+
+
 def is_feasible(problem: SelectionProblem, x) -> bool:
     """Budget and precedence checked straight from the record definitions."""
     weight = 0.0

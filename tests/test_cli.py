@@ -5,6 +5,7 @@ directories so nothing leaks into the working tree.
 """
 
 import csv
+import dataclasses
 import hashlib
 import json
 
@@ -512,6 +513,25 @@ class TestSelect:
         assert report["stats"]["root_bound"] == pytest.approx(50.69013887552267, abs=1e-12)
         theta = {f"r{i}": 0.0 for i in range(1, 15)} | self.PINNED_THETA | theta_changes
         assert report["theta"] == theta
+
+    def test_solution_that_breaks_the_model_exits_four(self, tmp_path, capsys, monkeypatch):
+        # a solver fault that selects every requirement overruns the budget
+        solve = cli.solve
+
+        def corrupted_solve(model, limits):
+            got = solve(model, limits)
+            x = (1,) * len(got.x)
+            return dataclasses.replace(got, x=x, values=got.values | dict.fromkeys(got.x_names, 1.0))
+
+        monkeypatch.setattr(cli, "solve", corrupted_solve)
+        rc = cli.run(
+            ["select", "--dataset", "casestudy", "--percent", "50",
+             "--method", "pcbk", "--out", str(tmp_path)]
+        )
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "error: constraint price: violated by" in err
+        assert not (tmp_path / "solution.json").exists()
 
     def test_bk_warns_when_precedence_present(self, tmp_path, capsys):
         rc = cli.run(

@@ -8,6 +8,7 @@ from oracles import (
     enumerate_optimum,
     objective_value,
     penalties,
+    penalty_floor,
     reference_propagate,
     row_activities,
 )
@@ -48,7 +49,16 @@ from reqsel.selection_models import (
     SubsetEstimate,
     Variable,
 )
-from reqsel.solver import FEASIBLE, FREE, INFEASIBLE, OPTIMAL, UNKNOWN, _Compiled, _Search
+from reqsel.solver import (
+    FEAS_EPS,
+    FEASIBLE,
+    FREE,
+    INFEASIBLE,
+    OPTIMAL,
+    UNKNOWN,
+    _Compiled,
+    _Search,
+)
 
 METHODS = (BK, PCBK, SBK, DARS)
 
@@ -642,6 +652,15 @@ def least_activities(halves, minact, maxact):
     return [minact[r] if sign > 0 else -maxact[r] for r, sign in halves]
 
 
+def assert_cursors_passed(comp, fv, minact, pos):
+    """Every row entry before its row's scan cursor has its variable fixed
+    and still cannot move without breaking the row."""
+    for rid, row in enumerate(comp.binrows):
+        for p, au in row.order[: pos[rid]]:
+            assert fv[row.vars[p]] != -1, (rid, p)
+            assert minact[rid] + au > row.rhs + FEAS_EPS, (rid, p)
+
+
 class TestSearchParity:
     """The node kernel (bytearray state, sorted knapsack-row scan) against
     the full-rescan reference, and the search against pinned node counts."""
@@ -664,15 +683,17 @@ class TestSearchParity:
             mi = least_activities(halves, ref_min.tolist(), ref_max.tolist())
             ref_fixed = start.copy()
             queue = []
+            pos = [0] * comp.nbinrows
             ok = all(
-                search._scan_row(rid, f, mi, queue) for rid in range(comp.nbinrows)
-            ) and search._propagate(f, mi, queue)
+                search._scan_row(rid, f, mi, pos, queue) for rid in range(comp.nbinrows)
+            ) and search._propagate(f, mi, pos, queue)
             ref_ok, ref_queue = reference_propagate(rows, ref_fixed, ref_min, ref_max)
             assert ok == ref_ok, seed
             assert queue == ref_queue, seed
             assert np.array_equal(fv, ref_fixed), seed
             if ok:
                 assert mi == least_activities(halves, ref_min.tolist(), ref_max.tolist()), seed
+                assert_cursors_passed(comp, fv, mi, pos)
             verdicts.add(ok)
             forced += bool(queue)
         assert verdicts == {True, False}
@@ -824,9 +845,9 @@ class TestSearchParity:
         starts = []
         dive = _Search._dive
 
-        def recording_dive(search, f, mi):
+        def recording_dive(search, f, *state):
             starts.append(bytes(f))
-            return dive(search, f, mi)
+            return dive(search, f, *state)
 
         monkeypatch.setattr(_Search, "_dive", recording_dive)
         got = solve(build_model(pinned_problem(n, pdl, seed), DARS))
@@ -835,26 +856,48 @@ class TestSearchParity:
 
     @staticmethod
     def assert_carried_match_oracle(model, monkeypatch):
-        """Solve `model`, checking the row activities each node carries to
-        its expansion against a from-scratch sum; returns the expansions."""
+        """Solve `model`, checking the state each node carries to its
+        expansion against a from-scratch oracle: the row activities, the scan
+        cursors, the penalty floor and the branching variable; returns the
+        expansions."""
         records = []
         expand = _Search._expand
 
-        def recording_expand(search, bound, bvar, f, mi):
-            records.append((model_rows(model, search.comp), np.frombuffer(bytes(f), np.int8), mi[:]))
-            return expand(search, bound, bvar, f, mi)
+        def recording_expand(search, bound, bvar, f, mi, pos, floor):
+            fv = np.frombuffer(bytes(f), np.int8)
+            records.append((search.comp, fv, mi[:], pos[:], floor, bvar))
+            return expand(search, bound, bvar, f, mi, pos, floor)
 
         with monkeypatch.context() as patch:
             patch.setattr(_Search, "_expand", recording_expand)
             solve(model)
-        for (rows, halves), fv, mi in records:
+        for comp, fv, mi, pos, floor, bvar in records:
+            rows, halves = model_rows(model, comp)
             want = least_activities(halves, *row_activities(rows, fv))
             assert len(mi) == len(want)
             for k, (r, _) in enumerate(halves):
                 # quarter multiples add exactly in any order; float costs do not
                 tol = 0.0 if all((4.0 * a).is_integer() for a in rows[r][1]) else 1e-9
                 assert abs(mi[k] - want[k]) <= tol
+            assert_cursors_passed(comp, fv, mi, pos)
+            want_floor = penalty_floor(model, fv[comp.x_compact])
+            if want_floor is None:
+                assert floor is None
+            else:
+                assert np.array_equal(floor[comp.x_compact], want_floor)
+            assert bvar == next(b for b in comp.branch_order if fv[b] == -1)
         return len(records)
+
+    def test_carried_floor_check_catches_an_unfolded_queue(self, monkeypatch):
+        # a floor that folds only the branching variable of each queue, not
+        # the fixings propagation added, fails the check
+        fold = _Search._raise
+        monkeypatch.setattr(
+            _Search, "_raise", lambda search, floor, f, fixings: fold(search, floor, f, fixings[:1])
+        )
+        model = build_model(pinned_problem(100, 0.02, 2), DARS)
+        with pytest.raises(AssertionError):
+            self.assert_carried_match_oracle(model, monkeypatch)
 
     @pytest.mark.parametrize("n, pdl, seed", [(100, 0.02, 1), (100, 0.02, 2), (30, 0.0, 1)])
     def test_carried_activities_match_rescan_pinned(self, n, pdl, seed, monkeypatch):
@@ -869,3 +912,19 @@ class TestSearchParity:
             problem = random_problem(seed + 700, n=6 + seed % 6)
             expanded += self.assert_carried_match_oracle(build_model(problem, DARS), monkeypatch)
         assert expanded > 1000
+
+    @pytest.mark.parametrize(
+        "n, objective, nodes, root_bound",
+        [
+            (60, 176.08124802377924, 40_021, 271.7585896773415),
+            (100, 187.45841194958928, 40_013, 419.0676593817241),
+        ],
+    )
+    def test_node_capped_incumbents_pinned(self, n, objective, nodes, root_bound):
+        # the same search under a node cap: the incumbent, node count and
+        # root bound of the precedence-free instances no solve proves in 40k
+        got = solve(build_model(pinned_problem(n, 0.0, 0), DARS), SolverLimits(max_nodes=40_000))
+        assert (got.status, got.proven) == (FEASIBLE, False)
+        assert repr(got.objective) == repr(objective)
+        assert got.stats.nodes == nodes
+        assert repr(got.stats.root_bound) == repr(root_bound)
