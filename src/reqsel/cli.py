@@ -30,6 +30,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -150,9 +151,12 @@ def _parse_percents(text: str) -> list[float]:
             levels.extend(float(v) for v in range(lo, hi + 1))
         else:
             try:
-                levels.append(float(item))
+                level = float(item)
             except ValueError as exc:
                 raise InputFormatError(f"bad percent level {item!r}") from exc
+            if not math.isfinite(level):
+                raise InputFormatError(f"percent level {item!r} is not finite")
+            levels.append(level)
     if not levels:
         raise InputFormatError("no percent levels given")
     return levels
@@ -221,12 +225,14 @@ def _load_instance(ns: argparse.Namespace, need_budget: bool) -> SelectionProble
                 raise InputFormatError(
                     "the bundled dataset has no published costs; use --percent"
                 )
-            budget = ns.budget
-            mode = BUDGET_COST
+            flag, budget, mode = "--budget", ns.budget, BUDGET_COST
         else:
             total = sum(r.value for r in reqs)
-            budget = ns.percent / 100.0 * total
-            mode = PRICE_VALUE
+            flag, budget, mode = "--percent", ns.percent / 100.0 * total, PRICE_VALUE
+        # SelectionProblem rejects a nan or negative budget but keeps inf,
+        # which an LP row or a JSON output cannot hold
+        if math.isinf(budget):
+            raise InputFormatError(f"{flag} gives an infinite budget")
 
     return SelectionProblem(
         requirements=tuple(reqs),

@@ -19,9 +19,9 @@ Both suprema come from one max-min transitive closure of the parity-expanded
 state graph over 2n states (node, sign): a `+` edge (i -> j) preserves the
 walk's sign, a `-` edge flips it. Removing a repeated-state cycle from a
 walk never lowers its min strength, so suprema over walks equal suprema over
-state-simple paths; the closure and the DFS oracle both compute the latter,
-which also settles how node revisits in the original graph are treated (a
-node may be revisited when the accumulated sign differs).
+state-simple paths; the closure and the DFS oracle in tests/ both compute
+the latter, which also settles how node revisits in the original graph are
+treated (a node may be revisited when the accumulated sign differs).
 
 The source method's single-pass interleaved Floyd-Warshall can
 under-converge on cyclic graphs where positive and negative strengths feed
@@ -33,7 +33,6 @@ test suite keeps the single-pass version as an oracle.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -45,15 +44,6 @@ from .errors import InputFormatError, ValidationError
 
 POSITIVE = "+"
 NEGATIVE = "-"
-UNSPECIFIED = "±"
-
-
-def combine_quality(a: str, b: str) -> str:
-    """Serial quality composition: like signs give +, unlike give -, and a
-    non-specified quality absorbs."""
-    if a == UNSPECIFIED or b == UNSPECIFIED:
-        return UNSPECIFIED
-    return POSITIVE if a == b else NEGATIVE
 
 
 @dataclass(frozen=True)
@@ -205,22 +195,6 @@ class InfluenceMatrix:
     @classmethod
     def zeros(cls, n: int) -> "InfluenceMatrix":
         return cls(pos=np.zeros((n, n)), neg=np.zeros((n, n)))
-
-
-def path_strength(g: ValueDependencyGraph, path: Sequence[int]) -> tuple[str, float]:
-    """Weakest-edge strength and sign product along an explicit node path."""
-    if len(path) < 2:
-        raise ValidationError("a dependency path needs at least two nodes")
-    strength = 1.0
-    quality = POSITIVE
-    for a, b in itertools.pairwise(path):
-        edge = g.edges.get((a, b))
-        if edge is None:
-            return UNSPECIFIED, 0.0
-        rho, q = edge
-        strength = min(strength, rho)
-        quality = combine_quality(quality, q)
-    return quality, strength
 
 
 def propagate_strengths(g: ValueDependencyGraph) -> InfluenceMatrix:

@@ -1,6 +1,6 @@
 """Compile a selection problem into solver-agnostic mixed 0/1 linear models.
 
-`build_model` compiles all five single-objective knapsack-family models.
+`build_model` compiles all four single-objective knapsack-family models.
 Each starts from the x binaries and the budget row:
 
   BK    maximize sum v_i x_i            (no precedence; estimated values)
@@ -11,12 +11,14 @@ Each starts from the x binaries and the budget row:
         penalty rows theta_i >= (|I(i,j)| + (1 - 2 x_j) I(i,j)) / 2, and
         linking rows; at the optimum y_i = x_i theta_i, so the objective
         equals the overall value of the selection.
-  INCREASE_DECREASE
-        BK's objective adjusted by per-subset corrections (w_j - sum of
-        member values) activated when the whole subset is selected.
 
 The budget row is either sum c_i x_i <= b (BUDGET_COST) or the price form
 sum v_i x_i <= gamma (PRICE_VALUE); both are available on every model kind.
+
+Every model declares x1..xn first, in requirement order. They are its only
+search binaries (a DARS model's g, theta and y only linearize the penalty),
+and a solution's x holds the search binaries in declaration order, so x_i
+is whether requirement i is selected.
 
 Warning: BK ignores precedence records by construction (it predates
 precedence modelling); callers presenting precedence-bearing instances to BK
@@ -52,9 +54,8 @@ BK = "BK"
 PCBK = "PCBK"
 SBK = "SBK"
 DARS = "DARS"
-INCREASE_DECREASE = "INCREASE_DECREASE"
 
-_METHODS = (BK, PCBK, SBK, DARS, INCREASE_DECREASE)
+_METHODS = (BK, PCBK, SBK, DARS)
 
 BINARY = "binary"
 CONTINUOUS = "continuous"
@@ -91,21 +92,6 @@ class SelectionProblem:
     @property
     def ids(self) -> tuple[str, ...]:
         return tuple(r.id for r in self.requirements)
-
-
-@dataclass(frozen=True)
-class SubsetEstimate:
-    """A requirement subset whose joint value w differs from the member sum."""
-
-    members: tuple[int, ...]
-    estimated_value: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(self.members))
-        if len(self.members) < 2:
-            raise ValidationError("a subset estimate needs at least two members")
-        if len(set(self.members)) != len(self.members):
-            raise ValidationError("subset members must be distinct")
 
 
 @dataclass(frozen=True)
@@ -226,25 +212,13 @@ def _precedence_rows(p: SelectionProblem, x_names: Sequence[str]) -> list[Linear
     return rows
 
 
-def build_model(
-    p: SelectionProblem,
-    method: str,
-    subsets: Sequence[SubsetEstimate] | None = None,
-    simplify: bool = False,
-) -> LinearModel:
-    """Compile the instance for one of BK / PCBK / SBK / DARS / INCREASE_DECREASE.
+def build_model(p: SelectionProblem, method: str, simplify: bool = False) -> LinearModel:
+    """Compile the instance for one of BK / PCBK / SBK / DARS.
 
     Every model starts from the x binaries and the budget row; PCBK, SBK and
     DARS add the precedence rows. `simplify` (DARS only) substitutes g := x
     and drops the duplicating rows; by default the model keeps the auxiliary
     g variables verbatim.
-
-    INCREASE_DECREASE is the plain knapsack plus per-subset value adjustments
-    from `subsets`. A binary y_j may be 1 only when every member of subset j
-    is selected (n_j y_j <= sum of member x). The objective adds w_j - sum of
-    member values, so positive adjustments are earned and negative ones
-    charged; for a negative adjustment the optimizer would leave y_j at 0, so
-    a completeness row forces y_j = 1 once the whole subset is selected.
     """
     if method not in _METHODS:
         raise ValidationError(f"unknown model method {method!r}")
@@ -261,31 +235,7 @@ def build_model(
     objective = dict(zip(x_names, weights))
     metadata = {"kind": method, "x_names": list(x_names), "requirement_ids": list(p.ids)}
 
-    if method == INCREASE_DECREASE:
-        for j, subset in enumerate(subsets or (), start=1):
-            for m in subset.members:
-                if not 0 <= m < n:
-                    raise ValidationError(f"subset {j}: member index {m} out of range")
-            y_name = f"y{j}"
-            variables.append(Variable(name=y_name, kind=BINARY))
-            size = len(subset.members)
-            coeffs = {y_name: float(size)}
-            coeffs.update({x_names[m]: -1.0 for m in subset.members})
-            rows.append(
-                LinearConstraint(name=f"subset{j}_active", coeffs=coeffs, relation="<=", rhs=0.0)
-            )
-            # the weights are the values in this model
-            adjustment = subset.estimated_value - sum(weights[m] for m in subset.members)
-            if adjustment < 0:
-                complete = {x_names[m]: 1.0 for m in subset.members}
-                complete[y_name] = -1.0
-                rows.append(
-                    LinearConstraint(
-                        name=f"subset{j}_complete", coeffs=complete, relation="<=", rhs=float(size - 1)
-                    )
-                )
-            objective[y_name] = adjustment
-    elif method == DARS:
+    if method == DARS:
         if p.influence is None:
             raise ValidationError("the dependency-aware model needs an influence matrix")
         thetas = [f"theta{i + 1}" for i in range(n)]

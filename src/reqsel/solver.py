@@ -11,8 +11,10 @@ Branch and bound over the binary variables:
     searched exactly like a built one. A continuous variable or a row over
     theta, y or g that fits no shape is rejected. The incumbent is kept as
     its fixings; `solve` fills every value once from that final selection
-    in closed form (g = x, theta = the penalty floor, y = theta x), and
-    Solution.theta and Solution.y hold one entry per x;
+    in closed form (g = x, theta = the penalty floor, y = theta x).
+    Solution.x holds the search binaries in declaration order (for a built
+    model, the x binaries in requirement order), and Solution.theta and
+    Solution.y hold one entry per x;
   * node order: best bound first, ties by lowest branching-variable index,
     then by creation order; the child fixing the variable to 1 is created
     first. The root is an ordinary node: once its rows are propagated it is
@@ -50,7 +52,8 @@ Branch and bound over the binary variables:
     dive raises it once, at its leaf, over every fixing on the way).
 
 Ties between equal-objective optima (within 1e-12) break lexicographically:
-the smallest selection vector read as a binary string, x1 most significant.
+the smallest Solution.x read as a binary string, its first entry most
+significant.
 Nodes are pruned when their bound falls below the incumbent by more than
 1e-9, or when they can at best tie but their zero-filled selection string
 already loses the tie-break; both rules keep the lexicographic choice
@@ -292,12 +295,6 @@ class _Compiled:
             self.kn_rhs = kn.rhs
         self._detect_objective_quantum()
 
-        x_names = m.metadata.get("x_names")
-        if x_names and all(nm in self.index for nm in x_names):
-            self.x_compact = np.array([self.bpos[self.index[nm]] for nm in x_names], dtype=np.intp)
-        else:
-            self.x_compact = np.arange(self.nbin, dtype=np.intp)
-
         tiny = 1e-300
         ratio = self.c_bin / np.maximum(self.w_bin, tiny)
         self.branch_order = sorted(range(self.nbin), key=lambda b: (-ratio[b], b))
@@ -461,7 +458,7 @@ class _Search:
             obj = float(np.dot(comp.c_bin[sel], 1.0 - floor[sel]))
         else:
             obj = float(np.dot(comp.c_bin, sel.astype(np.float64)))
-        key = tuple(fv[comp.x_compact].tolist())
+        key = tuple(fv.tolist())
         if self._improves(obj, key):
             self.inc_obj, self.inc_key = obj, key
             self.inc_fix, self.inc_floor = fv.copy(), floor
@@ -481,7 +478,7 @@ class _Search:
         # not smaller than the incumbent key the subtree cannot win a tie.
         if self.inc_key is None or bound > self.inc_obj + TIE_EPS:
             return False
-        zf = tuple((fv[self.comp.x_compact] == 1).astype(np.int8).tolist())
+        zf = tuple((fv == 1).astype(np.int8).tolist())
         return zf >= self.inc_key
 
     # ---- tree ----
@@ -615,11 +612,11 @@ def solve(m: LinearModel, limits: SolverLimits | None = None) -> Solution:
         yy = floor * (fv == 1)
         vals[comp.theta_idx] = floor[comp.theta_pos]
         vals[comp.y_idx] = yy[comp.theta_pos]
-        theta, y = tuple(floor[comp.x_compact].tolist()), tuple(yy[comp.x_compact].tolist())
+        theta, y = tuple(floor.tolist()), tuple(yy.tolist())
     values = dict(zip(comp.names, vals.tolist()))
     objective = sign * search.inc_obj
     status = FEASIBLE if search.hit_limit else OPTIMAL
-    x_names = tuple(comp.names[comp.bin_vars[b]] for b in comp.x_compact)
+    x_names = tuple(comp.names[i] for i in comp.bin_vars)
     return Solution(
         status, objective, values, search.inc_key, theta, y, not search.hit_limit, stats, x_names
     )

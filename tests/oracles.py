@@ -6,7 +6,6 @@ formulas, sharing no code with the vectorized package internals they check.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import re
@@ -33,7 +32,7 @@ from reqsel import (
     ValueDependencyGraph,
 )
 from reqsel.dependency_graph import NEGATIVE, POSITIVE
-from reqsel.selection_models import BINARY, CONTINUOUS, INCREASE_DECREASE, LinearConstraint, Variable
+from reqsel.selection_models import BINARY, CONTINUOUS, LinearConstraint, Variable
 
 
 def contingency(cells: np.ndarray, i: int, j: int) -> tuple[int, int, int, int]:
@@ -144,6 +143,33 @@ def bisected_latent_correlation(means: np.ndarray, covariance: np.ndarray) -> np
                     hi = mid
             lam[i, j] = lam[j, i] = 0.5 * (lo + hi)
     return lam
+
+
+UNSPECIFIED = "±"
+
+
+def combine_quality(a: str, b: str) -> str:
+    """Serial quality composition: like signs give +, unlike give -, and a
+    non-specified quality absorbs."""
+    if a == UNSPECIFIED or b == UNSPECIFIED:
+        return UNSPECIFIED
+    return POSITIVE if a == b else NEGATIVE
+
+
+def path_strength(g: ValueDependencyGraph, path) -> tuple[str, float]:
+    """Weakest-edge strength and sign product along an explicit node path."""
+    if len(path) < 2:
+        raise ValidationError("a dependency path needs at least two nodes")
+    strength = 1.0
+    quality = POSITIVE
+    for a, b in itertools.pairwise(path):
+        edge = g.edges.get((a, b))
+        if edge is None:
+            return UNSPECIFIED, 0.0
+        rho, q = edge
+        strength = min(strength, rho)
+        quality = combine_quality(quality, q)
+    return quality, strength
 
 
 def expanded_closure(g: ValueDependencyGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -338,19 +364,11 @@ def is_feasible(problem: SelectionProblem, x) -> bool:
     return True
 
 
-def objective_value(problem: SelectionProblem, method: str, x, subsets=()) -> float:
-    """The method's objective at selection x; `subsets` (SubsetEstimate
-    records) only shape INCREASE_DECREASE."""
+def objective_value(problem: SelectionProblem, method: str, x) -> float:
+    """The method's objective at selection x."""
     reqs = problem.requirements
     if method in (BK, PCBK):
         return sum(r.value for i, r in enumerate(reqs) if x[i])
-    if method == INCREASE_DECREASE:
-        # each fully selected subset swaps its member values for its estimate
-        total = sum(r.value for i, r in enumerate(reqs) if x[i])
-        for s in subsets:
-            if all(x[m] for m in s.members):
-                total += s.estimated_value - sum(reqs[m].value for m in s.members)
-        return total
     if method == SBK:
         return sum(r.probability * r.value for i, r in enumerate(reqs) if x[i])
     if method == DARS:
@@ -364,21 +382,18 @@ def objective_value(problem: SelectionProblem, method: str, x, subsets=()) -> fl
 
 
 def enumerate_optimum(
-    problem: SelectionProblem, method: str, tie_eps: float = 1e-12, subsets=()
+    problem: SelectionProblem, method: str, tie_eps: float = 1e-12
 ) -> tuple[tuple[int, ...], float] | None:
     """Exhaustive 2^n optimum; ties resolved to the smallest selection
     vector read as a binary string with x1 most significant. None when no
-    selection (including the empty one) is feasible. INCREASE_DECREASE
-    selections are bound by the budget row only."""
+    selection (including the empty one) is feasible."""
     n = len(problem.requirements)
-    if method == INCREASE_DECREASE:
-        problem = dataclasses.replace(problem, precedence=None)
     best_obj = -math.inf
     best_x: tuple[int, ...] | None = None
     for bits in itertools.product((0, 1), repeat=n):
         if not is_feasible(problem, bits):
             continue
-        obj = objective_value(problem, method, bits, subsets)
+        obj = objective_value(problem, method, bits)
         if obj > best_obj + tie_eps:
             best_obj, best_x = obj, bits
         elif obj >= best_obj - tie_eps and best_x is not None and bits < best_x:
@@ -386,6 +401,42 @@ def enumerate_optimum(
     if best_x is None:
         return None
     return best_x, best_obj
+
+
+def enumerate_model_optimum(
+    model: LinearModel, tie_eps: float = 1e-12, feas_eps: float = 1e-9
+) -> tuple[tuple[int, ...], float] | None:
+    """Exhaustive 2^n optimum of an all-binary model, read off its rows and
+    objective alone: a selection is feasible when every row holds within
+    feas_eps, and ties within tie_eps go to the smallest selection read as a
+    binary string, the first declared variable most significant. Returns
+    (x, objective in the model's sense), or None when no selection is
+    feasible."""
+    if any(v.kind != BINARY for v in model.variables):
+        raise ValidationError("model enumeration needs an all-binary model")
+    names = [v.name for v in model.variables]
+    sign = 1.0 if model.objective_sense == "max" else -1.0
+    best_obj = -math.inf
+    best_x: tuple[int, ...] | None = None
+    for bits in itertools.product((0, 1), repeat=len(names)):
+        value = dict(zip(names, bits))
+        feasible = True
+        for con in model.constraints:
+            act = sum(a * value[name] for name, a in con.coeffs.items())
+            if con.relation != ">=" and act > con.rhs + feas_eps:
+                feasible = False
+            if con.relation != "<=" and act < con.rhs - feas_eps:
+                feasible = False
+        if not feasible:
+            continue
+        obj = sign * sum(a * value[name] for name, a in model.objective.items())
+        if obj > best_obj + tie_eps:
+            best_obj, best_x = obj, bits
+        elif obj >= best_obj - tie_eps and best_x is not None and bits < best_x:
+            best_x = bits
+    if best_x is None:
+        return None
+    return best_x, sign * best_obj
 
 
 def row_activities(rows, fixed) -> tuple[list[float], list[float]]:

@@ -178,6 +178,27 @@ class TestExitCodes:
         assert "budget must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "sel").exists()
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["select", "--percent", "inf", "--method", "pcbk"], "--percent gives an infinite budget"),
+            (["select", "--percent", "1e308", "--method", "dars"], "--percent gives an infinite budget"),
+            (["export-lp", "--budget", "inf", "--method", "dars"], "--budget gives an infinite budget"),
+            (["sweep", "--percents", "inf", "--methods", "pcbk", "--format", "json"],
+             "percent level 'inf' is not finite"),
+            (["sweep", "--percents", "10,nan"], "percent level 'nan' is not finite"),
+        ],
+        ids=["select-inf", "select-overflow", "export-lp-inf", "sweep-inf", "sweep-nan"],
+    )
+    def test_non_finite_budget_exits_two(self, tmp_path, capsys, command, message):
+        # an infinite budget passes SelectionProblem but fits no LP row or JSON number
+        source = ["--dataset", "casestudy"] if "--budget" not in command else [
+            "--requirements", str(write_reqs(tmp_path / "reqs.csv"))]
+        rc = cli.run([*command, *source, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", ["-5", "0", "nan"])
     def test_bench_nonpositive_time_limit_exits_two(self, tmp_path, capsys, value):
         rc = cli.run(["bench", "--n", "4", "--time-limit", value, "--out", str(tmp_path)])

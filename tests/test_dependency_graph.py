@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import alg2_reference, brute_force_influence, expanded_closure
+from oracles import (
+    UNSPECIFIED,
+    alg2_reference,
+    brute_force_influence,
+    combine_quality,
+    expanded_closure,
+    path_strength,
+)
 from reqsel import (
     Conflicts,
     ExactlyOne,
@@ -20,12 +27,9 @@ from reqsel import (
 from reqsel.dependency_graph import (
     NEGATIVE,
     POSITIVE,
-    UNSPECIFIED,
-    combine_quality,
     load_constraints,
     load_influence_matrix,
     load_vdg,
-    path_strength,
     pdl_npdl,
     save_constraints,
     save_influence_matrix,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    enumerate_model_optimum,
     enumerate_optimum,
     objective_value,
     penalties,
@@ -40,15 +41,7 @@ from reqsel import (
     solve,
     verify_solution,
 )
-from reqsel.selection_models import (
-    BINARY,
-    CONTINUOUS,
-    INCREASE_DECREASE,
-    LinearConstraint,
-    LinearModel,
-    SubsetEstimate,
-    Variable,
-)
+from reqsel.selection_models import BINARY, CONTINUOUS, LinearConstraint, LinearModel, Variable
 from reqsel.solver import (
     FEAS_EPS,
     FEASIBLE,
@@ -145,10 +138,43 @@ def reparse(model):
     return parse_lp(io.StringIO(buf.getvalue()))
 
 
-def assert_matches_oracle(problem, method, simplify=False, subsets=()):
-    model = build_model(problem, method, subsets=subsets, simplify=simplify)
+def random_binary_model(seed):
+    """An all-binary model over 2-10 binaries with what only LP files bring
+    to the solver: objective coefficients of either sign or absent, binaries
+    the knapsack row leaves at zero weight or that no row names, and ">=" and
+    "=" rows next to "<=" rows; maximized or, one time in four, minimized.
+    Every number is a quarter multiple, so sums are exact and ties are real.
+    The rows after the knapsack row hold for one random selection, tight or
+    with one unit of slack."""
+    rng = np.random.default_rng(seed)
+    nb = int(rng.integers(2, 11))
+    names = [f"b{i}" for i in range(nb)]
+    in_knap = rng.random(nb) < 0.7
+    weights = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0], size=nb)
+    knap = {names[i]: float(weights[i]) for i in range(nb) if in_knap[i]} or {names[0]: 1.0}
+    picked = [a for a in knap.values() if rng.random() < 0.5]
+    rows = [LinearConstraint("knap", knap, "<=", float(sum(picked)))]
+    witness = rng.random(nb) < 0.5
+    for r in range(int(rng.integers(0, 4))):
+        members = rng.choice(nb, size=int(rng.integers(1, nb + 1)), replace=False)
+        coefs = rng.choice([-2.0, -1.0, -1.0, 1.0, 1.0, 2.0, 3.0], size=members.size)
+        relation = str(rng.choice(["<=", ">=", ">=", "=", "="]))
+        slack = 0.0 if relation == "=" else float(rng.choice([0.0, 1.0]))
+        rhs = float(coefs[witness[members]].sum()) + (slack if relation == "<=" else -slack)
+        rows.append(
+            LinearConstraint(f"r{r}", {names[m]: c for m, c in zip(members, coefs)}, relation, rhs)
+        )
+    c = rng.choice([-4.0, -2.5, -0.25, 0.0, 0.5, 1.0, 1.0, 2.0, 3.75, 6.0], size=nb)
+    objective = {names[i]: float(c[i]) for i in range(nb) if rng.random() < 0.85}
+    sense = "min" if rng.random() < 0.25 else "max"
+    variables = tuple(Variable(name, BINARY) for name in names)
+    return LinearModel(variables, sense, objective, tuple(rows))
+
+
+def assert_matches_oracle(problem, method, simplify=False):
+    model = build_model(problem, method, simplify=simplify)
     got = solve(model)
-    want = enumerate_optimum(problem, method, subsets=subsets)
+    want = enumerate_optimum(problem, method)
     if want is None:
         assert got.status == INFEASIBLE
         assert got.proven
@@ -233,21 +259,31 @@ class TestOracleEquivalence:
         problem = random_problem(seed, with_precedence=(method != BK))
         assert_matches_oracle(problem, method)
 
-    @pytest.mark.parametrize("mode", (BUDGET_COST, PRICE_VALUE))
-    @pytest.mark.parametrize("seed", range(60))
-    def test_increase_decrease_instances(self, mode, seed):
-        # one subset worth more than its members, one worth less, one either
-        # way; the precedence records must not bind this model
-        n = 2 + seed % 9
-        problem = random_problem(seed + 1200, n=n, mode=mode)
-        rng = np.random.default_rng(seed)
-        subsets = []
-        for sign in (1.0, -1.0, float(rng.choice((-1.0, 1.0)))):
-            members = tuple(int(m) for m in rng.permutation(n)[: int(rng.integers(2, min(4, n) + 1))])
-            base = sum(problem.requirements[m].value for m in members)
-            shift = sign * float(np.round(rng.uniform(0.5, 6.0), 2))
-            subsets.append(SubsetEstimate(members=members, estimated_value=base + shift))
-        assert_matches_oracle(problem, INCREASE_DECREASE, subsets=tuple(subsets))
+    def test_hand_built_binary_models(self):
+        # solved as built and as read back from an LP file, which drops zero
+        # terms: both match the model's own 2^n enumeration, tie-break
+        # included, and x holds every binary in declaration order
+        seen = {"infeasible": 0, "negative objective": 0, "zero weight": 0, ">=": 0, "=": 0}
+        for seed in range(400):
+            model = random_binary_model(seed)
+            want = enumerate_model_optimum(model)
+            names = tuple(v.name for v in model.variables)
+            direct, parsed = solve(model), solve(reparse(model))
+            for got in (direct, parsed):
+                if want is None:
+                    assert (got.status, got.proven) == (INFEASIBLE, True), seed
+                    continue
+                assert (got.status, got.proven) == (OPTIMAL, True), seed
+                assert (got.x, got.objective) == want, seed
+                assert got.x_names == names
+                assert verify_solution(model, got).ok, seed
+            assert direct.stats.nodes == parsed.stats.nodes, seed
+            seen["infeasible"] += want is None
+            seen["negative objective"] += min(model.objective.values(), default=0.0) < 0
+            seen["zero weight"] += any(model.constraints[0].coeffs.get(nm, 0.0) == 0 for nm in names)
+            for relation in (">=", "="):
+                seen[relation] += any(con.relation == relation for con in model.constraints)
+        assert min(seen.values()) >= 20, seen
 
     @pytest.mark.parametrize("seed", range(6))
     def test_simplified_dars_agrees(self, seed):
@@ -717,15 +753,11 @@ class TestSearchParity:
         got = solve(model)
         assert (got.status, got.x, got.objective) == (OPTIMAL, (0, 1, 1), 4.0)
 
-    @pytest.mark.parametrize("method", (BK, PCBK, SBK, DARS, INCREASE_DECREASE))
+    @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("mode", (BUDGET_COST, PRICE_VALUE))
     def test_knapsack_row_is_the_budget_row(self, method, mode):
         problem = random_problem(41, n=7, mode=mode)
-        if method == INCREASE_DECREASE:
-            subsets = (SubsetEstimate(members=(0, 1), estimated_value=3.0),)
-            model = build_model(problem, method, subsets=subsets)
-        else:
-            model = build_model(problem, method)
+        model = build_model(problem, method)
         buf = io.StringIO()
         export_lp(model, buf)
         for m in (model, parse_lp(io.StringIO(buf.getvalue()))):
@@ -880,11 +912,11 @@ class TestSearchParity:
                 tol = 0.0 if all((4.0 * a).is_integer() for a in rows[r][1]) else 1e-9
                 assert abs(mi[k] - want[k]) <= tol
             assert_cursors_passed(comp, fv, mi, pos)
-            want_floor = penalty_floor(model, fv[comp.x_compact])
+            want_floor = penalty_floor(model, fv)
             if want_floor is None:
                 assert floor is None
             else:
-                assert np.array_equal(floor[comp.x_compact], want_floor)
+                assert np.array_equal(floor, want_floor)
             assert bvar == next(b for b in comp.branch_order if fv[b] == -1)
         return len(records)
 
