@@ -6,6 +6,7 @@ formulas, sharing no code with the vectorized package internals they check.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import re
@@ -30,6 +31,7 @@ from reqsel import (
     SelectionProblem,
     ValidationError,
     ValueDependencyGraph,
+    build_model,
 )
 from reqsel.dependency_graph import NEGATIVE, POSITIVE
 from reqsel.selection_models import BINARY, CONTINUOUS, LinearConstraint, Variable
@@ -340,6 +342,53 @@ def penalty_floor(model: LinearModel, fixed) -> np.ndarray | None:
     return floor
 
 
+INCREASE_DECREASE = "INCREASE_DECREASE"
+
+
+@dataclasses.dataclass(frozen=True)
+class SubsetEstimate:
+    """A requirement subset whose joint value differs from its member sum."""
+
+    members: tuple[int, ...]
+    estimated_value: float
+
+
+def increase_decrease_model(problem: SelectionProblem, subsets) -> LinearModel:
+    """The increase-decrease subset model, written out row by row: BK's
+    binaries, budget row and value objective, then per subset j a binary y_j
+    that may be 1 only when every member is selected (n_j y_j - sum of member
+    x <= 0), with objective coefficient w_j - sum of member values. When that
+    is negative the optimizer would leave y_j at 0, so a completeness row
+    (sum of member x - y_j <= n_j - 1) forces it to 1 once the subset is
+    whole. The package builds no such model; its LP files still reach the
+    solver, with objective coefficients of either sign, binaries the budget
+    row does not weigh, and ">=" and "=" free rows."""
+    base = build_model(problem, BK)
+    x_names = base.metadata["x_names"]
+    variables = list(base.variables)
+    objective = dict(base.objective)
+    rows = list(base.constraints)
+    for j, subset in enumerate(subsets, start=1):
+        y_name = f"y{j}"
+        variables.append(Variable(name=y_name, kind=BINARY))
+        size = len(subset.members)
+        coeffs = {y_name: float(size)}
+        coeffs.update({x_names[m]: -1.0 for m in subset.members})
+        rows.append(LinearConstraint(name=f"subset{j}_active", coeffs=coeffs, relation="<=", rhs=0.0))
+        adjustment = subset.estimated_value - sum(objective[x_names[m]] for m in subset.members)
+        if adjustment < 0:
+            complete = {x_names[m]: 1.0 for m in subset.members}
+            complete[y_name] = -1.0
+            rows.append(
+                LinearConstraint(
+                    name=f"subset{j}_complete", coeffs=complete, relation="<=", rhs=float(size - 1)
+                )
+            )
+        objective[y_name] = adjustment
+    metadata = {**base.metadata, "kind": INCREASE_DECREASE}
+    return LinearModel(tuple(variables), "max", objective, tuple(rows), metadata)
+
+
 def is_feasible(problem: SelectionProblem, x) -> bool:
     """Budget and precedence checked straight from the record definitions."""
     weight = 0.0
@@ -364,11 +413,19 @@ def is_feasible(problem: SelectionProblem, x) -> bool:
     return True
 
 
-def objective_value(problem: SelectionProblem, method: str, x) -> float:
-    """The method's objective at selection x."""
+def objective_value(problem: SelectionProblem, method: str, x, subsets=()) -> float:
+    """The method's objective at selection x; `subsets` (SubsetEstimate
+    records) only shape INCREASE_DECREASE."""
     reqs = problem.requirements
     if method in (BK, PCBK):
         return sum(r.value for i, r in enumerate(reqs) if x[i])
+    if method == INCREASE_DECREASE:
+        # each fully selected subset swaps its member values for its estimate
+        total = sum(r.value for i, r in enumerate(reqs) if x[i])
+        for s in subsets:
+            if all(x[m] for m in s.members):
+                total += s.estimated_value - sum(reqs[m].value for m in s.members)
+        return total
     if method == SBK:
         return sum(r.probability * r.value for i, r in enumerate(reqs) if x[i])
     if method == DARS:
@@ -382,18 +439,21 @@ def objective_value(problem: SelectionProblem, method: str, x) -> float:
 
 
 def enumerate_optimum(
-    problem: SelectionProblem, method: str, tie_eps: float = 1e-12
+    problem: SelectionProblem, method: str, tie_eps: float = 1e-12, subsets=()
 ) -> tuple[tuple[int, ...], float] | None:
     """Exhaustive 2^n optimum; ties resolved to the smallest selection
     vector read as a binary string with x1 most significant. None when no
-    selection (including the empty one) is feasible."""
+    selection (including the empty one) is feasible. INCREASE_DECREASE
+    selections are bound by the budget row only."""
     n = len(problem.requirements)
+    if method == INCREASE_DECREASE:
+        problem = dataclasses.replace(problem, precedence=None)
     best_obj = -math.inf
     best_x: tuple[int, ...] | None = None
     for bits in itertools.product((0, 1), repeat=n):
         if not is_feasible(problem, bits):
             continue
-        obj = objective_value(problem, method, bits)
+        obj = objective_value(problem, method, bits, subsets)
         if obj > best_obj + tie_eps:
             best_obj, best_x = obj, bits
         elif obj >= best_obj - tie_eps and best_x is not None and bits < best_x:

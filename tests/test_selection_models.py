@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import reference_parse_lp
+from oracles import INCREASE_DECREASE, SubsetEstimate, increase_decrease_model, reference_parse_lp
 
 from reqsel import (
     BK,
@@ -255,15 +255,43 @@ class TestDarsStructure:
             build_model(make_problem(2), "GREEDY")
 
 
+class TestIncreaseDecrease:
+    """The rows of the hand-built increase-decrease model (tests/oracles.py)
+    that the solver and LP tests below run on."""
+
+    def test_activation_row(self):
+        p = make_problem(3, values=[4.0, 5.0, 6.0])
+        m = increase_decrease_model(p, (SubsetEstimate(members=(0, 2), estimated_value=12.0),))
+        rows = {c.name: c for c in m.constraints}
+        active = rows["subset1_active"]
+        assert active.coeffs == {"y1": 2.0, "x1": -1.0, "x3": -1.0}
+        assert active.relation == "<=" and active.rhs == 0.0
+        # positive adjustment (12 - 10 = 2) needs no completeness row
+        assert "subset1_complete" not in rows
+        assert m.objective["y1"] == pytest.approx(2.0)
+
+    def test_negative_adjustment_forces_completion(self):
+        p = make_problem(2, values=[4.0, 5.0])
+        m = increase_decrease_model(p, (SubsetEstimate(members=(0, 1), estimated_value=7.0),))
+        rows = {c.name: c for c in m.constraints}
+        complete = rows["subset1_complete"]
+        assert complete.coeffs == {"x1": 1.0, "x2": 1.0, "y1": -1.0}
+        assert complete.relation == "<=" and complete.rhs == 1.0
+        assert m.objective["y1"] == pytest.approx(-2.0)
+
+
 VARIANTS = {
     "bk": (BK, False),
     "pcbk": (PCBK, False),
     "sbk": (SBK, False),
     "dars": (DARS, False),
     "dars-simplified": (DARS, True),
+    "increase-decrease": (INCREASE_DECREASE, False),
 }
 
-# export_lp bytes of zeroed_problem seeds 0-4
+# export_lp bytes of seed_subsets / zeroed_problem seeds 0-4; the
+# increase-decrease pins were recorded while the package still built that
+# model, so they also hold the hand-built model to the same bytes
 LP_SHA256 = {
     ("bk", BUDGET_COST): "3e9250e87986fe3c1f7ae6bf3cf3bcac6933790ef69de00d288594168086846e",
     ("bk", PRICE_VALUE): "1e8fc5413af4c940acdc88a174912ed71da47081c0367c3631699591a68bde6c",
@@ -275,7 +303,25 @@ LP_SHA256 = {
     ("dars", PRICE_VALUE): "21e13b2d66043ff7b1d03f2eb79225b93c930c2ae305974707dc2cfac984c482",
     ("dars-simplified", BUDGET_COST): "4b27e90250ae54d59cbe20f0bcf08dec166500a84acb9d89cc879319512daf3a",
     ("dars-simplified", PRICE_VALUE): "c6b8b3abc721b97ed972cd310bcadc90f100e409c101fab3cb3c6d6de02d1207",
+    ("increase-decrease", BUDGET_COST): "e71ba88adeb7a11efde225097e30727e14e31afe1bc70a7c37a59b22fde48b76",
+    ("increase-decrease", PRICE_VALUE): "bcecaf7f6a3f387bbd55903999efd69474b3a7180c97f5c9d369633ad12b3651",
 }
+
+
+def seed_subsets(seed):
+    """Two subset estimates over the first four requirements."""
+    return (
+        SubsetEstimate(members=(0, 1), estimated_value=3.5),
+        SubsetEstimate(members=(1, 2, 3), estimated_value=float(seed % 3)),
+    )
+
+
+def variant_model(seed, mode, method, simplify):
+    """The model of one VARIANTS entry over zeroed_problem(seed, mode)."""
+    problem = zeroed_problem(seed, mode)
+    if method == INCREASE_DECREASE:
+        return increase_decrease_model(problem, seed_subsets(seed))
+    return build_model(problem, method, simplify=simplify)
 
 
 class TestModelValidation:
@@ -368,7 +414,7 @@ class TestLpFormat:
     @pytest.mark.parametrize("method, simplify", VARIANTS.values(), ids=VARIANTS.keys())
     def test_parse_inverts_export(self, method, simplify, mode):
         for seed in range(20):
-            m = build_model(zeroed_problem(seed, mode), method, simplify=simplify)
+            m = variant_model(seed, mode, method, simplify)
             buf = io.StringIO()
             export_lp(m, buf)
             parsed = parse_lp(io.StringIO(buf.getvalue()))
@@ -385,7 +431,7 @@ class TestLpFormat:
         method, simplify = VARIANTS[variant]
         digest = hashlib.sha256()
         for seed in range(5):
-            m = build_model(zeroed_problem(seed, mode), method, simplify=simplify)
+            m = variant_model(seed, mode, method, simplify)
             buf = io.StringIO()
             export_lp(m, buf)
             digest.update(buf.getvalue().encode("utf-8"))
@@ -619,7 +665,7 @@ class TestParseMatchesReference:
     def test_exported_models(self, method, simplify, mode):
         # the models test_parse_inverts_export builds
         for seed in range(20):
-            m = build_model(zeroed_problem(seed, mode), method, simplify=simplify)
+            m = variant_model(seed, mode, method, simplify)
             buf = io.StringIO()
             export_lp(m, buf)
             text = buf.getvalue()

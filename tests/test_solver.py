@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from oracles import (
+    INCREASE_DECREASE,
+    SubsetEstimate,
     enumerate_model_optimum,
     enumerate_optimum,
+    increase_decrease_model,
     objective_value,
     penalties,
     penalty_floor,
@@ -258,6 +261,32 @@ class TestOracleEquivalence:
     def test_random_instances(self, method, seed):
         problem = random_problem(seed, with_precedence=(method != BK))
         assert_matches_oracle(problem, method)
+
+    @pytest.mark.parametrize("mode", (BUDGET_COST, PRICE_VALUE))
+    @pytest.mark.parametrize("seed", range(60))
+    def test_increase_decrease_instances(self, mode, seed):
+        # one subset worth more than its members, one worth less, one either
+        # way; the precedence records must not bind this model. x holds the
+        # requirement binaries and then one y per subset, set exactly when
+        # the subset is whole
+        n = 2 + seed % 9
+        problem = random_problem(seed + 1200, n=n, mode=mode)
+        rng = np.random.default_rng(seed)
+        subsets = []
+        for sign in (1.0, -1.0, float(rng.choice((-1.0, 1.0)))):
+            members = tuple(int(m) for m in rng.permutation(n)[: int(rng.integers(2, min(4, n) + 1))])
+            base = sum(problem.requirements[m].value for m in members)
+            shift = sign * float(np.round(rng.uniform(0.5, 6.0), 2))
+            subsets.append(SubsetEstimate(members=members, estimated_value=base + shift))
+        model = increase_decrease_model(problem, subsets)
+        got = solve(model)
+        want_x, want_obj = enumerate_optimum(problem, INCREASE_DECREASE, subsets=subsets)
+        assert (got.status, got.proven) == (OPTIMAL, True)
+        assert got.objective == pytest.approx(want_obj, abs=1e-9)
+        whole = tuple(int(all(want_x[m] for m in s.members)) for s in subsets)
+        assert got.x == want_x + whole
+        report = verify_solution(model, got)
+        assert report.ok, report.violations
 
     def test_hand_built_binary_models(self):
         # solved as built and as read back from an LP file, which drops zero
@@ -753,11 +782,14 @@ class TestSearchParity:
         got = solve(model)
         assert (got.status, got.x, got.objective) == (OPTIMAL, (0, 1, 1), 4.0)
 
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method", (*METHODS, INCREASE_DECREASE))
     @pytest.mark.parametrize("mode", (BUDGET_COST, PRICE_VALUE))
     def test_knapsack_row_is_the_budget_row(self, method, mode):
         problem = random_problem(41, n=7, mode=mode)
-        model = build_model(problem, method)
+        if method == INCREASE_DECREASE:
+            model = increase_decrease_model(problem, (SubsetEstimate(members=(0, 1), estimated_value=3.0),))
+        else:
+            model = build_model(problem, method)
         buf = io.StringIO()
         export_lp(model, buf)
         for m in (model, parse_lp(io.StringIO(buf.getvalue()))):
