@@ -34,7 +34,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import __version__
 from .analysis import SyntheticSpec, benchmark, generate_synthetic, sweep
@@ -79,7 +79,7 @@ from .selection_models import (
     build_model,
     export_lp,
 )
-from .solver import INFEASIBLE, OPTIMAL, SolverLimits, solution_report, solve, verify_solution
+from .solver import FEASIBLE, INFEASIBLE, UNKNOWN, SolverLimits, solution_report, solve, verify_solution
 from .valuation import load_requirements, save_requirements
 
 _METHOD_CHOICES = ("bk", "pcbk", "sbk", "dars")
@@ -326,6 +326,14 @@ def _solver_limits(ns: argparse.Namespace) -> SolverLimits:
     return SolverLimits(max_nodes=nodes, max_seconds=seconds)
 
 
+def _exit_code(statuses: Iterable[str]) -> int:
+    """1 when every solve is infeasible, 3 when a limit stopped any, else 0."""
+    found = set(statuses)
+    if found == {INFEASIBLE}:
+        return 1
+    return EXIT_LIMIT if found & {FEASIBLE, UNKNOWN} else 0
+
+
 def _cmd_select(ns: argparse.Namespace) -> int:
     problem = _load_instance(ns, need_budget=True)
     _warn_bk(ns, problem)
@@ -344,9 +352,7 @@ def _cmd_select(ns: argparse.Namespace) -> int:
     report = solution_report(model, solution)
     report["_provenance"] = _provenance_obj(ns)
     _write_json(Path(ns.out) / "solution.json", report)
-    if solution.status == OPTIMAL:
-        return 0
-    return 1 if solution.status == INFEASIBLE else EXIT_LIMIT
+    return _exit_code([solution.status])
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
@@ -373,11 +379,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     else:
         _write_csv(ns, out / "sweep.csv", report.to_csv)
         _write_csv(ns, out / "sweep_long.csv", report.to_long_csv)
-    if all(row.status == INFEASIBLE for row in report.rows):
-        return 1
-    if any(row.status not in (OPTIMAL, INFEASIBLE) for row in report.rows):
-        return EXIT_LIMIT
-    return 0
+    return _exit_code(row.status for row in report.rows)
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> int:
@@ -444,7 +446,7 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
         max_seconds=ns.time_limit,
     )
     _write_csv(ns, Path(ns.out) / "bench.csv", report.to_csv)
-    return 0
+    return _exit_code(row.status for row in report.rows)
 
 
 def _cmd_export_lp(ns: argparse.Namespace) -> int:

@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import InputFormatError, ValidationError
+from .errors import InputFormatError, ValidationError, check_distinct, read_rows
 
 POSITIVE = "+"
 NEGATIVE = "-"
@@ -305,12 +304,6 @@ def pdl_npdl(p: PrecedenceGraph) -> tuple[float, float | None]:
     return pdl, negative / k
 
 
-def _check_distinct(names: Sequence[str], lineno: int, where: str) -> None:
-    dup = next((name for name, k in Counter(names).items() if k > 1), None)
-    if dup is not None:
-        raise InputFormatError(f"line {lineno}: requirement id {dup!r} repeats in the {where}")
-
-
 def save_vdg(g: ValueDependencyGraph, sink: IO[str], ids: Sequence[str]) -> None:
     """Write `from,to,strength,quality` rows, quality in {+, -}.
 
@@ -333,26 +326,24 @@ def load_vdg(
     """Read a VDG CSV; returns the graph plus the node id order used.
 
     With `ids` given, nodes map onto that universe (unknown ids are errors).
-    Without it, a `# nodes` comment in the file supplies the universe; as a
-    last resort nodes are the ids seen in edges, in first-appearance order.
+    Without it, the last `# nodes` comment in the file supplies the universe;
+    as a last resort nodes are the ids seen in edges, in first-appearance
+    order. The line and repeated-id rules are those of `errors`.
     """
-    rows: list[tuple[int, list[str]]] = []
-    universe: tuple[str, ...] | None = None
-    for lineno, record in enumerate(csv.reader(source), start=1):
-        if not record or (len(record) == 1 and not record[0].strip()):
-            continue
-        if record[0].lstrip().startswith("#"):
-            if record[0].strip().lower() == "# nodes" and len(record) > 1:
-                universe = tuple(cell.strip() for cell in record[1:])
-                _check_distinct(universe, lineno, "# nodes comment")
-            continue
-        rows.append((lineno, [cell.strip() for cell in record]))
+    rows, comments = read_rows(source)
+    universe: list[str] | None = None
+    for lineno, cells in comments:
+        if cells[0].lower() == "# nodes" and len(cells) > 1:
+            universe = cells[1:]
+            check_distinct(universe, [lineno] * len(universe), "# nodes comment")
+    if ids is None:
+        ids = universe
     if rows and [c.lower() for c in rows[0][1]] == ["from", "to", "strength", "quality"]:
         rows = rows[1:]
-    if ids is None and universe is not None:
-        ids = universe
 
-    raw: list[tuple[int, str, str, float, str]] = []
+    grow = ids is None
+    index: dict[str, int] = {} if grow else {name: pos for pos, name in enumerate(ids)}
+    edges: dict[tuple[int, int], tuple[float, str]] = {}
     for lineno, record in rows:
         if len(record) != 4:
             raise InputFormatError(f"line {lineno}: expected 4 fields, found {len(record)}")
@@ -365,32 +356,18 @@ def load_vdg(
             raise InputFormatError(f"line {lineno}: quality {quality!r} must be + or -")
         if not 0.0 < strength <= 1.0:
             raise InputFormatError(f"line {lineno}: strength {strength} outside (0, 1]")
-        raw.append((lineno, src, dst, strength, quality))
-
-    if ids is not None:
-        names = tuple(ids)
-        index = {name: pos for pos, name in enumerate(names)}
-        for lineno, src, dst, _, _ in raw:
-            for name in (src, dst):
-                if name not in index:
-                    raise InputFormatError(f"line {lineno}: unknown requirement id {name!r}")
-    else:
-        order: list[str] = []
-        for _, src, dst, _, _ in raw:
-            for name in (src, dst):
-                if name not in order:
-                    order.append(name)
-        if not order:
-            raise InputFormatError("VDG CSV holds no edges and no id universe was supplied")
-        names = tuple(order)
-        index = {name: pos for pos, name in enumerate(names)}
-
-    edges: dict[tuple[int, int], tuple[float, str]] = {}
-    for lineno, src, dst, strength, quality in raw:
+        for name in (src, dst):
+            if grow:
+                index.setdefault(name, len(index))
+            elif name not in index:
+                raise InputFormatError(f"line {lineno}: unknown requirement id {name!r}")
         key = (index[src], index[dst])
         if key in edges:
             raise InputFormatError(f"line {lineno}: duplicate edge {src} -> {dst}")
         edges[key] = (strength, quality)
+    if grow and not index:
+        raise InputFormatError("VDG CSV holds no edges and no id universe was supplied")
+    names = tuple(index) if grow else tuple(ids)
     return ValueDependencyGraph(n=len(names), edges=edges), names
 
 
@@ -486,21 +463,17 @@ def load_influence_matrix(source: IO[str]) -> tuple[InfluenceMatrix, tuple[str, 
 
     Only the net influence survives a round trip; the positive and negative
     parts are recovered as its positive and negative components, which yield
-    identical penalties.
+    identical penalties. The line and repeated-id rules are those of `errors`.
     """
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, record in enumerate(csv.reader(source), start=1):
-        if not record or (len(record) == 1 and not record[0].strip()) or record[0].lstrip().startswith("#"):
-            continue
-        rows.append((lineno, [cell.strip() for cell in record]))
+    rows, _ = read_rows(source)
     if len(rows) < 2:
         raise InputFormatError("influence CSV needs a header row and one row per requirement")
     header_no, header = rows[0]
     if header[0] != "id":
         raise InputFormatError(f"line {header_no}: expected header starting with \"id\"")
     names = tuple(header[1:])
-    _check_distinct(names, header_no, "header")
     n = len(names)
+    check_distinct(names, [header_no] * n, "header")
     if len(rows) - 1 != n:
         raise InputFormatError(f"expected {n} matrix rows, found {len(rows) - 1}")
     matrix = np.zeros((n, n))

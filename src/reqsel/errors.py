@@ -1,4 +1,18 @@
-"""Exception hierarchy shared by all reqsel modules."""
+"""Exception hierarchy shared by all reqsel modules, and the two rules every
+CSV loader reads its input by.
+
+The line rule: blank rows are skipped; a row whose first cell starts with
+`#` is a comment (the CLI's provenance stamp, a VDG's `# nodes` universe);
+every other row is data, its cells stripped of surrounding whitespace. The
+repeated-id rule: an id listed twice where ids must be distinct is an
+`InputFormatError` naming the id and the line it repeats on.
+"""
+
+from __future__ import annotations
+
+import csv
+from collections import Counter
+from typing import IO, Iterable, Sequence
 
 
 class ReqselError(Exception):
@@ -23,3 +37,25 @@ class DegenerateMarginalError(ValidationError):
 class InfeasibleCovarianceError(ValidationError):
     """A target joint probability falls outside the Frechet bounds, so no
     latent correlation can reproduce it."""
+
+
+def read_rows(source: IO[str] | Iterable[str]) -> tuple[list, list]:
+    """Split CSV input by the line rule into (data rows, comment rows), each
+    row a 1-based line number with its stripped cells."""
+    data: list[tuple[int, list[str]]] = []
+    comments: list[tuple[int, list[str]]] = []
+    for lineno, record in enumerate(csv.reader(source), start=1):
+        if not record or (len(record) == 1 and not record[0].strip()):
+            continue
+        cells = [cell.strip() for cell in record]
+        (comments if cells[0].startswith("#") else data).append((lineno, cells))
+    return data, comments
+
+
+def check_distinct(names: Sequence[str], lines: Sequence[int], where: str) -> None:
+    """Raise on the first-listed name that repeats, with the line of its
+    second occurrence."""
+    dup = next((name for name, k in Counter(names).items() if k > 1), None)
+    if dup is not None:
+        lineno = [line for name, line in zip(names, lines) if name == dup][1]
+        raise InputFormatError(f"line {lineno}: requirement id {dup!r} repeats in the {where}")

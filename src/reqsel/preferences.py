@@ -42,6 +42,8 @@ from .errors import (
     InfeasibleCovarianceError,
     InputFormatError,
     ValidationError,
+    check_distinct,
+    read_rows,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -162,15 +164,9 @@ def load_preference_matrix(source: IO[str] | Iterable[str]) -> PreferenceMatrix:
     """Parse `req_id,u1,u2,...` CSV rows with 0/1 cells.
 
     A leading header row of user ids is detected by any non-binary token in
-    its data columns. Lines starting with `#` and blank lines are skipped.
+    its data columns. The line and repeated-id rules are those of `errors`.
     """
-    records: list[tuple[int, list[str]]] = []
-    for lineno, record in enumerate(csv.reader(source), start=1):
-        if not record or (len(record) == 1 and not record[0].strip()):
-            continue
-        if record[0].lstrip().startswith("#"):
-            continue
-        records.append((lineno, [cell.strip() for cell in record]))
+    records, _ = read_rows(source)
     if not records:
         raise InputFormatError("preference CSV holds no data rows")
 
@@ -201,8 +197,7 @@ def load_preference_matrix(source: IO[str] | Iterable[str]) -> PreferenceMatrix:
                 raise InputFormatError(f"line {lineno}, column {col}: non-binary cell {cell!r}")
             row.append(int(cell))
         rows.append(row)
-    if len(set(requirement_ids)) != len(requirement_ids):
-        raise InputFormatError("duplicate requirement ids in preference CSV")
+    check_distinct(requirement_ids, [lineno for lineno, _ in data], "preference CSV")
     return PreferenceMatrix(tuple(requirement_ids), user_ids, np.array(rows, dtype=np.int8))
 
 

@@ -25,7 +25,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .dependency_graph import InfluenceMatrix
-from .errors import InputFormatError, ValidationError
+from .errors import InputFormatError, ValidationError, check_distinct, read_rows
 
 
 @dataclass(frozen=True)
@@ -98,16 +98,10 @@ def evaluate_selection(
 def load_requirements(source: IO[str] | Iterable[str]) -> tuple[Requirement, ...]:
     """Parse `id,name,cost,value,probability` CSV rows.
 
-    A header row is detected by a non-numeric cost cell; `#` comment lines
-    and blank lines are skipped.
+    A header row is detected by a non-numeric cost cell. The line and
+    repeated-id rules are those of `errors`.
     """
-    records: list[tuple[int, list[str]]] = []
-    for lineno, record in enumerate(csv.reader(source), start=1):
-        if not record or (len(record) == 1 and not record[0].strip()):
-            continue
-        if record[0].lstrip().startswith("#"):
-            continue
-        records.append((lineno, [cell.strip() for cell in record]))
+    records, _ = read_rows(source)
     if not records:
         raise InputFormatError("requirements CSV holds no data rows")
 
@@ -136,9 +130,7 @@ def load_requirements(source: IO[str] | Iterable[str]) -> tuple[Requirement, ...
             reqs.append(Requirement(id=rid, name=name, cost=cost, value=value, probability=prob))
         except ValidationError as exc:
             raise InputFormatError(f"line {lineno}: {exc}") from exc
-    ids = [r.id for r in reqs]
-    if len(set(ids)) != len(ids):
-        raise InputFormatError("duplicate requirement ids in requirements CSV")
+    check_distinct([r.id for r in reqs], [lineno for lineno, _ in records], "requirements CSV")
     return tuple(reqs)
 
 

@@ -267,7 +267,8 @@ class TestIdentify:
             ["identify", "--preferences", str(prefs), "--z", "10.0", "--out", str(tmp_path / "wide")]
         )
         assert rc == 0
-        graph, _ = load_vdg((tmp_path / "wide" / "vdg.csv").open())
+        with open(tmp_path / "wide" / "vdg.csv", encoding="utf-8") as fh:
+            graph, _ = load_vdg(fh)
         assert graph.edges == {}
 
     @pytest.mark.parametrize("z", ["nan", "inf"])
@@ -631,19 +632,23 @@ class TestSimulate:
         rc = cli.run(self.ARGS + ["--out", str(tmp_path)])
         assert rc == 0
 
-        reqs = load_requirements((tmp_path / "requirements.csv").open())
+        with open(tmp_path / "requirements.csv", encoding="utf-8") as fh:
+            reqs = load_requirements(fh)
         ids = [r.id for r in reqs]
         assert len(reqs) == 8
 
-        graph, names = load_vdg((tmp_path / "vdg.csv").open())
+        with open(tmp_path / "vdg.csv", encoding="utf-8") as fh:
+            graph, names = load_vdg(fh)
         assert list(names) == ids
         assert len(graph.edges) == 14
         assert sum(1 for _, quality in graph.edges.values() if quality == "-") == 7
 
-        matrix, inf_names = load_influence_matrix((tmp_path / "influence.csv").open())
+        with open(tmp_path / "influence.csv", encoding="utf-8") as fh:
+            matrix, inf_names = load_influence_matrix(fh)
         assert list(inf_names) == ids
 
-        records = load_constraints((tmp_path / "constraints.json").open(), ids)
+        with open(tmp_path / "constraints.json", encoding="utf-8") as fh:
+            records = load_constraints(fh, ids)
         assert len(records.constraints) == 6
 
         instance = json.loads((tmp_path / "instance.json").read_text())
@@ -723,6 +728,17 @@ class TestBench:
         for row in lines[2:]:
             assert row.split(",")[0] == "6"
 
+    def test_limit_stopped_solve_exits_three(self, tmp_path):
+        # the precedence-free n=60 instance is still unproven after 40,000
+        # nodes, so a 1 ms limit always stops it
+        rc = cli.run(
+            ["bench", "--n", "60", "--pdl", "0", "--npdl", "0", "--time-limit", "0.001",
+             "--out", str(tmp_path)]
+        )
+        assert rc == 3
+        row = (tmp_path / "bench.csv").read_text().splitlines()[2].split(",")
+        assert row[9] in ("FEASIBLE", "UNKNOWN")
+
 
 class TestExportLp:
     def test_emits_parseable_model(self, tmp_path):
@@ -746,8 +762,10 @@ class TestExportLp:
                 "--method", "dars"]
         cli.run(base + ["--out", str(tmp_path / "plain")])
         cli.run(base + ["--simplify", "--out", str(tmp_path / "small")])
-        plain = parse_lp((tmp_path / "plain" / "model.lp").open())
-        small = parse_lp((tmp_path / "small" / "model.lp").open())
+        with open(tmp_path / "plain" / "model.lp", encoding="utf-8") as fh:
+            plain = parse_lp(fh)
+        with open(tmp_path / "small" / "model.lp", encoding="utf-8") as fh:
+            small = parse_lp(fh)
         assert len(plain.variables) == 12
         assert len(small.variables) == 9
 
@@ -758,7 +776,8 @@ class TestExportLp:
              "--method", "bk", "--out", str(tmp_path / "lp")]
         )
         assert rc == 0
-        model = parse_lp((tmp_path / "lp" / "model.lp").open())
+        with open(tmp_path / "lp" / "model.lp", encoding="utf-8") as fh:
+            model = parse_lp(fh)
         assert "budget" in {c.name for c in model.constraints}
 
 

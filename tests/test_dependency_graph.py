@@ -437,6 +437,12 @@ class TestVdgCsv:
         with pytest.raises(InputFormatError, match="unknown requirement id"):
             load_vdg(io.StringIO("a,zz,0.5,+\n"), ids=("a", "b"))
 
+    def test_first_faulty_line_is_reported(self):
+        # line 3 names an unknown id, line 4 has a bad strength
+        text = "from,to,strength,quality\na,b,0.5,+\na,zz,0.5,+\nb,a,high,+\n"
+        with pytest.raises(InputFormatError, match="line 3: unknown requirement id 'zz'"):
+            load_vdg(io.StringIO(text), ids=("a", "b"))
+
     def test_duplicate_edge_rejected(self):
         with pytest.raises(InputFormatError, match="duplicate edge"):
             load_vdg(io.StringIO("a,b,0.5,+\na,b,0.2,-\n"))

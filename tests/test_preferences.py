@@ -88,6 +88,10 @@ class TestCsvRoundTrip:
         with pytest.raises(InputFormatError, match="line 3"):
             load_preference_matrix(io.StringIO("a,1,0\nb,0,1\nc,1\n"))
 
+    def test_repeated_id_reports_line(self):
+        with pytest.raises(InputFormatError, match="line 4: requirement id 'a' repeats"):
+            load_preference_matrix(io.StringIO("req_id,u1,u2\na,1,0\nb,0,1\na,1,1\n"))
+
     def test_non_binary_cell_reports_position(self):
         with pytest.raises(InputFormatError, match="line 2, column 3"):
             load_preference_matrix(io.StringIO("a,1,0\nb,1,5\n"))

@@ -209,7 +209,7 @@ class TestRequirementsCsv:
             load_requirements(io.StringIO("r1,a,1,2,1.5\n"))
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(InputFormatError, match="duplicate"):
+        with pytest.raises(InputFormatError, match="line 2: requirement id 'r1' repeats"):
             load_requirements(io.StringIO("r1,a,1,2,0.5\nr1,b,1,2,0.5\n"))
 
     def test_empty_rejected(self):
