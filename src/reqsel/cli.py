@@ -34,7 +34,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import __version__
 from .analysis import SyntheticSpec, benchmark, generate_synthetic, sweep
@@ -102,6 +102,17 @@ def _config_hash(ns: argparse.Namespace) -> str:
             payload[flag] = hashlib.sha256(Path(payload[flag]).read_bytes()).hexdigest()
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
+
+
+def _load(path: str, loader: Callable[..., Any], *args: object) -> Any:
+    """`loader` applied to an input file read as UTF-8 text; a byte that does
+    not decode is an input error naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return loader(fh, *args)
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            raise InputFormatError(f"{path}: not UTF-8 text (byte {byte:#04x}: {exc.reason})") from exc
 
 
 def _provenance_comment(ns: argparse.Namespace) -> str:
@@ -189,12 +200,10 @@ def _load_instance(ns: argparse.Namespace, need_budget: bool) -> SelectionProble
         reqs = case_study_requirements()
         precedence = case_study_precedence()
     elif ns.requirements is not None:
-        with open(ns.requirements, encoding="utf-8") as fh:
-            reqs = load_requirements(fh)
+        reqs = _load(ns.requirements, load_requirements)
         precedence = None
         if ns.constraints is not None:
-            with open(ns.constraints, encoding="utf-8") as fh:
-                precedence = load_constraints(fh, [r.id for r in reqs])
+            precedence = _load(ns.constraints, load_constraints, [r.id for r in reqs])
     else:
         raise InputFormatError("an instance needs --dataset casestudy or --requirements FILE")
 
@@ -204,12 +213,10 @@ def _load_instance(ns: argparse.Namespace, need_budget: bool) -> SelectionProble
     if ns.vdg is not None and ns.influence is not None:
         raise InputFormatError("give either --vdg or --influence, not both")
     if ns.vdg is not None:
-        with open(ns.vdg, encoding="utf-8") as fh:
-            graph, _ = load_vdg(fh, ids=req_ids)
+        graph, _ = _load(ns.vdg, load_vdg, req_ids)
         influence = propagate_strengths(graph)
     elif ns.influence is not None:
-        with open(ns.influence, encoding="utf-8") as fh:
-            influence, names = load_influence_matrix(fh)
+        influence, names = _load(ns.influence, load_influence_matrix)
         if names != req_ids:
             raise InputFormatError(
                 "influence matrix ids do not match the instance requirement ids"
@@ -252,8 +259,7 @@ def _warn_bk(ns: argparse.Namespace, p: SelectionProblem) -> None:
 
 
 def _cmd_identify(ns: argparse.Namespace) -> int:
-    with open(ns.preferences, encoding="utf-8") as fh:
-        prefs = load_preference_matrix(fh)
+    prefs = _load(ns.preferences, load_preference_matrix)
     analysis = compute_eells(prefs)
     sig = SignificanceConfig(z_prime=ns.z)
     a, b = _parse_pair(ns.cuts, "--cuts")
@@ -280,8 +286,7 @@ def _cmd_identify(ns: argparse.Namespace) -> int:
 
 
 def _cmd_resample(ns: argparse.Namespace) -> int:
-    with open(ns.preferences, encoding="utf-8") as fh:
-        prefs = load_preference_matrix(fh)
+    prefs = _load(ns.preferences, load_preference_matrix)
     stats = binary_stats(prefs)
     model = fit_dichotomized_gaussian(stats)
     samples = sample_dichotomized_gaussian(
@@ -308,8 +313,7 @@ def _cmd_resample(ns: argparse.Namespace) -> int:
 
 
 def _cmd_influence(ns: argparse.Namespace) -> int:
-    with open(ns.vdg, encoding="utf-8") as fh:
-        graph, names = load_vdg(fh)
+    graph, names = _load(ns.vdg, load_vdg)
     influence = propagate_strengths(graph)
     out = Path(ns.out)
     _write_csv(ns, out / "influence.csv", lambda fh: save_influence_matrix(influence, fh, ids=names))

@@ -28,6 +28,10 @@ under-converge on cyclic graphs where positive and negative strengths feed
 each other, because processing node k once cannot use both parities of k
 as intermediates. `propagate_strengths` is the authoritative semantics; the
 test suite keeps the single-pass version as an oracle.
+
+Each precedence record states its own rules: `check(n)`, its weight
+`pairs` in the precedence density, its model `rows(x)` over the x names,
+and its constraints-JSON item `to_json(ids)`.
 """
 
 from __future__ import annotations
@@ -75,12 +79,33 @@ class ValueDependencyGraph:
         return sum(1 for _, q in self.edges.values() if q == NEGATIVE)
 
 
+def _check_index(idx: int, n: int) -> None:
+    if not 0 <= idx < n:
+        raise ValidationError(f"requirement index {idx} out of range for n={n}")
+
+
+PrecedenceRow = tuple[str, dict[str, float], str, float]
+
+
 @dataclass(frozen=True)
 class RequiresAll:
     """Selecting `source` requires selecting `target`."""
 
     source: int
     target: int
+    pairs = 1
+
+    def check(self, n: int) -> None:
+        _check_index(self.source, n)
+        _check_index(self.target, n)
+        if self.source == self.target:
+            raise ValidationError("a requirement cannot require itself")
+
+    def rows(self, x: Sequence[str]) -> tuple[PrecedenceRow, ...]:
+        return (("requires_all", {x[self.source]: 1.0, x[self.target]: -1.0}, "<=", 0.0),)
+
+    def to_json(self, ids: Sequence[str]) -> dict:
+        return {"type": "requires_all", "source": ids[self.source], "targets": [ids[self.target]]}
 
 
 @dataclass(frozen=True)
@@ -93,6 +118,28 @@ class RequiresAny:
     def __post_init__(self) -> None:
         object.__setattr__(self, "targets", tuple(self.targets))
 
+    @property
+    def pairs(self) -> int:
+        return len(self.targets)
+
+    def check(self, n: int) -> None:
+        _check_index(self.source, n)
+        if not self.targets:
+            raise ValidationError("requires-any needs a non-empty target set")
+        for t in self.targets:
+            _check_index(t, n)
+        if self.source in self.targets:
+            raise ValidationError("requires-any source cannot be its own target")
+        if len(set(self.targets)) != len(self.targets):
+            raise ValidationError("requires-any targets must be distinct")
+
+    def rows(self, x: Sequence[str]) -> tuple[PrecedenceRow, ...]:
+        coeffs = {x[self.source]: 1.0, **{x[t]: -1.0 for t in self.targets}}
+        return (("requires_any", coeffs, "<=", 0.0),)
+
+    def to_json(self, ids: Sequence[str]) -> dict:
+        return {"type": "requires_any", "source": ids[self.source], "targets": [ids[t] for t in self.targets]}
+
 
 @dataclass(frozen=True)
 class Conflicts:
@@ -100,6 +147,22 @@ class Conflicts:
 
     a: int
     b: int
+    pairs = 1
+
+    def check(self, n: int) -> None:
+        _check_index(self.a, n)
+        _check_index(self.b, n)
+        if self.a == self.b:
+            raise ValidationError("a requirement cannot conflict with itself")
+
+    def rows(self, x: Sequence[str]) -> tuple[PrecedenceRow, ...]:
+        # the source model states conflicts twice (x_a <= 1 - x_b and
+        # x_b <= 1 - x_a); both rows are kept verbatim
+        pair = {x[self.a]: 1.0, x[self.b]: 1.0}
+        return (("conflict_ab", pair, "<=", 1.0), ("conflict_ba", pair, "<=", 1.0))
+
+    def to_json(self, ids: Sequence[str]) -> dict:
+        return {"type": "conflicts", "source": ids[self.a], "targets": [ids[self.b]]}
 
 
 @dataclass(frozen=True)
@@ -110,6 +173,24 @@ class ExactlyOne:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(self.members))
+
+    @property
+    def pairs(self) -> int:
+        return len(self.members) * (len(self.members) - 1) // 2
+
+    def check(self, n: int) -> None:
+        if len(self.members) < 2:
+            raise ValidationError("exactly-one needs at least two members")
+        if len(set(self.members)) != len(self.members):
+            raise ValidationError("exactly-one members must be distinct")
+        for m in self.members:
+            _check_index(m, n)
+
+    def rows(self, x: Sequence[str]) -> tuple[PrecedenceRow, ...]:
+        return (("exactly_one", {x[m]: 1.0 for m in self.members}, "=", 1.0),)
+
+    def to_json(self, ids: Sequence[str]) -> dict:
+        return {"type": "exactly_one", "targets": [ids[m] for m in self.members]}
 
 
 PrecedenceRecord = Union[RequiresAll, RequiresAny, Conflicts, ExactlyOne]
@@ -125,39 +206,9 @@ class PrecedenceGraph:
             raise ValidationError("precedence graph needs at least one node")
         object.__setattr__(self, "constraints", tuple(self.constraints))
         for rec in self.constraints:
-            if isinstance(rec, RequiresAll):
-                self._check_index(rec.source)
-                self._check_index(rec.target)
-                if rec.source == rec.target:
-                    raise ValidationError("a requirement cannot require itself")
-            elif isinstance(rec, RequiresAny):
-                self._check_index(rec.source)
-                if not rec.targets:
-                    raise ValidationError("requires-any needs a non-empty target set")
-                for t in rec.targets:
-                    self._check_index(t)
-                if rec.source in rec.targets:
-                    raise ValidationError("requires-any source cannot be its own target")
-                if len(set(rec.targets)) != len(rec.targets):
-                    raise ValidationError("requires-any targets must be distinct")
-            elif isinstance(rec, Conflicts):
-                self._check_index(rec.a)
-                self._check_index(rec.b)
-                if rec.a == rec.b:
-                    raise ValidationError("a requirement cannot conflict with itself")
-            elif isinstance(rec, ExactlyOne):
-                if len(rec.members) < 2:
-                    raise ValidationError("exactly-one needs at least two members")
-                if len(set(rec.members)) != len(rec.members):
-                    raise ValidationError("exactly-one members must be distinct")
-                for m in rec.members:
-                    self._check_index(m)
-            else:
+            if not isinstance(rec, PrecedenceRecord):
                 raise ValidationError(f"unknown precedence record {rec!r}")
-
-    def _check_index(self, idx: int) -> None:
-        if not 0 <= idx < self.n:
-            raise ValidationError(f"requirement index {idx} out of range for n={self.n}")
+            rec.check(self.n)
 
     @classmethod
     def empty(cls, n: int) -> "PrecedenceGraph":
@@ -277,27 +328,12 @@ def vdl_nvdl(g: ValueDependencyGraph) -> tuple[float, float | None]:
 
 
 def pdl_npdl(p: PrecedenceGraph) -> tuple[float, float | None]:
-    """Precedence density over pairwise records and the conflicts share.
-
-    Requires-all and conflicts count one each; requires-any counts one per
-    (source, target); exactly-one counts one per member pair. Conflicts are
-    the negative kind.
-    """
+    """Precedence density over each record's `pairs` (one per required or
+    conflicting pair, per member pair of exactly-one) and the conflicts share."""
     if p.n < 2:
         raise ValidationError("precedence level needs at least two nodes")
-    k = 0
-    negative = 0
-    for rec in p.constraints:
-        if isinstance(rec, RequiresAll):
-            k += 1
-        elif isinstance(rec, RequiresAny):
-            k += len(rec.targets)
-        elif isinstance(rec, Conflicts):
-            k += 1
-            negative += 1
-        elif isinstance(rec, ExactlyOne):
-            s = len(rec.members)
-            k += s * (s - 1) // 2
+    k = sum(rec.pairs for rec in p.constraints)
+    negative = sum(isinstance(rec, Conflicts) for rec in p.constraints)
     pdl = k / (p.n * (p.n - 1))
     if k == 0:
         return pdl, None
@@ -371,7 +407,8 @@ def load_vdg(
     return ValueDependencyGraph(n=len(names), edges=edges), names
 
 
-_CONSTRAINT_TYPES = {"requires_all", "requires_any", "conflicts", "exactly_one"}
+# a tuple, so that `in` compares a list or object "type" instead of hashing it
+_CONSTRAINT_TYPES = ("requires_all", "requires_any", "conflicts", "exactly_one")
 
 
 def load_constraints(source: IO[str], ids: Sequence[str]) -> PrecedenceGraph:
@@ -431,20 +468,9 @@ def load_constraints(source: IO[str], ids: Sequence[str]) -> PrecedenceGraph:
 
 
 def save_constraints(p: PrecedenceGraph, sink: IO[str], ids: Sequence[str]) -> None:
-    names = tuple(ids)
-    if len(names) != p.n:
+    if len(ids) != p.n:
         raise ValidationError("id list length does not match node count")
-    items: list[dict] = []
-    for rec in p.constraints:
-        if isinstance(rec, RequiresAll):
-            items.append({"type": "requires_all", "source": names[rec.source], "targets": [names[rec.target]]})
-        elif isinstance(rec, RequiresAny):
-            items.append({"type": "requires_any", "source": names[rec.source], "targets": [names[t] for t in rec.targets]})
-        elif isinstance(rec, Conflicts):
-            items.append({"type": "conflicts", "source": names[rec.a], "targets": [names[rec.b]]})
-        else:
-            items.append({"type": "exactly_one", "targets": [names[m] for m in rec.members]})
-    json.dump(items, sink, indent=2)
+    json.dump([rec.to_json(ids) for rec in p.constraints], sink, indent=2)
     sink.write("\n")
 
 

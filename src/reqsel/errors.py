@@ -41,14 +41,19 @@ class InfeasibleCovarianceError(ValidationError):
 
 def read_rows(source: IO[str] | Iterable[str]) -> tuple[list, list]:
     """Split CSV input by the line rule into (data rows, comment rows), each
-    row a 1-based line number with its stripped cells."""
+    row a 1-based line number with its stripped cells. Text the csv module
+    cannot read is an InputFormatError naming the line it stopped on."""
     data: list[tuple[int, list[str]]] = []
     comments: list[tuple[int, list[str]]] = []
-    for lineno, record in enumerate(csv.reader(source), start=1):
-        if not record or (len(record) == 1 and not record[0].strip()):
-            continue
-        cells = [cell.strip() for cell in record]
-        (comments if cells[0].startswith("#") else data).append((lineno, cells))
+    reader = csv.reader(source)
+    try:
+        for lineno, record in enumerate(reader, start=1):
+            if not record or (len(record) == 1 and not record[0].strip()):
+                continue
+            cells = [cell.strip() for cell in record]
+            (comments if cells[0].startswith("#") else data).append((lineno, cells))
+    except csv.Error as exc:
+        raise InputFormatError(f"line {reader.line_num}: {exc}") from exc
     return data, comments
 
 

@@ -36,14 +36,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .dependency_graph import (
-    Conflicts,
-    ExactlyOne,
-    InfluenceMatrix,
-    PrecedenceGraph,
-    RequiresAll,
-    RequiresAny,
-)
+from .dependency_graph import InfluenceMatrix, PrecedenceGraph
 from .errors import InputFormatError, ValidationError
 from .valuation import Requirement
 
@@ -171,45 +164,11 @@ def _budget_row(p: SelectionProblem, x_names: Sequence[str]) -> LinearConstraint
 
 
 def _precedence_rows(p: SelectionProblem, x_names: Sequence[str]) -> list[LinearConstraint]:
-    rows: list[LinearConstraint] = []
-    for ordinal, rec in enumerate(p.precedence.constraints, start=1):
-        if isinstance(rec, RequiresAll):
-            rows.append(
-                LinearConstraint(
-                    name=f"prec{ordinal}_requires_all",
-                    coeffs={x_names[rec.source]: 1.0, x_names[rec.target]: -1.0},
-                    relation="<=",
-                    rhs=0.0,
-                )
-            )
-        elif isinstance(rec, RequiresAny):
-            coeffs = {x_names[rec.source]: 1.0}
-            coeffs.update({x_names[t]: -1.0 for t in rec.targets})
-            rows.append(
-                LinearConstraint(
-                    name=f"prec{ordinal}_requires_any", coeffs=coeffs, relation="<=", rhs=0.0
-                )
-            )
-        elif isinstance(rec, Conflicts):
-            # the source model states conflicts twice (x_a <= 1 - x_b and
-            # x_b <= 1 - x_a); both rows are kept verbatim
-            pair = {x_names[rec.a]: 1.0, x_names[rec.b]: 1.0}
-            rows.append(
-                LinearConstraint(name=f"prec{ordinal}_conflict_ab", coeffs=dict(pair), relation="<=", rhs=1.0)
-            )
-            rows.append(
-                LinearConstraint(name=f"prec{ordinal}_conflict_ba", coeffs=dict(pair), relation="<=", rhs=1.0)
-            )
-        elif isinstance(rec, ExactlyOne):
-            rows.append(
-                LinearConstraint(
-                    name=f"prec{ordinal}_exactly_one",
-                    coeffs={x_names[m]: 1.0 for m in rec.members},
-                    relation="=",
-                    rhs=1.0,
-                )
-            )
-    return rows
+    return [
+        LinearConstraint(name=f"prec{ordinal}_{suffix}", coeffs=coeffs, relation=relation, rhs=rhs)
+        for ordinal, rec in enumerate(p.precedence.constraints, start=1)
+        for suffix, coeffs, relation, rhs in rec.rows(x_names)
+    ]
 
 
 def build_model(p: SelectionProblem, method: str, simplify: bool = False) -> LinearModel:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 import re
 
@@ -747,3 +748,121 @@ def reference_parse_lp(source) -> LinearModel:
     return LinearModel(
         tuple(variables), sense, objective, tuple(constraints), {"kind": "PARSED"}
     )
+
+
+# The per-kind dispatch that precedence records replaced with their own
+# `check`, `pairs`, `rows` and `to_json`, kept as the reference they are
+# compared with.
+
+
+def reference_check_precedence(n: int, constraints) -> None:
+    """Raise the ValidationError PrecedenceGraph raises for these records."""
+
+    def check_index(idx: int) -> None:
+        if not 0 <= idx < n:
+            raise ValidationError(f"requirement index {idx} out of range for n={n}")
+
+    for rec in constraints:
+        if isinstance(rec, RequiresAll):
+            check_index(rec.source)
+            check_index(rec.target)
+            if rec.source == rec.target:
+                raise ValidationError("a requirement cannot require itself")
+        elif isinstance(rec, RequiresAny):
+            check_index(rec.source)
+            if not rec.targets:
+                raise ValidationError("requires-any needs a non-empty target set")
+            for t in rec.targets:
+                check_index(t)
+            if rec.source in rec.targets:
+                raise ValidationError("requires-any source cannot be its own target")
+            if len(set(rec.targets)) != len(rec.targets):
+                raise ValidationError("requires-any targets must be distinct")
+        elif isinstance(rec, Conflicts):
+            check_index(rec.a)
+            check_index(rec.b)
+            if rec.a == rec.b:
+                raise ValidationError("a requirement cannot conflict with itself")
+        elif isinstance(rec, ExactlyOne):
+            if len(rec.members) < 2:
+                raise ValidationError("exactly-one needs at least two members")
+            if len(set(rec.members)) != len(rec.members):
+                raise ValidationError("exactly-one members must be distinct")
+            for m in rec.members:
+                check_index(m)
+        else:
+            raise ValidationError(f"unknown precedence record {rec!r}")
+
+
+def reference_pdl_npdl(p) -> tuple[float, float | None]:
+    k = 0
+    negative = 0
+    for rec in p.constraints:
+        if isinstance(rec, RequiresAll):
+            k += 1
+        elif isinstance(rec, RequiresAny):
+            k += len(rec.targets)
+        elif isinstance(rec, Conflicts):
+            k += 1
+            negative += 1
+        elif isinstance(rec, ExactlyOne):
+            s = len(rec.members)
+            k += s * (s - 1) // 2
+    pdl = k / (p.n * (p.n - 1))
+    if k == 0:
+        return pdl, None
+    return pdl, negative / k
+
+
+def reference_save_constraints(p, sink, ids) -> None:
+    names = tuple(ids)
+    items: list[dict] = []
+    for rec in p.constraints:
+        if isinstance(rec, RequiresAll):
+            items.append({"type": "requires_all", "source": names[rec.source], "targets": [names[rec.target]]})
+        elif isinstance(rec, RequiresAny):
+            items.append({"type": "requires_any", "source": names[rec.source], "targets": [names[t] for t in rec.targets]})
+        elif isinstance(rec, Conflicts):
+            items.append({"type": "conflicts", "source": names[rec.a], "targets": [names[rec.b]]})
+        else:
+            items.append({"type": "exactly_one", "targets": [names[m] for m in rec.members]})
+    json.dump(items, sink, indent=2)
+    sink.write("\n")
+
+
+def reference_precedence_rows(p, x_names) -> list[LinearConstraint]:
+    rows: list[LinearConstraint] = []
+    for ordinal, rec in enumerate(p.constraints, start=1):
+        if isinstance(rec, RequiresAll):
+            rows.append(
+                LinearConstraint(
+                    name=f"prec{ordinal}_requires_all",
+                    coeffs={x_names[rec.source]: 1.0, x_names[rec.target]: -1.0},
+                    relation="<=",
+                    rhs=0.0,
+                )
+            )
+        elif isinstance(rec, RequiresAny):
+            coeffs = {x_names[rec.source]: 1.0}
+            coeffs.update({x_names[t]: -1.0 for t in rec.targets})
+            rows.append(
+                LinearConstraint(name=f"prec{ordinal}_requires_any", coeffs=coeffs, relation="<=", rhs=0.0)
+            )
+        elif isinstance(rec, Conflicts):
+            pair = {x_names[rec.a]: 1.0, x_names[rec.b]: 1.0}
+            rows.append(
+                LinearConstraint(name=f"prec{ordinal}_conflict_ab", coeffs=dict(pair), relation="<=", rhs=1.0)
+            )
+            rows.append(
+                LinearConstraint(name=f"prec{ordinal}_conflict_ba", coeffs=dict(pair), relation="<=", rhs=1.0)
+            )
+        elif isinstance(rec, ExactlyOne):
+            rows.append(
+                LinearConstraint(
+                    name=f"prec{ordinal}_exactly_one",
+                    coeffs={x_names[m]: 1.0 for m in rec.members},
+                    relation="=",
+                    rhs=1.0,
+                )
+            )
+    return rows

@@ -169,6 +169,52 @@ class TestExitCodes:
         assert f"line 3: influence value '{cell}'" in capsys.readouterr().err
         assert not (tmp_path / "sel").exists()
 
+    @pytest.mark.parametrize("kind", [["requires_all"], {"of": "requires_all"}])
+    def test_unhashable_constraint_type_exits_two(self, tmp_path, capsys, kind):
+        cons = tmp_path / "cons.json"
+        cons.write_text(json.dumps([{"type": kind, "source": "r1", "targets": ["r2"]}]))
+        rc = cli.run(
+            ["select", "--requirements", str(write_reqs(tmp_path / "reqs.csv")),
+             "--constraints", str(cons), "--budget", "3", "--method", "pcbk",
+             "--out", str(tmp_path / "sel")]
+        )
+        assert rc == 2
+        assert f"record #1: unknown type {kind!r}" in capsys.readouterr().err
+        assert not (tmp_path / "sel").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["identify"], "--preferences"),
+            (["resample", "--count", "10", "--seed", "1"], "--preferences"),
+            (["influence"], "--vdg"),
+            (["select", "--method", "dars", "--budget", "3"], "--requirements"),
+            (["select", "--method", "dars", "--budget", "3"], "--constraints"),
+            (["select", "--method", "dars", "--budget", "3"], "--vdg"),
+            (["select", "--method", "dars", "--budget", "3"], "--influence"),
+        ],
+    )
+    def test_non_utf8_input_exits_two(self, tmp_path, capsys, command, flag):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("id,caf\u00e9\n".encode("latin-1"))
+        instance = []
+        if command[0] == "select" and flag != "--requirements":
+            instance = ["--requirements", str(write_reqs(tmp_path / "reqs.csv"))]
+        rc = cli.run([*command, *instance, flag, str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{bad}: not UTF-8 text (byte 0xe9" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_csv_field_over_the_limit_exits_two(self, tmp_path, capsys):
+        # a stray quote opens one field that swallows the rest of the file
+        prefs = tmp_path / "prefs.csv"
+        row = ",".join(["1", "0"] * 40)
+        prefs.write_text('"' + "".join(f"r{i},{row}\n" for i in range(2000)))
+        rc = cli.run(["identify", "--preferences", str(prefs), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "field larger than field limit" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag, value", [("--percent", "nan"), ("--budget", "nan")])
     def test_nan_budget_exits_two(self, tmp_path, capsys, flag, value):
         source = ["--dataset", "casestudy"] if flag == "--percent" else [

@@ -1,4 +1,6 @@
 import io
+import json
+import re
 
 import numpy as np
 import pytest
@@ -12,16 +14,27 @@ from oracles import (
     combine_quality,
     expanded_closure,
     path_strength,
+    reference_check_precedence,
+    reference_pdl_npdl,
+    reference_precedence_rows,
+    reference_save_constraints,
 )
 from reqsel import (
+    BK,
+    DARS,
+    PCBK,
+    SBK,
     Conflicts,
     ExactlyOne,
     InfluenceMatrix,
     PrecedenceGraph,
     RequiresAll,
     RequiresAny,
+    Requirement,
+    SelectionProblem,
     ValidationError,
     ValueDependencyGraph,
+    build_model,
     propagate_strengths,
 )
 from reqsel.dependency_graph import (
@@ -380,28 +393,122 @@ class TestPrecedenceLevels:
 
 class TestPrecedenceValidation:
     def test_self_requirement_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="cannot require itself"):
             PrecedenceGraph(n=3, constraints=(RequiresAll(1, 1),))
 
     def test_requires_any_needs_targets(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="non-empty target set"):
             PrecedenceGraph(n=3, constraints=(RequiresAny(source=0, targets=()),))
 
     def test_requires_any_source_not_a_target(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="source cannot be its own target"):
             PrecedenceGraph(n=3, constraints=(RequiresAny(source=0, targets=(0, 1)),))
 
     def test_self_conflict_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="cannot conflict with itself"):
             PrecedenceGraph(n=3, constraints=(Conflicts(2, 2),))
 
     def test_exactly_one_needs_two_members(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="at least two members"):
             PrecedenceGraph(n=3, constraints=(ExactlyOne(members=(1,)),))
 
     def test_out_of_range_index(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="index 3 out of range for n=3"):
             PrecedenceGraph(n=3, constraints=(Conflicts(0, 3),))
+
+    def test_unknown_record_rejected(self):
+        with pytest.raises(ValidationError, match=r"unknown precedence record \(0, 1\)"):
+            PrecedenceGraph(n=3, constraints=((0, 1),))
+
+
+def random_record(rng, n, faulty):
+    """One precedence record over n requirements. A faulty draw takes
+    indices from -1..n and set sizes from 0 up, without distinctness, so it
+    may break several rules at once (or none); one in ten is no record."""
+    kind = int(rng.integers(4))
+    if not faulty:
+        picks = rng.permutation(n).tolist()
+        if kind == 0:
+            return RequiresAll(source=picks[0], target=picks[1])
+        if kind == 1:
+            return RequiresAny(source=picks[0], targets=tuple(picks[1 : 1 + int(rng.integers(1, n))]))
+        if kind == 2:
+            return Conflicts(a=picks[0], b=picks[1])
+        return ExactlyOne(members=tuple(picks[: int(rng.integers(2, n + 1))]))
+    if rng.random() < 0.1:
+        return (0, 1)
+
+    def draw(size):
+        return rng.integers(-1, n + 1, size=size).tolist()
+
+    if kind == 0:
+        return RequiresAll(*draw(2))
+    if kind == 1:
+        return RequiresAny(source=draw(1)[0], targets=tuple(draw(int(rng.integers(0, 4)))))
+    if kind == 2:
+        return Conflicts(*draw(2))
+    return ExactlyOne(members=tuple(draw(int(rng.integers(0, 5)))))
+
+
+def rule_message(check, *args):
+    try:
+        check(*args)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+class TestRecordRulesMatchReference:
+    """Each record's own check, pairs, rows and to_json against the per-kind
+    dispatch in tests/oracles.py that they replaced."""
+
+    def test_valid_graphs(self):
+        rng = np.random.default_rng(19)
+        kinds = set()
+        for _ in range(2000):
+            n = int(rng.integers(2, 13))
+            records = [random_record(rng, n, faulty=False) for _ in range(int(rng.integers(0, 8)))]
+            kinds.update(type(rec) for rec in records)
+            p = PrecedenceGraph(n=n, constraints=records)
+            assert pdl_npdl(p) == reference_pdl_npdl(p)
+
+            ids = [f"r{i + 1}" for i in range(n)]
+            got, want = io.StringIO(), io.StringIO()
+            save_constraints(p, got, ids)
+            reference_save_constraints(p, want, ids)
+            assert got.getvalue() == want.getvalue()
+
+            reqs = tuple(Requirement(id=name, cost=1.0, value=2.0, probability=0.5) for name in ids)
+            problem = SelectionProblem(
+                requirements=reqs, budget=float(n), precedence=p, influence=InfluenceMatrix.zeros(n)
+            )
+            x_names = [f"x{i + 1}" for i in range(n)]
+            for method in (BK, PCBK, SBK, DARS):
+                rows = build_model(problem, method).constraints
+                expected = [] if method == BK else reference_precedence_rows(p, x_names)
+                prec = rows[1 : 1 + len(expected)]
+                assert [(c.name, list(c.coeffs.items()), c.relation, c.rhs) for c in prec] == [
+                    (c.name, list(c.coeffs.items()), c.relation, c.rhs) for c in expected
+                ]
+                assert sum(c.name.startswith("prec") for c in rows) == len(expected)
+        assert kinds == {RequiresAll, RequiresAny, Conflicts, ExactlyOne}
+
+    def test_faulty_graphs_report_the_same_first_fault(self):
+        rng = np.random.default_rng(20)
+        templates = set()
+        several = 0
+        for _ in range(2000):
+            n = int(rng.integers(2, 13))
+            records = [random_record(rng, n, faulty=rng.random() < 0.4) for _ in range(int(rng.integers(1, 6)))]
+            want = rule_message(reference_check_precedence, n, records)
+            assert rule_message(PrecedenceGraph, n, records) == want
+            if want is not None:
+                templates.add(re.sub(r"-?\d+|\(.*\)", "#", want))
+            faults = [rule_message(reference_check_precedence, n, [rec]) for rec in records]
+            several += sum(f is not None for f in faults) > 1
+        # every message of the four kinds and the unknown-record guard shows up
+        assert len(templates) == 9, sorted(templates)
+        assert several > 200
 
 
 class TestVdgCsv:
@@ -523,6 +630,12 @@ class TestConstraintsJson:
                 io.StringIO('[{"type": "implies", "source": "r1", "targets": ["r2"]}]'),
                 ("r1", "r2"),
             )
+
+    @pytest.mark.parametrize("kind", [["requires_all"], {"of": "requires_all"}])
+    def test_unhashable_type_rejected(self, kind):
+        text = json.dumps([{"type": kind, "source": "r1", "targets": ["r2"]}])
+        with pytest.raises(InputFormatError, match=re.escape(f"record #1: unknown type {kind!r}")):
+            load_constraints(io.StringIO(text), ("r1", "r2"))
 
     def test_unknown_id_rejected(self):
         with pytest.raises(InputFormatError, match="unknown requirement id"):

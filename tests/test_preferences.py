@@ -100,6 +100,13 @@ class TestCsvRoundTrip:
         with pytest.raises(InputFormatError):
             load_preference_matrix(io.StringIO("# nothing\n"))
 
+    def test_csv_field_over_the_limit_reports_line(self):
+        # a stray quote on line 1 opens a field that runs past csv's limit
+        row = ",".join(["1", "0"] * 40)
+        text = '"' + "".join(f"r{i},{row}\n" for i in range(2000))
+        with pytest.raises(InputFormatError, match=r"line \d+: field larger than field limit"):
+            load_preference_matrix(io.StringIO(text))
+
 
 class TestBinaryStats:
     @pytest.mark.parametrize("seed", [0, 1, 2])
