@@ -13,6 +13,8 @@ PRICE_VALUE mode. The published value dependency graph exists only as a
 heatmap figure, so the bundle carries no VDG: a dependency-aware run on it
 takes `--vdg` or `--influence`, and without either it has no dependencies.
 
+The precedence records are stated in the constraints-JSON format that
+`select --constraints` reads, and read through the same `load_constraints`.
 Note the dataset's own quirk: r19 and r20 require both r2 and r6 while
 exactly one of r2, r6 may be selected, so r19 and r20 are never selectable.
 The constraints are kept verbatim from the source project.
@@ -20,14 +22,9 @@ The constraints are kept verbatim from the source project.
 
 from __future__ import annotations
 
-from .dependency_graph import (
-    Conflicts,
-    ExactlyOne,
-    InfluenceMatrix,
-    PrecedenceGraph,
-    RequiresAll,
-    RequiresAny,
-)
+import io
+
+from .dependency_graph import InfluenceMatrix, PrecedenceGraph, load_constraints
 from .selection_models import PRICE_VALUE, SelectionProblem
 from .valuation import Requirement
 
@@ -65,6 +62,20 @@ _TABLE: tuple[tuple[str, float, float], ...] = (
 TOTAL_VALUE = 342.0
 TOTAL_EXPECTED_VALUE = 232.99
 
+# 13 records; a requires_all item expands to one record per target
+_PRECEDENCE = """[
+  {"type": "exactly_one", "targets": ["r2", "r6"]},
+  {"type": "requires_any", "source": "r4", "targets": ["r1", "r2"]},
+  {"type": "requires_any", "source": "r5", "targets": ["r1", "r2"]},
+  {"type": "requires_any", "source": "r8", "targets": ["r1", "r2"]},
+  {"type": "requires_all", "source": "r8", "targets": ["r25"]},
+  {"type": "conflicts", "source": "r17", "targets": ["r18"]},
+  {"type": "requires_all", "source": "r19", "targets": ["r2", "r6"]},
+  {"type": "requires_all", "source": "r20", "targets": ["r2", "r6"]},
+  {"type": "requires_all", "source": "r26", "targets": ["r27"]},
+  {"type": "requires_all", "source": "r27", "targets": ["r1", "r6"]}
+]"""
+
 
 def case_study_requirements() -> tuple[Requirement, ...]:
     return tuple(
@@ -73,27 +84,7 @@ def case_study_requirements() -> tuple[Requirement, ...]:
 
 
 def case_study_precedence() -> PrecedenceGraph:
-    ix = {rid: i for i, (rid, _, _) in enumerate(_TABLE)}
-
-    def i(rid: str) -> int:
-        return ix[rid]
-
-    constraints = (
-        ExactlyOne(members=(i("r2"), i("r6"))),
-        RequiresAny(source=i("r4"), targets=(i("r1"), i("r2"))),
-        RequiresAny(source=i("r5"), targets=(i("r1"), i("r2"))),
-        RequiresAny(source=i("r8"), targets=(i("r1"), i("r2"))),
-        RequiresAll(source=i("r8"), target=i("r25")),
-        Conflicts(a=i("r17"), b=i("r18")),
-        RequiresAll(source=i("r19"), target=i("r2")),
-        RequiresAll(source=i("r19"), target=i("r6")),
-        RequiresAll(source=i("r20"), target=i("r2")),
-        RequiresAll(source=i("r20"), target=i("r6")),
-        RequiresAll(source=i("r26"), target=i("r27")),
-        RequiresAll(source=i("r27"), target=i("r1")),
-        RequiresAll(source=i("r27"), target=i("r6")),
-    )
-    return PrecedenceGraph(n=len(_TABLE), constraints=constraints)
+    return load_constraints(io.StringIO(_PRECEDENCE), [rid for rid, _, _ in _TABLE])
 
 
 def case_study_problem(

@@ -167,6 +167,8 @@ def _parse_percents(text: str) -> list[float]:
                 raise InputFormatError(f"bad percent level {item!r}") from exc
             if not math.isfinite(level):
                 raise InputFormatError(f"percent level {item!r} is not finite")
+            if level < 0:
+                raise InputFormatError(f"percent level {item!r} is negative")
             levels.append(level)
     if not levels:
         raise InputFormatError("no percent levels given")
@@ -236,10 +238,12 @@ def _load_instance(ns: argparse.Namespace, need_budget: bool) -> SelectionProble
         else:
             total = sum(r.value for r in reqs)
             flag, budget, mode = "--percent", ns.percent / 100.0 * total, PRICE_VALUE
-        # SelectionProblem rejects a nan or negative budget but keeps inf,
-        # which an LP row or a JSON output cannot hold
+        # SelectionProblem rejects a nan budget but keeps inf, which an LP row
+        # or a JSON output cannot hold; a negative one is named by its flag
         if math.isinf(budget):
             raise InputFormatError(f"{flag} gives an infinite budget")
+        if budget < 0:
+            raise InputFormatError(f"{flag} gives a negative budget")
 
     return SelectionProblem(
         requirements=tuple(reqs),

@@ -419,7 +419,9 @@ def load_constraints(source: IO[str], ids: Sequence[str]) -> PrecedenceGraph:
     requires_all or conflicts item with several targets expands to one record
     per target; exactly_one takes its whole member set from "targets". The
     array may also arrive wrapped as {"records": [...]} so that generated
-    files can carry metadata keys alongside.
+    files can carry metadata keys alongside. Each item is checked as it is
+    read, so the first fault in file order is reported, with its record
+    number.
     """
     try:
         data = json.load(source)
@@ -452,15 +454,21 @@ def load_constraints(source: IO[str], ids: Sequence[str]) -> PrecedenceGraph:
             members = target_idx
             if "source" in item and item["source"] is not None:
                 members = [resolve(item["source"], where), *target_idx]
-            records.append(ExactlyOne(members=tuple(members)))
-            continue
-        source_idx = resolve(item.get("source"), where)
-        if kind == "requires_all":
-            records.extend(RequiresAll(source=source_idx, target=t) for t in target_idx)
-        elif kind == "requires_any":
-            records.append(RequiresAny(source=source_idx, targets=tuple(target_idx)))
+            read: list[PrecedenceRecord] = [ExactlyOne(members=tuple(members))]
         else:
-            records.extend(Conflicts(a=source_idx, b=t) for t in target_idx)
+            source_idx = resolve(item.get("source"), where)
+            if kind == "requires_all":
+                read = [RequiresAll(source=source_idx, target=t) for t in target_idx]
+            elif kind == "requires_any":
+                read = [RequiresAny(source=source_idx, targets=tuple(target_idx))]
+            else:
+                read = [Conflicts(a=source_idx, b=t) for t in target_idx]
+        try:
+            for rec in read:
+                rec.check(len(index))
+        except ValidationError as exc:
+            raise InputFormatError(f"record {where}: {exc}") from exc
+        records.extend(read)
     try:
         return PrecedenceGraph(n=len(index), constraints=tuple(records))
     except ValidationError as exc:

@@ -9,8 +9,9 @@ Each starts from the x binaries and the budget row:
   DARS  the dependency-aware model: maximize sum E(v_i) (x_i - y_i) where
         y_i linearizes x_i * theta_i through auxiliary binaries g_i == x_i,
         penalty rows theta_i >= (|I(i,j)| + (1 - 2 x_j) I(i,j)) / 2, and
-        linking rows; at the optimum y_i = x_i theta_i, so the objective
-        equals the overall value of the selection.
+        the link rows of `link_rows`, which the solver accepts around each
+        link too; at the optimum y_i = x_i theta_i, so the objective equals
+        the overall value of the selection.
 
 The budget row is either sum c_i x_i <= b (BUDGET_COST) or the price form
 sum v_i x_i <= gamma (PRICE_VALUE); both are available on every model kind.
@@ -32,7 +33,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
-from typing import IO, Iterable, Sequence
+from typing import IO, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -171,6 +172,19 @@ def _precedence_rows(p: SelectionProblem, x_names: Sequence[str]) -> list[Linear
     ]
 
 
+def link_rows(x: Hashable, g: Hashable, theta: Hashable, y: Hashable) -> list[tuple]:
+    """The rows that tie a requirement's theta, y and echo g to its x, as
+    (name, coefficients, relation, rhs) over names or indices: the echo pair
+    x - g <= 0 and g - x <= 0 when g is not x, then y - g <= 0 and
+    theta - y + g <= 1, so that y = x theta at the optimum."""
+    rows = []
+    if g != x:
+        rows += [("link_xg", {x: 1.0, g: -1.0}, "<=", 0.0), ("link_gx", {g: 1.0, x: -1.0}, "<=", 0.0)]
+    rows.append(("link_yg", {y: 1.0, g: -1.0}, "<=", 0.0))
+    rows.append(("link_ty", {theta: 1.0, y: -1.0, g: 1.0}, "<=", 1.0))
+    return rows
+
+
 def build_model(p: SelectionProblem, method: str, simplify: bool = False) -> LinearModel:
     """Compile the instance for one of BK / PCBK / SBK / DARS.
 
@@ -219,38 +233,9 @@ def build_model(p: SelectionProblem, method: str, simplify: bool = False) -> Lin
                 )
             )
         for i in range(n):
-            if not simplify:
-                rows.append(
-                    LinearConstraint(
-                        name=f"link_xg_{i + 1}",
-                        coeffs={x_names[i]: 1.0, gs[i]: -1.0},
-                        relation="<=",
-                        rhs=0.0,
-                    )
-                )
-                rows.append(
-                    LinearConstraint(
-                        name=f"link_gx_{i + 1}",
-                        coeffs={gs[i]: 1.0, x_names[i]: -1.0},
-                        relation="<=",
-                        rhs=0.0,
-                    )
-                )
-            rows.append(
-                LinearConstraint(
-                    name=f"link_yg_{i + 1}",
-                    coeffs={ys[i]: 1.0, gs[i]: -1.0},
-                    relation="<=",
-                    rhs=0.0,
-                )
-            )
-            rows.append(
-                LinearConstraint(
-                    name=f"link_ty_{i + 1}",
-                    coeffs={thetas[i]: 1.0, ys[i]: -1.0, gs[i]: 1.0},
-                    relation="<=",
-                    rhs=1.0,
-                )
+            rows.extend(
+                LinearConstraint(f"{name}_{i + 1}", coeffs, relation, rhs)
+                for name, coeffs, relation, rhs in link_rows(x_names[i], gs[i], thetas[i], ys[i])
             )
         objective.update({ys[i]: -weights[i] for i in range(n)})
     return LinearModel(tuple(variables), "max", objective, tuple(rows), metadata)

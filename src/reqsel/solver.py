@@ -7,11 +7,12 @@ Branch and bound over the binary variables:
     and y variables and their penalty and linking rows only linearize the
     penalty. One walk over the rows indexes them and finds the link and pair
     rows by shape, and a second sorts them into search rows, penalty floors
-    and linking rows (see _Compiled), so a model parsed from an LP file is
-    searched exactly like a built one. A continuous variable or a row over
-    theta, y or g that fits no shape is rejected. The incumbent is kept as
-    its fixings; `solve` fills every value once from that final selection
-    in closed form (g = x, theta = the penalty floor, y = theta x).
+    and the rows `selection_models.link_rows` states around each link (see
+    _Compiled), so a model parsed from an LP file is searched exactly like a
+    built one. A continuous variable or a row over theta, y or g that is
+    neither a penalty row nor one of those is rejected. The incumbent is
+    kept as its fixings; `solve` fills every value once from that final
+    selection in closed form (g = x, theta = the penalty floor, y = theta x).
     Solution.x holds the search binaries in declaration order (for a built
     model, the x binaries in requirement order), and Solution.theta and
     Solution.y hold one entry per x;
@@ -75,7 +76,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .selection_models import BINARY, CONTINUOUS, LinearModel
+from .selection_models import BINARY, CONTINUOUS, LinearModel, link_rows
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
@@ -161,9 +162,10 @@ class _Compiled:
     and one binary at +1 (b). b is the echo g of x when the rows x - b <= 0
     and b - x <= 0 both exist and x owns no link row; otherwise b is x.
     Every continuous variable must be the theta or y of one link row and
-    each x may own one link row. The closed form at the leaves needs the
-    objective to read E x - E y with E >= 0 and no theta or g term, and
-    theta and y to lie in [0, 1]."""
+    each x may own one link row. Besides penalty rows, a row over theta, y
+    or g must be one of `link_rows(x, b, theta, y)`. The closed form at the
+    leaves needs the objective to read E x - E y with E >= 0 and no theta
+    or g term, and theta and y to lie in [0, 1]."""
 
     def __init__(self, m: LinearModel):
         self.names = [v.name for v in m.variables]
@@ -235,15 +237,12 @@ class _Compiled:
         self.g_idx = np.array([b for b, _ in echoes], dtype=np.intp)
         self.g_src = np.array([x for _, x in echoes], dtype=np.intp)
 
-        # rows a link may carry besides penalty rows: the link row, y - b <= 0,
-        # and for an echo g the pair x - g <= 0, g - x <= 0
-        allowed = set()
-        for t, y, b, x in links:
-            allowed.add(("<=", 1.0, frozenset(((t, 1.0), (y, -1.0), (b, 1.0)))))
-            allowed.add(("<=", 0.0, frozenset(((y, 1.0), (b, -1.0)))))
-            if b != x:
-                allowed.add(("<=", 0.0, frozenset(((x, 1.0), (b, -1.0)))))
-                allowed.add(("<=", 0.0, frozenset(((b, 1.0), (x, -1.0)))))
+        # rows a link may carry besides penalty rows: its link_rows
+        allowed = {
+            (relation, rhs, frozenset(coeffs.items()))
+            for t, y, b, x in links
+            for _, coeffs, relation, rhs in link_rows(x, b, t, y)
+        }
         # penalty rows theta_i + w x_j >= rhs floor theta_i at rhs while x_j = 0
         # and at rhs - w once x_j = 1: B0[j, i] and B1[j, i], so row j holds
         # the floors that fixing x_j imposes. Both are views of one table B

@@ -27,6 +27,7 @@ from reqsel import (
     InfluenceMatrix,
     InputFormatError,
     LinearModel,
+    PrecedenceGraph,
     RequiresAll,
     RequiresAny,
     SelectionProblem,
@@ -866,3 +867,47 @@ def reference_precedence_rows(p, x_names) -> list[LinearConstraint]:
                 )
             )
     return rows
+
+
+# The solver's accepted rows around each DARS link and the hand-built case
+# study precedence, from before `link_rows` and the case study's
+# constraints-JSON literal replaced them, kept as references.
+
+
+def reference_accepted_link_rows(links) -> set:
+    """The (relation, rhs, entries) rows the solver accepts around the
+    (theta, y, b, x) index tuples `links`: the link row, y - b <= 0, and
+    for an echo b the pair x - b <= 0, b - x <= 0."""
+    allowed = set()
+    for t, y, b, x in links:
+        allowed.add(("<=", 1.0, frozenset(((t, 1.0), (y, -1.0), (b, 1.0)))))
+        allowed.add(("<=", 0.0, frozenset(((y, 1.0), (b, -1.0)))))
+        if b != x:
+            allowed.add(("<=", 0.0, frozenset(((x, 1.0), (b, -1.0)))))
+            allowed.add(("<=", 0.0, frozenset(((b, 1.0), (x, -1.0)))))
+    return allowed
+
+
+def reference_case_study_precedence(ids) -> PrecedenceGraph:
+    """The case study's 13 records over the requirement ids `ids`."""
+    ix = {rid: i for i, rid in enumerate(ids)}
+
+    def i(rid: str) -> int:
+        return ix[rid]
+
+    constraints = (
+        ExactlyOne(members=(i("r2"), i("r6"))),
+        RequiresAny(source=i("r4"), targets=(i("r1"), i("r2"))),
+        RequiresAny(source=i("r5"), targets=(i("r1"), i("r2"))),
+        RequiresAny(source=i("r8"), targets=(i("r1"), i("r2"))),
+        RequiresAll(source=i("r8"), target=i("r25")),
+        Conflicts(a=i("r17"), b=i("r18")),
+        RequiresAll(source=i("r19"), target=i("r2")),
+        RequiresAll(source=i("r19"), target=i("r6")),
+        RequiresAll(source=i("r20"), target=i("r2")),
+        RequiresAll(source=i("r20"), target=i("r6")),
+        RequiresAll(source=i("r26"), target=i("r27")),
+        RequiresAll(source=i("r27"), target=i("r1")),
+        RequiresAll(source=i("r27"), target=i("r6")),
+    )
+    return PrecedenceGraph(n=len(ids), constraints=constraints)

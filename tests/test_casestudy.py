@@ -1,7 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
-from oracles import is_feasible
+from oracles import is_feasible, reference_case_study_precedence
 from reqsel import (
     DARS,
     PCBK,
@@ -19,6 +21,7 @@ from reqsel import (
     solve,
 )
 from reqsel.casestudy import TOTAL_EXPECTED_VALUE, TOTAL_VALUE
+from reqsel.dependency_graph import save_constraints
 from reqsel.solver import INFEASIBLE, OPTIMAL
 
 REQS = case_study_requirements()
@@ -86,6 +89,15 @@ class TestPrecedence:
             ("r20", "r6"), ("r26", "r27"), ("r27", "r1"), ("r27", "r6"),
         ):
             assert RequiresAll(source=ix[src], target=ix[dst]) in records
+
+    def test_read_records_equal_the_hand_built_graph(self):
+        graph = case_study_precedence()
+        reference = reference_case_study_precedence(IDS)
+        assert graph == reference
+        got, want = io.StringIO(), io.StringIO()
+        save_constraints(graph, got, IDS)
+        save_constraints(reference, want, IDS)
+        assert got.getvalue() == want.getvalue()
 
     def test_r19_and_r20_are_unselectable(self):
         # both need r2 and r6 while exactly one of r2, r6 may be chosen

@@ -182,6 +182,21 @@ class TestExitCodes:
         assert f"record #1: unknown type {kind!r}" in capsys.readouterr().err
         assert not (tmp_path / "sel").exists()
 
+    def test_precedence_rule_break_names_its_record(self, tmp_path, capsys):
+        cons = tmp_path / "cons.json"
+        cons.write_text(json.dumps([
+            {"type": "requires_any", "source": "r1", "targets": ["r2", "r2"]},
+            {"type": "conflicts", "source": "r3", "targets": ["r3"]},
+        ]))
+        rc = cli.run(
+            ["select", "--requirements", str(write_reqs(tmp_path / "reqs.csv")),
+             "--constraints", str(cons), "--budget", "3", "--method", "pcbk",
+             "--out", str(tmp_path / "sel")]
+        )
+        assert rc == 2
+        assert "error: record #1: requires-any targets must be distinct" in capsys.readouterr().err
+        assert not (tmp_path / "sel").exists()
+
     @pytest.mark.parametrize(
         "command, flag",
         [
@@ -243,6 +258,25 @@ class TestExitCodes:
         rc = cli.run([*command, *source, "--out", str(tmp_path / "out")])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["select", "--percent", "-5", "--method", "dars"], "--percent gives a negative budget"),
+            (["export-lp", "--percent", "-5", "--method", "pcbk"], "--percent gives a negative budget"),
+            (["sweep", "--percents", "10,-5"], "percent level '-5' is negative"),
+            (["sweep", "--percents=-0.5,10", "--format", "json"], "percent level '-0.5' is negative"),
+        ],
+        ids=["select", "export-lp", "sweep", "sweep-first"],
+    )
+    def test_negative_price_level_exits_two(self, tmp_path, capsys, command, message):
+        # rejected before any solve, naming what was typed
+        rc = cli.run([*command, "--dataset", "casestudy", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "solves in" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["-5", "0", "nan"])

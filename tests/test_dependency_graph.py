@@ -637,6 +637,35 @@ class TestConstraintsJson:
         with pytest.raises(InputFormatError, match=re.escape(f"record #1: unknown type {kind!r}")):
             load_constraints(io.StringIO(text), ("r1", "r2"))
 
+    @pytest.mark.parametrize(
+        "item, message",
+        [
+            ({"type": "requires_any", "source": "r1", "targets": ["r2", "r2"]},
+             "requires-any targets must be distinct"),
+            ({"type": "requires_all", "source": "r1", "targets": ["r2", "r1"]},
+             "a requirement cannot require itself"),
+            ({"type": "exactly_one", "targets": ["r2"]}, "exactly-one needs at least two members"),
+        ],
+        ids=["requires-any-twice", "requires-all-itself", "exactly-one-alone"],
+    )
+    def test_rule_break_names_its_record(self, item, message):
+        fine = {"type": "conflicts", "source": "r1", "targets": ["r2"]}
+        text = json.dumps([fine, item])
+        with pytest.raises(InputFormatError, match=re.escape(f"record #2: {message}")):
+            load_constraints(io.StringIO(text), ("r1", "r2", "r3"))
+
+    def test_first_fault_in_file_order_is_reported(self):
+        text = json.dumps([
+            {"type": "conflicts", "source": "r1", "targets": ["r1"]},
+            {"type": "conflicts", "source": "r1", "targets": ["zz"]},
+        ])
+        with pytest.raises(InputFormatError, match="record #1: a requirement cannot conflict with itself"):
+            load_constraints(io.StringIO(text), ("r1", "r2"))
+
+    def test_empty_id_list_rejected(self):
+        with pytest.raises(InputFormatError):
+            load_constraints(io.StringIO("[]"), ())
+
     def test_unknown_id_rejected(self):
         with pytest.raises(InputFormatError, match="unknown requirement id"):
             load_constraints(

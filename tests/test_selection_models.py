@@ -28,7 +28,7 @@ from reqsel import (
     parse_lp,
 )
 from reqsel.errors import InputFormatError
-from reqsel.selection_models import BINARY, CONTINUOUS, LinearConstraint, Variable
+from reqsel.selection_models import BINARY, CONTINUOUS, LinearConstraint, Variable, link_rows
 
 
 def make_problem(
@@ -245,6 +245,34 @@ class TestDarsStructure:
         rows = {c.name: c for c in m.constraints}
         assert rows["link_yg_1"].coeffs == {"y1": 1.0, "x1": -1.0}
         assert rows["link_ty_1"].coeffs == {"theta1": 1.0, "y1": -1.0, "x1": 1.0}
+
+    def test_link_rows_over_names_and_indices(self):
+        assert link_rows("x1", "g1", "theta1", "y1") == [
+            ("link_xg", {"x1": 1.0, "g1": -1.0}, "<=", 0.0),
+            ("link_gx", {"g1": 1.0, "x1": -1.0}, "<=", 0.0),
+            ("link_yg", {"y1": 1.0, "g1": -1.0}, "<=", 0.0),
+            ("link_ty", {"theta1": 1.0, "y1": -1.0, "g1": 1.0}, "<=", 1.0),
+        ]
+        # with g = x the echo pair is left out
+        assert link_rows(0, 0, 5, 7) == [
+            ("link_yg", {7: 1.0, 0: -1.0}, "<=", 0.0),
+            ("link_ty", {5: 1.0, 7: -1.0, 0: 1.0}, "<=", 1.0),
+        ]
+        assert [name for name, *_ in link_rows(0, 3, 5, 7)] == ["link_xg", "link_gx", "link_yg", "link_ty"]
+
+    @pytest.mark.parametrize("simplify", [False, True])
+    def test_link_rows_are_the_models_rows(self, simplify):
+        m = build_model(make_problem(3, influence=InfluenceMatrix.zeros(3)), DARS, simplify=simplify)
+        got = [(c.name, c.coeffs, c.relation, c.rhs) for c in m.constraints if c.name.startswith("link_")]
+        want = [
+            (f"{name}_{i}", coeffs, relation, rhs)
+            for i in (1, 2, 3)
+            for name, coeffs, relation, rhs in link_rows(
+                f"x{i}", f"x{i}" if simplify else f"g{i}", f"theta{i}", f"y{i}"
+            )
+        ]
+        assert got == want
+        assert len(got) == (6 if simplify else 12)
 
     def test_influence_required(self):
         with pytest.raises(ValidationError, match="influence"):

@@ -13,6 +13,7 @@ from oracles import (
     objective_value,
     penalties,
     penalty_floor,
+    reference_accepted_link_rows,
     reference_propagate,
     row_activities,
 )
@@ -44,7 +45,14 @@ from reqsel import (
     solve,
     verify_solution,
 )
-from reqsel.selection_models import BINARY, CONTINUOUS, LinearConstraint, LinearModel, Variable
+from reqsel.selection_models import (
+    BINARY,
+    CONTINUOUS,
+    LinearConstraint,
+    LinearModel,
+    Variable,
+    link_rows,
+)
 from reqsel.solver import (
     FEAS_EPS,
     FEASIBLE,
@@ -612,6 +620,54 @@ class TestForeignModels:
             rows.append(LinearConstraint("extra", coeffs, ">=", rhs))
         bad = LinearModel(variables, "max", objective, model.constraints + tuple(rows))
         with pytest.raises(ValidationError, match=message):
+            solve(bad)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_accepted_link_rows_match_reference(self, seed):
+        # random (theta, y, b, x) index tuples, b = x and b != x alike
+        rng = np.random.default_rng(seed)
+        links = []
+        for k in range(int(rng.integers(1, 6))):
+            t, y, x, g = (int(v) for v in rng.permutation(50)[:4])
+            links.append((t, y, x if k % 2 == seed % 2 else g, x))
+        got = {
+            (relation, rhs, frozenset(coeffs.items()))
+            for t, y, b, x in links
+            for _, coeffs, relation, rhs in link_rows(x, b, t, y)
+        }
+        assert got == reference_accepted_link_rows(links)
+
+    @pytest.mark.parametrize(
+        "simplify, change",
+        [(False, "yg coefficient"), (False, "yg rhs"), (False, "extra over y"), (False, "extra echo"),
+         (True, "yg coefficient"), (True, "yg rhs"), (True, "extra over y")],
+    )
+    def test_altered_link_row_rejected(self, simplify, change):
+        g1 = "x1" if simplify else "g1"
+        altered = {
+            "yg coefficient": LinearConstraint("link_yg_1", {"y1": 1.0, g1: -0.5}, "<=", 0.0),
+            "yg rhs": LinearConstraint("link_yg_1", {"y1": 1.0, g1: -1.0}, "<=", 0.5),
+            "extra over y": LinearConstraint("extra", {"y1": 1.0, "x2": -1.0}, "<=", 0.0),
+            # an echo pair row that ties g1 to x2 as well
+            "extra echo": LinearConstraint("extra", {"x2": 1.0, "g1": -1.0}, "<=", 0.0),
+        }[change]
+        model = build_model(random_problem(3, n=3), DARS, simplify=simplify)
+        rows = [c for c in model.constraints if c.name != altered.name] + [altered]
+        bad = LinearModel(model.variables, "max", model.objective, rows)
+        with pytest.raises(ValidationError, match=f"constraint {altered.name}: a row over theta, y or g"):
+            solve(bad)
+
+    @pytest.mark.parametrize("row", ["link_xg_1", "link_gx_1"])
+    def test_altered_echo_row_unlinks_g(self, row):
+        # without both echo rows g1 is no echo of x1 but the owner of its
+        # link, and the objective E x1 - E y1 no longer fits that link
+        model = build_model(random_problem(3, n=3), DARS)
+        rows = [
+            LinearConstraint(c.name, c.coeffs, c.relation, 0.5) if c.name == row else c
+            for c in model.constraints
+        ]
+        bad = LinearModel(model.variables, "max", model.objective, rows)
+        with pytest.raises(ValidationError, match="variables theta1, y1: the objective must read"):
             solve(bad)
 
 
