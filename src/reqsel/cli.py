@@ -31,6 +31,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -492,8 +493,19 @@ def _add_limit_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser that reads a token starting with a minus and a
+    digit, such as -0.5,10, as a value rather than an unknown option, so that
+    each comma-list flag hands a list that starts with a negative number to
+    its own parser (Python 3.13 argparse does this by itself)."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="reqsel",
         description="Dependency-aware software requirements selection toolkit.",
     )

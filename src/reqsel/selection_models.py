@@ -9,9 +9,10 @@ Each starts from the x binaries and the budget row:
   DARS  the dependency-aware model: maximize sum E(v_i) (x_i - y_i) where
         y_i linearizes x_i * theta_i through auxiliary binaries g_i == x_i,
         penalty rows theta_i >= (|I(i,j)| + (1 - 2 x_j) I(i,j)) / 2, and
-        the link rows of `link_rows`, which the solver accepts around each
-        link too; at the optimum y_i = x_i theta_i, so the objective equals
-        the overall value of the selection.
+        the link rows of `link_rows`; at the optimum y_i = x_i theta_i, so
+        the objective equals the overall value of the selection. The model's
+        metadata states this linearization ("links", "influence"), and the
+        solver reads it from there.
 
 The budget row is either sum c_i x_i <= b (BUDGET_COST) or the price form
 sum v_i x_i <= gamma (PRICE_VALUE); both are available on every model kind.
@@ -238,6 +239,9 @@ def build_model(p: SelectionProblem, method: str, simplify: bool = False) -> Lin
                 for name, coeffs, relation, rhs in link_rows(x_names[i], gs[i], thetas[i], ys[i])
             )
         objective.update({ys[i]: -weights[i] for i in range(n)})
+        # the solver searches x alone and fills theta, y and g from these
+        metadata["links"] = list(zip(x_names, gs, thetas, ys))
+        metadata["influence"] = influence
     return LinearModel(tuple(variables), "max", objective, tuple(rows), metadata)
 
 
@@ -388,9 +392,10 @@ def parse_lp(source: Iterable[str]) -> LinearModel:
     Binary-section order, then Bounds-section order, then any other name by
     first appearance (objective first, then rows), which is the order
     export_lp wrote them in.
-    The model carries no metadata beyond {"kind": "PARSED"}: the solver reads
-    the roles of a DARS model's variables off the row shapes, so a parsed
-    DARS file is searched like the model it was written from.
+    The model carries no metadata beyond {"kind": "PARSED"}. A parsed
+    BK, PCBK or SBK file is all-binary and solves like the model it was
+    written from; a parsed DARS file states no linearization, so `solve`
+    rejects its theta and y.
     """
     sense = "max"
     section = None

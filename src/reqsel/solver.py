@@ -5,17 +5,13 @@ Branch and bound over the binary variables:
   * a dependency-aware (DARS) model is searched on its x core: the x
     binaries and the rows over x alone (budget and precedence). Its g, theta
     and y variables and their penalty and linking rows only linearize the
-    penalty. One walk over the rows indexes them and finds the link and pair
-    rows by shape, and a second sorts them into search rows, penalty floors
-    and the rows `selection_models.link_rows` states around each link (see
-    _Compiled), so a model parsed from an LP file is searched exactly like a
-    built one. A continuous variable or a row over theta, y or g that is
-    neither a penalty row nor one of those is rejected. The incumbent is
-    kept as its fixings; `solve` fills every value once from that final
-    selection in closed form (g = x, theta = the penalty floor, y = theta x).
-    Solution.x holds the search binaries in declaration order (for a built
-    model, the x binaries in requirement order), and Solution.theta and
-    Solution.y hold one entry per x;
+    penalty, and `build_model` states them in the model's metadata (see
+    _Compiled); a continuous variable it does not state is rejected. The
+    incumbent is kept as its fixings; `solve` fills every value once from
+    that final selection in closed form (g = x, theta = the penalty floor,
+    y = theta x). Solution.x holds the search binaries in declaration order
+    (for a built model, the x binaries in requirement order), and
+    Solution.theta and Solution.y hold one entry per x;
   * node order: best bound first, ties by lowest branching-variable index,
     then by creation order; the child fixing the variable to 1 is created
     first. The root is an ordinary node: once its rows are propagated it is
@@ -76,7 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .selection_models import BINARY, CONTINUOUS, LinearModel, link_rows
+from .selection_models import BINARY, CONTINUOUS, LinearModel
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
@@ -88,10 +84,6 @@ PRUNE_EPS = 1e-9
 TIE_EPS = 1e-12
 
 FREE = 255  # an unfixed binary in the bytearray state; an int8 view reads it as -1
-
-# (kind, coefficient) entries of a link row theta - y + b <= 1 and of a pair row u - v <= 0
-_LINK_SHAPE = {(CONTINUOUS, 1.0), (CONTINUOUS, -1.0), (BINARY, 1.0)}
-_PAIR_SHAPE = {(BINARY, 1.0), (BINARY, -1.0)}
 
 @dataclass(frozen=True)
 class SolverLimits:
@@ -112,7 +104,7 @@ class Solution:
     objective: float | None
     values: dict[str, float]
     x: tuple[int, ...]
-    theta: tuple[float, ...] | None  # one per x; None for a model without link rows
+    theta: tuple[float, ...] | None  # one per x; None for a model without stated links
     y: tuple[float, ...] | None
     proven: bool
     stats: SolveStats
@@ -156,16 +148,14 @@ class _Compiled:
     """Model preprocessed for search: compact binary indexing, all-binary
     rows in "<=" form, the knapsack row, penalty-floor table.
 
-    The theta, y and g variables of a DARS linearization, and every row over
-    them, stay out of the search (the model's x core). A link row
-    theta - y + b <= 1 has one continuous entry at +1 (theta), one at -1 (y)
-    and one binary at +1 (b). b is the echo g of x when the rows x - b <= 0
-    and b - x <= 0 both exist and x owns no link row; otherwise b is x.
-    Every continuous variable must be the theta or y of one link row and
-    each x may own one link row. Besides penalty rows, a row over theta, y
-    or g must be one of `link_rows(x, b, theta, y)`. The closed form at the
-    leaves needs the objective to read E x - E y with E >= 0 and no theta
-    or g term, and theta and y to lie in [0, 1]."""
+    A DARS model's metadata states its linearization: "links" holds one
+    (x, g, theta, y) name tuple per requirement, in requirement order (g is
+    x in a simplified model), and "influence" the matrix I its penalty rows
+    were written from. The stated theta, y and g, and every row over them,
+    stay out of the search (the model's x core), and the floor table is read
+    off I. Every continuous variable must be a stated theta or y, so a DARS
+    model parsed from an LP file, which states nothing, is rejected;
+    `verify_solution` is what checks a solution against the penalty rows."""
 
     def __init__(self, m: LinearModel):
         self.names = [v.name for v in m.variables]
@@ -177,108 +167,59 @@ class _Compiled:
             c[self.index[name]] = coef
         self.c = c if self.maximize else -c
 
-        # one walk indexes every row and collects the link rows (theta, y, b)
-        # and the pair rows u - v <= 0 (below[v] lists u)
-        kinds = [v.kind for v in m.variables]
-        rows, links, below = [], [], {}
-        for con in m.constraints:
-            idxs = [self.index[name] for name in con.coeffs]
-            coefs = [float(a) for a in con.coeffs.values()]
-            rows.append((idxs, coefs))
-            if con.relation != "<=" or (len(idxs), con.rhs) not in ((3, 1.0), (2, 0.0)):
-                continue
-            shape = {(kinds[i], a): i for i, a in zip(idxs, coefs)}
-            if shape.keys() == _LINK_SHAPE:
-                links.append(
-                    (shape[CONTINUOUS, 1.0], shape[CONTINUOUS, -1.0], shape[BINARY, 1.0])
-                )
-            elif shape.keys() == _PAIR_SHAPE:
-                below.setdefault(shape[BINARY, -1.0], []).append(shape[BINARY, 1.0])
-        bs = {b for *_, b in links}
-
-        def x_of(b: int) -> int:
-            return next((x for x in below.get(b, ()) if x not in bs and b in below.get(x, ())), b)
-
-        links = [(t, y, b, x_of(b)) for t, y, b in links]
-        roles = sorted(i for t, y, *_ in links for i in (t, y))
-        cont = [i for i, kind in enumerate(kinds) if kind == CONTINUOUS]
-        if roles != cont:
-            stray = next(i for i in cont if roles.count(i) != 1)
-            raise ValidationError(
-                f"variable {self.names[stray]}: a continuous variable must be the theta "
-                "or y of exactly one link row"
-            )
-        if len({x for *_, x in links}) != len(links):
-            raise ValidationError("a binary owns more than one link row")
-        c = self.c.tolist()
-        for t, y, b, x in links:
-            bounds = [(m.variables[i].lower, m.variables[i].upper) for i in (t, y)]
-            if c[y] != -c[x] or c[x] < 0 or c[t] or (b != x and c[b]) or bounds != [(0, 1)] * 2:
+        # the linearization build_model states: one (x, g, theta, y) name
+        # tuple per requirement (g is x when simplified) and the matrix I its
+        # penalty rows were written from
+        links = [[self.index[name] for name in link] for link in m.metadata.get("links", ())]
+        stated = {i for x, g, t, y in links for i in (g, t, y) if i != x}
+        for v in m.variables:
+            if v.kind == CONTINUOUS and self.index[v.name] not in stated:
                 raise ValidationError(
-                    f"variables {self.names[t]}, {self.names[y]}: the objective must read "
-                    "E x - E y with E >= 0 and no theta or g term, and theta and y must lie "
-                    "in [0, 1]"
+                    f"variable {v.name}: a continuous variable must be a theta or y that "
+                    "build_model states"
                 )
-        linear = {i for t, y, b, x in links for i in (t, y, b) if i != x}
 
         self.bin_vars = [
-            i for i, v in enumerate(m.variables) if v.kind == BINARY and i not in linear
+            i for i, v in enumerate(m.variables) if v.kind == BINARY and i not in stated
         ]
         self.nbin = len(self.bin_vars)
         self.bpos = {v: b for b, v in enumerate(self.bin_vars)}
         self.c_bin = self.c[self.bin_vars] if self.nbin else np.zeros(0)
 
-        # theta_i, y_i and g_i belong to their owner x_i, in binary order
-        links.sort(key=lambda link: self.bpos[link[3]])
-        self.theta_idx = np.array([t for t, *_ in links], dtype=np.intp)
-        self.y_idx = np.array([y for _, y, *_ in links], dtype=np.intp)
-        self.theta_pos = np.array([self.bpos[x] for *_, x in links], dtype=np.intp)
-        echoes = [(b, x) for _, _, b, x in links if b != x]
-        self.g_idx = np.array([b for b, _ in echoes], dtype=np.intp)
+        # theta_i, y_i and g_i belong to x_i, the i-th search binary
+        self.theta_idx = np.array([t for _, _, t, _ in links], dtype=np.intp)
+        self.y_idx = np.array([y for _, _, _, y in links], dtype=np.intp)
+        echoes = [(g, x) for x, g, *_ in links if g != x]
+        self.g_idx = np.array([g for g, _ in echoes], dtype=np.intp)
         self.g_src = np.array([x for _, x in echoes], dtype=np.intp)
 
-        # rows a link may carry besides penalty rows: its link_rows
-        allowed = {
-            (relation, rhs, frozenset(coeffs.items()))
-            for t, y, b, x in links
-            for _, coeffs, relation, rhs in link_rows(x, b, t, y)
-        }
-        # penalty rows theta_i + w x_j >= rhs floor theta_i at rhs while x_j = 0
-        # and at rhs - w once x_j = 1: B0[j, i] and B1[j, i], so row j holds
-        # the floors that fixing x_j imposes. Both are views of one table B
-        # whose row j + nbin * v is the row of x_j = v.
-        owner = dict(zip(self.theta_idx.tolist(), self.theta_pos.tolist()))
+        # penalty rows theta_i + I_ij x_j >= max(I_ij, 0) floor theta_i at
+        # max(I_ij, 0) while x_j = 0 and at max(-I_ij, 0) once x_j = 1: B0[j, i]
+        # and B1[j, i], so row j holds the floors that fixing x_j imposes.
+        # Both are views of one table B whose row j + nbin * v is the row of x_j = v.
         self.B = self.B0 = self.B1 = None
         if links:
-            self.B = np.zeros((2 * self.nbin, self.nbin))
+            infl = m.metadata["influence"]
+            self.B = np.concatenate(
+                (np.where(infl > 0, infl, 0.0).T, np.where(infl < 0, -infl, 0.0).T)
+            )
             self.B0, self.B1 = self.B[: self.nbin], self.B[self.nbin :]
         self.binrows: list[_Row] = []
         self.kn_row: int | None = None
-        for con, (idxs, coefs) in zip(m.constraints, rows):
-            if linear.isdisjoint(idxs):
-                bidx = [self.bpos[i] for i in idxs]
-                rhs = float(con.rhs)
-                if con.relation != ">=":
-                    # the first one: every builder emits its budget/price row first
-                    if self.kn_row is None and all(a >= 0 for a in coefs):
-                        self.kn_row = len(self.binrows)
-                    self.binrows.append(_Row(bidx, coefs, rhs))
-                if con.relation != "<=":
-                    self.binrows.append(_Row(bidx, [-a for a in coefs], -rhs))
+        for con in m.constraints:
+            idxs = [self.index[name] for name in con.coeffs]
+            if not stated.isdisjoint(idxs):
                 continue
-            if con.relation == ">=" and len(idxs) == 2:
-                (t, a), (j, w) = sorted(zip(idxs, coefs), key=lambda e: e[0] not in owner)
-                if t in owner and a == 1.0 and j in self.bpos:
-                    self.B0[self.bpos[j], owner[t]] = con.rhs
-                    self.B1[self.bpos[j], owner[t]] = con.rhs - w
-                    continue
-            if (con.relation, con.rhs, frozenset(zip(idxs, coefs))) not in allowed:
-                raise ValidationError(
-                    f"constraint {con.name}: a row over theta, y or g must be a link, "
-                    "echo or penalty row"
-                )
-        if links and self.B.max() > 1.0:
-            raise ValidationError("penalty rows floor theta above its upper bound 1")
+            coefs = [float(a) for a in con.coeffs.values()]
+            bidx = [self.bpos[i] for i in idxs]
+            rhs = float(con.rhs)
+            if con.relation != ">=":
+                # the first one: every builder emits its budget/price row first
+                if self.kn_row is None and all(a >= 0 for a in coefs):
+                    self.kn_row = len(self.binrows)
+                self.binrows.append(_Row(bidx, coefs, rhs))
+            if con.relation != "<=":
+                self.binrows.append(_Row(bidx, [-a for a in coefs], -rhs))
         self.nbinrows = len(self.binrows)
 
         self.occ: list[list[tuple[int, float]]] = [[] for _ in range(self.nbin)]
@@ -609,8 +550,8 @@ def solve(m: LinearModel, limits: SolverLimits | None = None) -> Solution:
     theta = y = None
     if floor is not None:
         yy = floor * (fv == 1)
-        vals[comp.theta_idx] = floor[comp.theta_pos]
-        vals[comp.y_idx] = yy[comp.theta_pos]
+        vals[comp.theta_idx] = floor
+        vals[comp.y_idx] = yy
         theta, y = tuple(floor.tolist()), tuple(yy.tolist())
     values = dict(zip(comp.names, vals.tolist()))
     objective = sign * search.inc_obj

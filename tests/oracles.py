@@ -869,15 +869,15 @@ def reference_precedence_rows(p, x_names) -> list[LinearConstraint]:
     return rows
 
 
-# The solver's accepted rows around each DARS link and the hand-built case
-# study precedence, from before `link_rows` and the case study's
-# constraints-JSON literal replaced them, kept as references.
+# The rows around each DARS link as the solver once accepted them and the
+# hand-built case study precedence, from before `link_rows` and the case
+# study's constraints-JSON literal replaced them, kept as references.
 
 
 def reference_accepted_link_rows(links) -> set:
-    """The (relation, rhs, entries) rows the solver accepts around the
-    (theta, y, b, x) index tuples `links`: the link row, y - b <= 0, and
-    for an echo b the pair x - b <= 0, b - x <= 0."""
+    """The (relation, rhs, entries) rows around the (theta, y, b, x) index
+    tuples `links`: the link row, y - b <= 0, and for an echo b the pair
+    x - b <= 0, b - x <= 0."""
     allowed = set()
     for t, y, b, x in links:
         allowed.add(("<=", 1.0, frozenset(((t, 1.0), (y, -1.0), (b, 1.0)))))

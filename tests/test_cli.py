@@ -279,6 +279,24 @@ class TestExitCodes:
         assert "solves in" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["sweep", "--dataset", "casestudy", "--percents", "-0.5,10"],
+             "percent level '-0.5' is negative"),
+            (["simulate", "--n", "5", "--seed", "1", "--cost-range", "-1,5"],
+             "cost and value ranges must be non-negative"),
+            (["bench", "--n", "4", "--seeds", "-1,0"], "seed must be non-negative, got -1"),
+        ],
+        ids=["percents", "cost-range", "seeds"],
+    )
+    def test_list_starting_negative_reaches_its_parser(self, tmp_path, capsys, command, message):
+        # argparse would take -0.5,10 for an unknown option
+        rc = cli.run([*command, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", ["-5", "0", "nan"])
     def test_bench_nonpositive_time_limit_exits_two(self, tmp_path, capsys, value):
         rc = cli.run(["bench", "--n", "4", "--time-limit", value, "--out", str(tmp_path)])

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -513,39 +514,21 @@ class TestSolutionReport:
 
     @pytest.mark.parametrize("method", (PCBK, DARS))
     def test_parsed_model_reports_x_names(self, method):
-        # an LP file carries no requirement ids: the report names the x variables
+        # an LP file carries no requirement ids: the report names the x
+        # variables. A parsed DARS file is not solvable (see
+        # test_parsed_dars_file_is_rejected), so only its built model reports.
         problem = case_study_problem(50.0, influence=InfluenceMatrix.zeros(27))
         model = build_model(problem, method)
+        by_id = solution_report(model, solve(model))
+        if method == DARS:
+            assert by_id["selected"] and list(by_id["theta"]) == list(problem.ids)
+            return
         parsed = reparse(model)
         got = solve(parsed)
         rep = solution_report(parsed, got)
         assert got.status == OPTIMAL and any(got.x)
         assert rep["selected"] == [f"x{i + 1}" for i, xi in enumerate(got.x) if xi == 1]
-        by_id = solution_report(model, solve(model))
         assert rep["selected"] == [f"x{problem.ids.index(r) + 1}" for r in by_id["selected"]]
-        if method == DARS:
-            assert list(rep["theta"]) == [f"x{i + 1}" for i in range(27)]
-
-    def test_penalty_is_labelled_by_its_owner(self):
-        # x1 owns no link row, so theta and y carry 0.0 for it and the
-        # penalty of x2 is reported under x2
-        variables = (
-            Variable("x1", BINARY),
-            Variable("x2", BINARY),
-            Variable("theta2", CONTINUOUS, 0.0, 1.0),
-            Variable("y2", CONTINUOUS, 0.0, 1.0),
-        )
-        rows = (
-            LinearConstraint("budget", {"x1": 1.0, "x2": 1.0}, "<=", 1.0),
-            LinearConstraint("link2", {"theta2": 1.0, "y2": -1.0, "x2": 1.0}, "<=", 1.0),
-            LinearConstraint("floor2", {"theta2": 1.0, "x1": 0.5}, ">=", 0.5),
-        )
-        model = LinearModel(variables, "max", {"x1": 1.0, "x2": 3.0, "y2": -3.0}, rows)
-        got = solve(model)
-        assert (got.status, got.x, got.objective) == (OPTIMAL, (0, 1), 1.5)
-        assert (got.theta, got.y) == ((0.0, 0.5), (0.0, 0.5))
-        assert solution_report(model, got)["theta"] == {"x1": 0.0, "x2": 0.5}
-        assert verify_solution(model, got).ok
 
 
 class TestForeignModels:
@@ -578,8 +561,8 @@ class TestForeignModels:
         assert got.values["b"] == 1.0
 
     def test_floor_forced_continuous_variable(self):
-        # a continuous variable outside a DARS link row has no closed form
-        # at the leaves, so the solver rejects the model
+        # a continuous variable that build_model does not state as a theta
+        # or y has no closed form at the leaves, so the solver rejects the model
         text = (
             "Maximize\n"
             " obj: 2 x1 - 0.5 t\n"
@@ -591,36 +574,13 @@ class TestForeignModels:
         with pytest.raises(ValidationError, match="variable t: a continuous variable"):
             solve(parse_lp(io.StringIO(text)))
 
-    @pytest.mark.parametrize(
-        "change", ["objective", "bounds", "row over theta", "penalty over g", "floor above 1"]
-    )
-    def test_malformed_linearization_rejected(self, change):
-        message = {
-            "objective": "variables theta1, y1: the objective must read",
-            "bounds": "variables theta1, y1: the objective must read",
-            "row over theta": "constraint extra: a row over theta, y or g",
-            "penalty over g": "constraint extra: a row over theta, y or g",
-            "floor above 1": "penalty rows floor theta above",
-        }[change]
-        model = build_model(random_problem(3, n=3), DARS)
-        objective, variables, rows = dict(model.objective), list(model.variables), []
-        if change == "objective":
-            objective["y1"] = 0.5 * objective["y1"]
-        elif change == "bounds":
-            wide = Variable("theta1", CONTINUOUS, 0.0, 2.0)
-            variables = [wide if v.name == "theta1" else v for v in variables]
-        else:
-            coeffs, rhs = {"theta1": 1.0, "x2": 0.5}, 0.5
-            if change == "row over theta":
-                coeffs["x3"] = 1.0
-            elif change == "penalty over g":
-                coeffs = {"theta1": 1.0, "g2": 0.5}
-            else:
-                rhs = 1.2
-            rows.append(LinearConstraint("extra", coeffs, ">=", rhs))
-        bad = LinearModel(variables, "max", objective, model.constraints + tuple(rows))
-        with pytest.raises(ValidationError, match=message):
-            solve(bad)
+    @pytest.mark.parametrize("simplify", (False, True))
+    def test_parsed_dars_file_is_rejected(self, simplify):
+        # an LP file states no linearization, so theta1 is an unstated
+        # continuous variable
+        model = build_model(random_problem(3, n=3), DARS, simplify=simplify)
+        with pytest.raises(ValidationError, match="variable theta1: a continuous variable"):
+            solve(reparse(model))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_accepted_link_rows_match_reference(self, seed):
@@ -637,39 +597,6 @@ class TestForeignModels:
         }
         assert got == reference_accepted_link_rows(links)
 
-    @pytest.mark.parametrize(
-        "simplify, change",
-        [(False, "yg coefficient"), (False, "yg rhs"), (False, "extra over y"), (False, "extra echo"),
-         (True, "yg coefficient"), (True, "yg rhs"), (True, "extra over y")],
-    )
-    def test_altered_link_row_rejected(self, simplify, change):
-        g1 = "x1" if simplify else "g1"
-        altered = {
-            "yg coefficient": LinearConstraint("link_yg_1", {"y1": 1.0, g1: -0.5}, "<=", 0.0),
-            "yg rhs": LinearConstraint("link_yg_1", {"y1": 1.0, g1: -1.0}, "<=", 0.5),
-            "extra over y": LinearConstraint("extra", {"y1": 1.0, "x2": -1.0}, "<=", 0.0),
-            # an echo pair row that ties g1 to x2 as well
-            "extra echo": LinearConstraint("extra", {"x2": 1.0, "g1": -1.0}, "<=", 0.0),
-        }[change]
-        model = build_model(random_problem(3, n=3), DARS, simplify=simplify)
-        rows = [c for c in model.constraints if c.name != altered.name] + [altered]
-        bad = LinearModel(model.variables, "max", model.objective, rows)
-        with pytest.raises(ValidationError, match=f"constraint {altered.name}: a row over theta, y or g"):
-            solve(bad)
-
-    @pytest.mark.parametrize("row", ["link_xg_1", "link_gx_1"])
-    def test_altered_echo_row_unlinks_g(self, row):
-        # without both echo rows g1 is no echo of x1 but the owner of its
-        # link, and the objective E x1 - E y1 no longer fits that link
-        model = build_model(random_problem(3, n=3), DARS)
-        rows = [
-            LinearConstraint(c.name, c.coeffs, c.relation, 0.5) if c.name == row else c
-            for c in model.constraints
-        ]
-        bad = LinearModel(model.variables, "max", model.objective, rows)
-        with pytest.raises(ValidationError, match="variables theta1, y1: the objective must read"):
-            solve(bad)
-
 
 class TestDeterminism:
     def test_repeat_solves_identical(self):
@@ -685,8 +612,9 @@ class TestDeterminism:
     def test_round_trip_through_lp_preserves_answer(self):
         # zero terms are not written, so the zeroed requirements appear in
         # fewer rows of the parsed model than of the built one
-        for problem in (random_problem(37, n=6), with_zero_value_and_cost(random_problem(41, n=7))):
-            model = build_model(problem, DARS)
+        problems = (random_problem(37, n=6), with_zero_value_and_cost(random_problem(41, n=7)))
+        for problem, method in itertools.product(problems, (BK, PCBK, SBK)):
+            model = build_model(problem, method)
             direct = solve(model)
             reparsed = solve(reparse(model))
             assert reparsed.status == direct.status
@@ -694,8 +622,7 @@ class TestDeterminism:
             if direct.status == OPTIMAL:
                 assert reparsed.objective == pytest.approx(direct.objective, abs=1e-9)
                 assert reparsed.x == direct.x
-                assert reparsed.theta == pytest.approx(direct.theta, abs=1e-9)
-                assert reparsed.y == pytest.approx(direct.y, abs=1e-9)
+                assert reparsed.theta is direct.theta is None
                 assert set(reparsed.values) == set(direct.values)
                 for name, value in direct.values.items():
                     assert reparsed.values[name] == pytest.approx(value, abs=1e-9)
@@ -846,9 +773,11 @@ class TestSearchParity:
             model = increase_decrease_model(problem, (SubsetEstimate(members=(0, 1), estimated_value=3.0),))
         else:
             model = build_model(problem, method)
-        buf = io.StringIO()
-        export_lp(model, buf)
-        for m in (model, parse_lp(io.StringIO(buf.getvalue()))):
+        models = [model]
+        if method != DARS:
+            # a parsed DARS file is not solvable
+            models.append(reparse(model))
+        for m in models:
             comp = _Compiled(m)
             assert m.constraints[0].name == ("budget" if mode == BUDGET_COST else "price")
             assert comp.kn_row == 0
@@ -879,57 +808,65 @@ class TestSearchParity:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dars_searches_the_x_core(self, seed):
-        # built or read back from an LP file, plain or simplified: the search
-        # sees the x binaries, the PCBK rows and one penalty-floor table
+        # plain or simplified: the search sees the x binaries, the PCBK rows
+        # and one penalty-floor table
         def rows(comp):
-            # an LP file lists a row's terms in variable order
-            return [(sorted(zip(r.vars, r.coefs)), r.rhs) for r in comp.binrows]
+            return [(r.vars, r.coefs, r.rhs) for r in comp.binrows]
 
         problem = random_problem(seed + 300, n=4 + seed)
         core = rows(_Compiled(build_model(problem, PCBK)))
         floors = None
         for simplify in (False, True):
-            model = build_model(problem, DARS, simplify=simplify)
-            for m in (model, reparse(model)):
-                comp = _Compiled(m)
-                assert comp.nbin == problem.n
-                assert rows(comp) == core
-                floors = floors or (comp.B0, comp.B1)
-                assert np.array_equal(comp.B0, floors[0]) and np.array_equal(comp.B1, floors[1])
+            comp = _Compiled(build_model(problem, DARS, simplify=simplify))
+            assert comp.nbin == problem.n
+            assert rows(comp) == core
+            floors = floors or (comp.B0, comp.B1)
+            assert np.array_equal(comp.B0, floors[0]) and np.array_equal(comp.B1, floors[1])
 
-    def test_echo_guard_keeps_mutual_requirements(self):
-        # r1 and r2 require each other, so x1 - x2 <= 0 and x2 - x1 <= 0 look
-        # like the echo pair of a g. Both own link rows, so neither is folded
-        # into the other, and each keeps its own theta.
-        reqs = tuple(
-            Requirement(id=f"r{i + 1}", cost=cost, value=value, probability=1.0)
-            for i, (cost, value) in enumerate(((0.0, 0.0), (0.0, 0.0), (2.0, 6.0), (3.0, 5.0)))
+    @pytest.mark.parametrize("simplify", (False, True))
+    @pytest.mark.parametrize("kind", ("zero", "negative", "dense"))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stated_floor_table_matches_the_penalty_rows(self, seed, kind, simplify):
+        # the search reads its floors from metadata["influence"] and only
+        # verify_solution reads the penalty rows, so the two must agree:
+        # a row theta_i + w x_j >= rhs floors theta_i at rhs while x_j = 0
+        # and at rhs - w once x_j = 1
+        rng = np.random.default_rng(seed)
+        problem = random_problem(seed + 1100, n=2 + 2 * seed)
+        n = problem.n
+        influence = {
+            "zero": InfluenceMatrix.zeros(n),
+            "negative": InfluenceMatrix(
+                pos=np.zeros((n, n)), neg=random_influence(rng, n, density=0.7).pos
+            ),
+            "dense": random_influence(rng, n, density=1.0),
+        }[kind]
+        model = build_model(
+            dataclasses.replace(problem, influence=influence), DARS, simplify=simplify
         )
-        influence = np.zeros((4, 4))
-        influence[0, 3] = influence[2, 0] = 0.5
-        influence[1, 2] = 0.3
-        problem = SelectionProblem(
-            reqs,
-            budget=3.0,
-            precedence=PrecedenceGraph(n=4, constraints=(RequiresAll(0, 1), RequiresAll(1, 0))),
-            influence=InfluenceMatrix(pos=influence, neg=np.zeros((4, 4))),
-        )
-        model = build_model(problem, DARS, simplify=True)
-        got = assert_matches_oracle(problem, DARS, simplify=True)
-        assert got.x == (1, 1, 1, 0)
-        assert got.theta == pytest.approx(penalties(influence, got.x), abs=1e-12)
-        parsed = reparse(model)
-        for m in (model, parsed):
-            assert _Compiled(m).nbin == 4
-        reparsed = solve(parsed)
-        assert reparsed.values == pytest.approx(got.values, abs=1e-12)
+        x_pos = {name: j for j, name in enumerate(model.metadata["x_names"])}
+        theta_pos = {f"theta{i + 1}": i for i in range(n)}
+        want0, want1 = np.zeros((n, n)), np.zeros((n, n))
+        penalty_rows = 0
+        for con in model.constraints:
+            if con.relation != ">=" or theta_pos.keys().isdisjoint(con.coeffs):
+                continue
+            (theta, one), (x, w) = sorted(con.coeffs.items(), key=lambda e: e[0] not in theta_pos)
+            assert one == 1.0
+            want0[x_pos[x], theta_pos[theta]] = con.rhs
+            want1[x_pos[x], theta_pos[theta]] = con.rhs - w
+            penalty_rows += 1
+        assert penalty_rows == np.count_nonzero(influence.influence)
+        assert penalty_rows == 0 if kind == "zero" else penalty_rows > 0
+        comp = _Compiled(model)
+        assert np.array_equal(comp.B0, want0) and np.array_equal(comp.B1, want1)
+        assert not np.signbit(comp.B).any()
 
     @pytest.mark.parametrize("simplify", (False, True))
     @pytest.mark.parametrize("seed", range(6))
     def test_row_order_leaves_the_compile_unchanged(self, seed, simplify):
-        # the echo rule needs every pair row before it decides, so shuffling
-        # the rows after the budget row changes neither the compiled model
-        # (up to row order) nor the answer
+        # shuffling the rows after the budget row changes neither the
+        # compiled model (up to row order) nor the answer
         model = build_model(random_problem(seed + 500, n=5 + seed), DARS, simplify=simplify)
         budget, *rest = model.constraints
         order = np.random.default_rng(seed).permutation(len(rest))
@@ -951,13 +888,10 @@ class TestSearchParity:
     )
     def test_select_node_counts_pinned(self, n, pdl, seed, nodes):
         problem = pinned_problem(n, pdl, seed)
-        for simplify in (False, True):
-            model = build_model(problem, DARS, simplify=simplify)
-            got, reparsed = solve(model), solve(reparse(model))
-            assert got.status == reparsed.status == OPTIMAL
-            assert got.stats.nodes == reparsed.stats.nodes == nodes
-            assert got.x == reparsed.x
-            assert got.objective == pytest.approx(reparsed.objective, abs=1e-9)
+        runs = [solve(build_model(problem, DARS, simplify=simplify)) for simplify in (False, True)]
+        assert [(got.status, got.stats.nodes) for got in runs] == [(OPTIMAL, nodes)] * 2
+        assert runs[0].x == runs[1].x
+        assert runs[0].objective == pytest.approx(runs[1].objective, abs=1e-9)
 
     @pytest.mark.parametrize("n, pdl, seed", [(100, 0.02, 1), (100, 0.02, 2), (30, 0.0, 1)])
     def test_no_state_is_dived_twice(self, n, pdl, seed, monkeypatch):
