@@ -244,33 +244,32 @@ def generate_synthetic(
     rng = np.random.default_rng(spec.seed)
     npairs = n * (n - 1)
 
-    def pair(code: int) -> tuple[int, int]:
-        i, rest = divmod(code, n - 1)
-        j = rest + (1 if rest >= i else 0)
-        return i, j
+    def pairs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # code c is the ordered pair (i, j), i != j, at rank c in row-major order
+        i, rest = np.divmod(codes, n - 1)
+        return i, rest + (rest >= i)
 
+    pos_m = np.zeros((n, n))
+    neg_m = np.zeros((n, n))
     k = round(spec.vdl * npairs)
     edges = {}
     if k:
-        chosen = rng.choice(npairs, size=k, replace=False)
+        ei, ej = pairs(rng.choice(npairs, size=k, replace=False))
         strengths = 1.0 - rng.random(k)  # uniform in (0, 1]
         negatives = round(spec.nvdl * k)
-        for pos, (code, s) in enumerate(zip(chosen, strengths)):
-            quality = NEGATIVE if pos < negatives else POSITIVE
-            edges[pair(int(code))] = (float(s), quality)
+        qualities = [NEGATIVE] * negatives + [POSITIVE] * (k - negatives)
+        edges = dict(zip(zip(ei.tolist(), ej.tolist()), zip(strengths.tolist(), qualities)))
+        neg_m[ei[:negatives], ej[:negatives]] = strengths[:negatives]
+        pos_m[ei[negatives:], ej[negatives:]] = strengths[negatives:]
     vdg = ValueDependencyGraph(n=n, edges=edges)
 
     m = round(spec.pdl * npairs)
     records = []
     if m:
-        prec_chosen = rng.choice(npairs, size=m, replace=False)
+        pi, pj = (a.tolist() for a in pairs(rng.choice(npairs, size=m, replace=False)))
         conflicts = round(spec.npdl * m)
-        for pos, code in enumerate(prec_chosen):
-            i, j = pair(int(code))
-            if pos < conflicts:
-                records.append(Conflicts(a=i, b=j))
-            else:
-                records.append(RequiresAll(source=i, target=j))
+        records = [Conflicts(a=i, b=j) for i, j in zip(pi[:conflicts], pj[:conflicts])]
+        records += [RequiresAll(source=i, target=j) for i, j in zip(pi[conflicts:], pj[conflicts:])]
     precedence = PrecedenceGraph(n=n, constraints=tuple(records))
 
     costs = rng.uniform(spec.cost_range[0], spec.cost_range[1], n)
@@ -283,13 +282,6 @@ def generate_synthetic(
         for i in range(n)
     )
 
-    pos_m = np.zeros((n, n))
-    neg_m = np.zeros((n, n))
-    for (i, j), (s, quality) in edges.items():
-        if quality == POSITIVE:
-            pos_m[i, j] = s
-        else:
-            neg_m[i, j] = s
     influence = InfluenceMatrix(pos=pos_m, neg=neg_m)
 
     problem = SelectionProblem(

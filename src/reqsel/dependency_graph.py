@@ -193,7 +193,8 @@ class ExactlyOne:
         return {"type": "exactly_one", "targets": [ids[m] for m in self.members]}
 
 
-PrecedenceRecord = Union[RequiresAll, RequiresAny, Conflicts, ExactlyOne]
+_RECORD_TYPES = (RequiresAll, RequiresAny, Conflicts, ExactlyOne)
+PrecedenceRecord = Union[_RECORD_TYPES]
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ class PrecedenceGraph:
             raise ValidationError("precedence graph needs at least one node")
         object.__setattr__(self, "constraints", tuple(self.constraints))
         for rec in self.constraints:
-            if not isinstance(rec, PrecedenceRecord):
+            if not isinstance(rec, _RECORD_TYPES):
                 raise ValidationError(f"unknown precedence record {rec!r}")
             rec.check(self.n)
 

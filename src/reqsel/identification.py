@@ -182,7 +182,9 @@ def significance_test(
 def _membership(eta: np.ndarray, cfg: MembershipConfig) -> np.ndarray:
     s = np.abs(eta)
     width = cfg.upper_cut - cfg.lower_cut
-    linear = (s - cfg.lower_cut) / (width if width > 0.0 else 1.0)
+    # clipped to the cuts first, so a subnormal width cannot overflow the
+    # division; the values between the cuts are divided as they are
+    linear = (np.clip(s, cfg.lower_cut, cfg.upper_cut) - cfg.lower_cut) / (width if width > 0.0 else 1.0)
     return np.where(s <= cfg.lower_cut, 0.0, np.where(s >= cfg.upper_cut, 1.0, linear))
 
 

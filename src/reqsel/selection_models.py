@@ -22,6 +22,15 @@ search binaries (a DARS model's g, theta and y only linearize the penalty),
 and a solution's x holds the search binaries in declaration order, so x_i
 is whether requirement i is selected.
 
+A model keeps its rows by column in one immutable `RowStore`: row names,
+relations and right-hand sides, a row-start pointer, and flat term-name and
+coefficient sequences holding each row's terms in the order they were added.
+`build_model` writes the DARS penalty rows in bulk from the nonzeros of I,
+`parse_lp` appends each row's terms as it reads them, and `export_lp`, the
+solver and `verify_solution` read the columns. `LinearModel.constraints` is
+that store: indexing or iterating it builds a fresh `LinearConstraint` per
+row, which suits tests and small models, not a hot path.
+
 Warning: BK ignores precedence records by construction (it predates
 precedence modelling); callers presenting precedence-bearing instances to BK
 get a formally valid model that can propose infeasible selections.
@@ -31,10 +40,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from itertools import chain
-from operator import attrgetter
-from typing import IO, Hashable, Iterable, Sequence
+from typing import IO, Hashable, Iterable
 
 import numpy as np
 
@@ -114,24 +123,126 @@ class LinearConstraint:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", dict(self.coeffs))
-        if self.relation not in ("<=", ">=", "="):
-            raise ValidationError(f"constraint {self.name}: unknown relation {self.relation!r}")
-        if not self.coeffs:
-            raise ValidationError(f"constraint {self.name}: no coefficients")
+        _check_row(self.name, self.relation, len(self.coeffs))
+
+
+def _check_row(name: str, relation: str, nterms: int) -> None:
+    if relation not in _RELATIONS:
+        raise ValidationError(f"constraint {name}: unknown relation {relation!r}")
+    if not nterms:
+        raise ValidationError(f"constraint {name}: no coefficients")
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class RowStore(Sequence):
+    """A model's rows by column.
+
+    Row r is `names[r]: sum of coefs[k] * terms[k] over k in
+    range(starts[r], starts[r + 1]) relations[r] rhs[r]`; a row names each
+    variable at most once, keeps its terms in the order they were added,
+    zero coefficients included, and holds at least one term. The columns are
+    tuples. Read as a sequence, the store yields one new `LinearConstraint`
+    per row and access (a slice gives a tuple of them); nothing is cached.
+    It equals another store or a tuple holding the same rows. The
+    constructor checks none of this: `build_model`, `parse_lp` and
+    `RowStore.of` make stores that hold it.
+    """
+
+    names: tuple[str, ...] = ()
+    relations: tuple[str, ...] = ()
+    rhs: tuple[float, ...] = ()
+    starts: tuple[int, ...] = (0,)
+    terms: tuple[str, ...] = ()
+    coefs: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
+
+    @classmethod
+    def of(cls, rows: Iterable[LinearConstraint]) -> RowStore:
+        buf = _RowBuffer()
+        for c in rows:
+            buf.add(c.name, c.coeffs, c.coeffs.values(), c.relation, c.rhs)
+        return buf.store()
+
+    def _row(self, r: int) -> LinearConstraint:
+        s, e = self.starts[r], self.starts[r + 1]
+        coeffs = dict(zip(self.terms[s:e], self.coefs[s:e]))
+        return LinearConstraint(self.names[r], coeffs, self.relations[r], self.rhs[r])
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, k):
+        picked = range(len(self.names))[k]
+        return tuple(map(self._row, picked)) if isinstance(k, slice) else self._row(picked)
+
+    def __iter__(self):
+        return map(self._row, range(len(self.names)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (RowStore, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"RowStore(<{len(self)} rows, {len(self.terms)} terms>)"
+
+
+class _RowBuffer:
+    """The growing columns of a RowStore, filled a row or a block at a time."""
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+        self.relations: list[str] = []
+        self.rhs: list[float] = []
+        self.starts = [0]
+        self.terms: list[str] = []
+        self.coefs: list[float] = []
+
+    def add(self, name: str, terms: Iterable[str], coefs: Iterable[float], relation: str, rhs: float) -> None:
+        self.names.append(name)
+        self.relations.append(relation)
+        self.rhs.append(rhs)
+        self.terms.extend(terms)
+        self.coefs.extend(coefs)
+        self.starts.append(len(self.terms))
+
+    def add_block(self, names, relation: str, rhs, terms, coefs, width: int) -> None:
+        """Rows of `width` terms each; terms and coefs run row after row."""
+        base = self.starts[-1]
+        self.names.extend(names)
+        self.relations.extend([relation] * len(names))
+        self.rhs.extend(rhs)
+        self.terms.extend(terms)
+        self.coefs.extend(coefs)
+        self.starts.extend(range(base + width, base + width * len(names) + 1, width))
+
+    def store(self) -> RowStore:
+        return RowStore(self.names, self.relations, self.rhs, self.starts, self.terms, self.coefs)
 
 
 @dataclass(frozen=True)
 class LinearModel:
+    """A mixed 0/1 linear model.
+
+    `constraints` takes any iterable of LinearConstraint, or a RowStore, and
+    holds a RowStore, so the rows read as a sequence of LinearConstraint views
+    while the package's own readers use the columns.
+    """
+
     variables: tuple[Variable, ...]
     objective_sense: str
     objective: dict[str, float]
-    constraints: tuple[LinearConstraint, ...]
+    constraints: RowStore
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "objective", dict(self.objective))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+        if not isinstance(self.constraints, RowStore):
+            object.__setattr__(self, "constraints", RowStore.of(self.constraints))
         object.__setattr__(self, "metadata", dict(self.metadata))
         if self.objective_sense not in ("max", "min"):
             raise ValidationError(f"unknown objective sense {self.objective_sense!r}")
@@ -142,35 +253,23 @@ class LinearModel:
             if name not in declared:
                 raise ValidationError(f"objective references undeclared variable {name!r}")
         rows = self.constraints
-        if len({c.name for c in rows}) == len(rows) and declared.issuperset(
-            chain.from_iterable(map(attrgetter("coeffs"), rows))
-        ):
+        if len(set(rows.names)) == len(rows) and declared.issuperset(rows.terms):
             return
         # walk the rows only to report the first fault
         seen_rows = set()
-        for c in rows:
-            if c.name in seen_rows:
-                raise ValidationError(f"duplicate constraint name {c.name!r}")
-            seen_rows.add(c.name)
-            for name in c.coeffs:
+        for r, row_name in enumerate(rows.names):
+            if row_name in seen_rows:
+                raise ValidationError(f"duplicate constraint name {row_name!r}")
+            seen_rows.add(row_name)
+            for name in rows.terms[rows.starts[r] : rows.starts[r + 1]]:
                 if name not in declared:
-                    raise ValidationError(f"constraint {c.name} references undeclared variable {name!r}")
+                    raise ValidationError(f"constraint {row_name} references undeclared variable {name!r}")
 
 
-def _budget_row(p: SelectionProblem, x_names: Sequence[str]) -> LinearConstraint:
-    if p.constraint_mode == BUDGET_COST:
-        coeffs = {x_names[i]: float(r.cost) for i, r in enumerate(p.requirements)}
-        return LinearConstraint(name="budget", coeffs=coeffs, relation="<=", rhs=float(p.budget))
-    coeffs = {x_names[i]: float(r.value) for i, r in enumerate(p.requirements)}
-    return LinearConstraint(name="price", coeffs=coeffs, relation="<=", rhs=float(p.budget))
-
-
-def _precedence_rows(p: SelectionProblem, x_names: Sequence[str]) -> list[LinearConstraint]:
-    return [
-        LinearConstraint(name=f"prec{ordinal}_{suffix}", coeffs=coeffs, relation=relation, rhs=rhs)
-        for ordinal, rec in enumerate(p.precedence.constraints, start=1)
-        for suffix, coeffs, relation, rhs in rec.rows(x_names)
-    ]
+def _budget_row(p: SelectionProblem, x_names: Sequence[str]) -> tuple:
+    weights = [float(r.cost if p.constraint_mode == BUDGET_COST else r.value) for r in p.requirements]
+    name = "budget" if p.constraint_mode == BUDGET_COST else "price"
+    return name, x_names, weights, "<=", float(p.budget)
 
 
 def link_rows(x: Hashable, g: Hashable, theta: Hashable, y: Hashable) -> list[tuple]:
@@ -199,9 +298,12 @@ def build_model(p: SelectionProblem, method: str, simplify: bool = False) -> Lin
     n = p.n
     x_names = [f"x{i + 1}" for i in range(n)]
     variables = [Variable(name=name, kind=BINARY) for name in x_names]
-    rows = [_budget_row(p, x_names)]
+    rows = _RowBuffer()
+    rows.add(*_budget_row(p, x_names))
     if method in (PCBK, SBK, DARS):
-        rows.extend(_precedence_rows(p, x_names))
+        for ordinal, rec in enumerate(p.precedence.constraints, start=1):
+            for suffix, coeffs, relation, rhs in rec.rows(x_names):
+                rows.add(f"prec{ordinal}_{suffix}", coeffs, coeffs.values(), relation, rhs)
     if method in (SBK, DARS):
         weights = [float(r.expected_value) for r in p.requirements]
     else:
@@ -220,33 +322,39 @@ def build_model(p: SelectionProblem, method: str, simplify: bool = False) -> Lin
         variables.extend(Variable(name=name, kind=CONTINUOUS, lower=0.0, upper=1.0) for name in thetas)
         variables.extend(Variable(name=name, kind=CONTINUOUS, lower=0.0, upper=1.0) for name in ys)
 
-        # InfluenceMatrix keeps a zero diagonal, so every nonzero is a pair i != j
+        # one penalty row theta_i + I_ij x_j >= (|I_ij| + I_ij) / 2 per nonzero
+        # of I, in row-major order; InfluenceMatrix keeps a zero diagonal, so
+        # every nonzero is a pair i != j
         influence = p.influence.influence
         ii, jj = np.nonzero(influence)
-        for i, j, w in zip(ii.tolist(), jj.tolist(), influence[ii, jj].tolist()):
-            # theta_i >= (|I| + (1 - 2 x_j) I) / 2, rearranged onto the left
-            rows.append(
-                LinearConstraint(
-                    name=f"penalty_{x_names[i]}_{x_names[j]}",
-                    coeffs={thetas[i]: 1.0, x_names[j]: w},
-                    relation=">=",
-                    rhs=(abs(w) + w) / 2.0,
-                )
-            )
+        w = influence[ii, jj]
+        x_col = np.array(x_names, dtype=object)
+        terms = np.empty((len(w), 2), dtype=object)
+        terms[:, 0] = np.array(thetas, dtype=object)[ii]
+        terms[:, 1] = x_col[jj]
+        coefs = np.ones((len(w), 2))
+        coefs[:, 1] = w
+        names = np.array([f"penalty_{x}_" for x in x_names], dtype=object)[ii] + x_col[jj]
+        rows.add_block(
+            names.tolist(), ">=", ((np.abs(w) + w) / 2.0).tolist(), terms.ravel().tolist(), coefs.ravel().tolist(), 2
+        )
         for i in range(n):
-            rows.extend(
-                LinearConstraint(f"{name}_{i + 1}", coeffs, relation, rhs)
-                for name, coeffs, relation, rhs in link_rows(x_names[i], gs[i], thetas[i], ys[i])
-            )
+            for name, coeffs, relation, rhs in link_rows(x_names[i], gs[i], thetas[i], ys[i]):
+                rows.add(f"{name}_{i + 1}", coeffs, coeffs.values(), relation, rhs)
         objective.update({ys[i]: -weights[i] for i in range(n)})
         # the solver searches x alone and fills theta, y and g from these
         metadata["links"] = list(zip(x_names, gs, thetas, ys))
         metadata["influence"] = influence
-    return LinearModel(tuple(variables), "max", objective, tuple(rows), metadata)
+    return LinearModel(tuple(variables), "max", objective, rows.store(), metadata)
 
 
 def _lp_number(value: float) -> str:
     return f"{value:.12g}"
+
+
+def _lp_numbers(values: Sequence[float], end: str = "") -> list[str]:
+    """_lp_number of each value followed by `end`, formatted in one call."""
+    return (f"%.12g{end}\0" * len(values) % tuple(values)).split("\0")[:-1]
 
 
 def _lp_terms(coeffs: dict[str, float], pos: dict[str, int], fallback: str) -> str:
@@ -261,6 +369,39 @@ def _lp_terms(coeffs: dict[str, float], pos: dict[str, int], fallback: str) -> s
         # LP grammar requires at least one term
         parts.append(f"+ 0 {fallback}")
     return " ".join(parts)
+
+
+def _row_lines(rows: RowStore, pos: dict[str, int], fallback: str) -> str:
+    """The Subject To lines of `rows`: each `name: terms rel rhs` with its
+    terms as _lp_terms writes them. Each distinct coefficient is formatted
+    once, and the lines are laid out as one array of words joined by spaces."""
+    nrows = len(rows)
+    if not nrows:
+        return ""
+    coefs = np.array(rows.coefs, dtype=np.float64)
+    values, which = np.unique(coefs, return_inverse=True)
+    signs = np.where(values >= 0, "+ ", "- ").astype(object)
+    coef_words = (signs + np.array(_lp_numbers(np.abs(values).tolist()), dtype=object))[which]
+    row_of = np.repeat(np.arange(nrows), np.diff(rows.starts))
+    # each row's nonzero terms in declaration order
+    key = row_of * len(pos) + np.fromiter(map(pos.__getitem__, rows.terms), np.int64, len(coefs))
+    order = np.argsort(key)
+    order = order[coefs[order] != 0.0]
+    kept = np.bincount(row_of[order], minlength=nrows)
+    # a row's words: `name:`, two per kept term (or `+ 0 fallback`), rel, rhs
+    size = 3 + 2 * np.maximum(kept, 1)
+    head = np.cumsum(size) - size
+    words = np.empty(int(size.sum()), dtype=object)
+    words[head] = np.array(rows.names, dtype=object) + ":"
+    slot = head[row_of[order]] + 1 + 2 * (np.arange(len(order)) - (np.cumsum(kept) - kept)[row_of[order]])
+    words[slot] = coef_words[order]
+    words[slot + 1] = np.array(rows.terms, dtype=object)[order]
+    empty = head[kept == 0]
+    words[empty + 1] = "+ 0"
+    words[empty + 2] = fallback
+    words[head + size - 2] = rows.relations
+    words[head + size - 1] = _lp_numbers(rows.rhs, "\n")
+    return " " + " ".join(words.tolist())
 
 
 def export_lp(m: LinearModel, sink: IO[str]) -> None:
@@ -278,8 +419,7 @@ def export_lp(m: LinearModel, sink: IO[str]) -> None:
     sink.write("Maximize\n" if m.objective_sense == "max" else "Minimize\n")
     sink.write(f" obj: {_lp_terms(m.objective, pos, first)}\n")
     sink.write("Subject To\n")
-    for c in m.constraints:
-        sink.write(f" {c.name}: {_lp_terms(c.coeffs, pos, first)} {c.relation} {_lp_number(c.rhs)}\n")
+    sink.write(_row_lines(m.constraints, pos, first))
     continuous = [v for v in m.variables if v.kind == CONTINUOUS]
     if continuous:
         sink.write("Bounds\n")
@@ -296,7 +436,11 @@ def export_lp(m: LinearModel, sink: IO[str]) -> None:
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
-_TOKEN = re.compile(rf"<=|>=|=|[+-]|{_NAME.pattern}|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_TOKEN = re.compile(rf"<=|>=|=|[+-]|{_NAME.pattern}|{_NUMBER}")
+# a row body as export_lp writes it: ` sign number name` per term, then
+# ` rel rhs`; its words are its tokens, but for the sign of a negative rhs
+_PLAIN_ROW = re.compile(rf"(?: [+-] {_NUMBER} {_NAME.pattern})+ (?:<=|>=|=) -?{_NUMBER}")
 
 _RELATIONS = frozenset(("<=", ">=", "="))
 _NUMBER_START = frozenset("0123456789.")
@@ -362,8 +506,17 @@ def _parse_terms(tokens: list[str], where: str) -> dict[str, float]:
     return coeffs
 
 
-def _constraint(name: str, tokens: list[str]) -> LinearConstraint:
-    """The row `name: terms rel rhs` from its tokens."""
+def _add_row(rows: _RowBuffer, name: str, tokens: list[str], plain: bool) -> None:
+    """Append the row `name: terms rel rhs` read from its tokens; `plain`
+    when they are the words of a _PLAIN_ROW body."""
+    if plain:
+        # slices read what _parse_terms would, unless a name repeats or a
+        # coefficient is zero (_parse_terms adds it to 0.0, which drops a -0 sign)
+        terms = tokens[2:-2:3]
+        coefs = [float(v) if s == "+" else -float(v) for s, v in zip(tokens[0:-2:3], tokens[1:-2:3])]
+        if len(set(terms)) == len(terms) and 0.0 not in coefs:
+            rows.add(name, terms, coefs, tokens[-2], float(tokens[-1]))
+            return
     if len(tokens) > 2 and tokens[-2] in ("+", "-") and tokens[-3] in _RELATIONS:
         tokens[-2:] = [tokens[-2] + tokens[-1]]  # a signed right-hand side: >= -1
     if len(tokens) < 2 or tokens[-2] not in _RELATIONS or not _RELATIONS.isdisjoint(tokens[:-2]):
@@ -373,7 +526,8 @@ def _constraint(name: str, tokens: list[str]) -> LinearConstraint:
         rhs = float(tokens[-1])
     except ValueError as exc:
         raise InputFormatError(f"constraint {name}: bad right-hand side") from exc
-    return LinearConstraint(name, coeffs, tokens[-2], rhs)
+    _check_row(name, tokens[-2], len(coeffs))
+    rows.add(name, coeffs, coeffs.values(), tokens[-2], rhs)
 
 
 def parse_lp(source: Iterable[str]) -> LinearModel:
@@ -400,8 +554,8 @@ def parse_lp(source: Iterable[str]) -> LinearModel:
     sense = "max"
     section = None
     objective_tokens: list[str] = []
-    row: tuple[str, list[str]] | None = None  # the constraint row being read
-    constraints: list[LinearConstraint] = []
+    row: list | None = None  # the row being read: name, tokens, and its body while plain
+    rows = _RowBuffer()
     bounds: dict[str, tuple[float, float]] = {}
     binaries: list[str] = []
 
@@ -421,7 +575,7 @@ def parse_lp(source: Iterable[str]) -> LinearModel:
         matched_section = None if colon else _SECTION_STARTS.get(line.lower())
         if matched_section is not None:
             if row is not None:
-                constraints.append(_constraint(*row))
+                _add_row(rows, row[0], row[1], row[2] is not None)
                 row = None
             section = matched_section
             if line.lower() in ("minimize", "min"):
@@ -432,12 +586,18 @@ def parse_lp(source: Iterable[str]) -> LinearModel:
         if section == "constraints":
             if colon:
                 if row is not None:
-                    constraints.append(_constraint(*row))
+                    _add_row(rows, row[0], row[1], row[2] is not None)
                 name = head.strip()
-                row = (name, _tokens(body, "constraint", name))
+                if _PLAIN_ROW.fullmatch(body):
+                    row = [name, body.split(), body]
+                else:
+                    row = [name, _tokens(body, "constraint", name), None]
             elif row is None:
                 raise InputFormatError("constraint continuation before any named row")
             else:
+                if row[2] is not None:
+                    # a continued row is read token by token
+                    row[1:] = [_tokens(row[2], "constraint", row[0]), None]
                 row[1].extend(_tokens(line, "constraint", row[0]))
         elif section == "objective":
             objective_tokens.extend(_tokens(body if colon else line, "objective"))
@@ -465,11 +625,11 @@ def parse_lp(source: Iterable[str]) -> LinearModel:
         else:
             raise InputFormatError(f"content before any section header: {line!r}")
     if row is not None:
-        constraints.append(_constraint(*row))
+        _add_row(rows, row[0], row[1], row[2] is not None)
 
     objective = _parse_terms(objective_tokens, "objective")
     binary_set = set(binaries)
-    declared = chain(binaries, bounds, objective, chain.from_iterable(c.coeffs for c in constraints))
+    declared = chain(binaries, bounds, objective, rows.terms)
     variables = []
     for name in dict.fromkeys(declared):
         if name in binary_set:
@@ -477,4 +637,4 @@ def parse_lp(source: Iterable[str]) -> LinearModel:
         else:
             lo, hi = bounds.get(name, (0.0, math.inf))
             variables.append(Variable(name=name, kind=CONTINUOUS, lower=lo, upper=hi))
-    return LinearModel(tuple(variables), sense, objective, tuple(constraints), {"kind": "PARSED"})
+    return LinearModel(tuple(variables), sense, objective, rows.store(), {"kind": "PARSED"})

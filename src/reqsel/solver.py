@@ -204,21 +204,30 @@ class _Compiled:
                 (np.where(infl > 0, infl, 0.0).T, np.where(infl < 0, -infl, 0.0).T)
             )
             self.B0, self.B1 = self.B[: self.nbin], self.B[self.nbin :]
+        # the searched rows: those over no stated theta, y or g, told apart by
+        # their term names before any name is mapped to an index
+        rows = m.constraints
+        starts = rows.starts
+        kept = range(len(rows))
+        if stated:
+            stated_names = {self.names[i] for i in stated}
+            touches = np.fromiter(map(stated_names.__contains__, rows.terms), bool, len(rows.terms))
+            kept = np.flatnonzero(~np.logical_or.reduceat(touches, starts[:-1])).tolist()
+        bpos = {self.names[i]: b for i, b in self.bpos.items()}
         self.binrows: list[_Row] = []
         self.kn_row: int | None = None
-        for con in m.constraints:
-            idxs = [self.index[name] for name in con.coeffs]
-            if not stated.isdisjoint(idxs):
-                continue
-            coefs = [float(a) for a in con.coeffs.values()]
-            bidx = [self.bpos[i] for i in idxs]
-            rhs = float(con.rhs)
-            if con.relation != ">=":
+        for r in kept:
+            s, e = starts[r], starts[r + 1]
+            coefs = [float(a) for a in rows.coefs[s:e]]
+            bidx = [bpos[name] for name in rows.terms[s:e]]
+            rhs = float(rows.rhs[r])
+            relation = rows.relations[r]
+            if relation != ">=":
                 # the first one: every builder emits its budget/price row first
                 if self.kn_row is None and all(a >= 0 for a in coefs):
                     self.kn_row = len(self.binrows)
                 self.binrows.append(_Row(bidx, coefs, rhs))
-            if con.relation != "<=":
+            if relation != "<=":
                 self.binrows.append(_Row(bidx, [-a for a in coefs], -rhs))
         self.nbinrows = len(self.binrows)
 
@@ -583,17 +592,21 @@ def verify_solution(m: LinearModel, s: Solution) -> VerificationReport:
         if over > FEAS_EPS:
             violations.append(f"variable {v.name}: bound violation {over:.3g}")
         worst = max(worst, over)
-    for c in m.constraints:
-        act = sum(a * vals.get(nm, 0.0) for nm, a in c.coeffs.items())
-        if c.relation == "<=":
-            over = act - c.rhs
-        elif c.relation == ">=":
-            over = c.rhs - act
+    rows = m.constraints
+    starts = rows.starts
+    # each row's activity summed left to right over its terms in row order
+    products = [a * vals.get(nm, 0.0) for nm, a in zip(rows.terms, rows.coefs)]
+    for r, (name, relation, rhs) in enumerate(zip(rows.names, rows.relations, rows.rhs)):
+        act = sum(products[starts[r] : starts[r + 1]])
+        if relation == "<=":
+            over = act - rhs
+        elif relation == ">=":
+            over = rhs - act
         else:
-            over = abs(act - c.rhs)
+            over = abs(act - rhs)
         over = max(over, 0.0)
         if over > FEAS_EPS:
-            violations.append(f"constraint {c.name}: violated by {over:.3g}")
+            violations.append(f"constraint {name}: violated by {over:.3g}")
         worst = max(worst, over)
     recomputed = sum(coef * vals.get(nm, 0.0) for nm, coef in m.objective.items())
     delta = recomputed - (s.objective if s.objective is not None else 0.0)

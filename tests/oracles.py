@@ -30,6 +30,7 @@ from reqsel import (
     PrecedenceGraph,
     RequiresAll,
     RequiresAny,
+    Requirement,
     SelectionProblem,
     ValidationError,
     ValueDependencyGraph,
@@ -911,3 +912,150 @@ def reference_case_study_precedence(ids) -> PrecedenceGraph:
         RequiresAll(source=i("r27"), target=i("r6")),
     )
     return PrecedenceGraph(n=len(ids), constraints=constraints)
+
+
+# The synthetic generator before it decoded its pair codes with one divmod,
+# kept as the reference it is compared with.
+
+
+def reference_generate_synthetic(spec, budget_fraction: float = 0.5):
+    """(problem, vdg) of `spec`, one pair code and one edge at a time."""
+    n = spec.n
+    rng = np.random.default_rng(spec.seed)
+    npairs = n * (n - 1)
+
+    def pair(code: int) -> tuple[int, int]:
+        i, rest = divmod(code, n - 1)
+        j = rest + (1 if rest >= i else 0)
+        return i, j
+
+    k = round(spec.vdl * npairs)
+    edges = {}
+    if k:
+        chosen = rng.choice(npairs, size=k, replace=False)
+        strengths = 1.0 - rng.random(k)
+        negatives = round(spec.nvdl * k)
+        for pos, (code, s) in enumerate(zip(chosen, strengths)):
+            quality = NEGATIVE if pos < negatives else POSITIVE
+            edges[pair(int(code))] = (float(s), quality)
+    vdg = ValueDependencyGraph(n=n, edges=edges)
+
+    m = round(spec.pdl * npairs)
+    records = []
+    if m:
+        prec_chosen = rng.choice(npairs, size=m, replace=False)
+        conflicts = round(spec.npdl * m)
+        for pos, code in enumerate(prec_chosen):
+            i, j = pair(int(code))
+            if pos < conflicts:
+                records.append(Conflicts(a=i, b=j))
+            else:
+                records.append(RequiresAll(source=i, target=j))
+    precedence = PrecedenceGraph(n=n, constraints=tuple(records))
+
+    costs = rng.uniform(spec.cost_range[0], spec.cost_range[1], n)
+    values = rng.uniform(spec.value_range[0], spec.value_range[1], n)
+    probs = rng.uniform(spec.probability_range[0], spec.probability_range[1], n)
+    reqs = tuple(
+        Requirement(
+            id=f"r{i + 1}", cost=float(costs[i]), value=float(values[i]), probability=float(probs[i])
+        )
+        for i in range(n)
+    )
+
+    pos_m = np.zeros((n, n))
+    neg_m = np.zeros((n, n))
+    for (i, j), (s, quality) in edges.items():
+        if quality == POSITIVE:
+            pos_m[i, j] = s
+        else:
+            neg_m[i, j] = s
+    problem = SelectionProblem(
+        requirements=reqs,
+        budget=budget_fraction * float(costs.sum()),
+        constraint_mode=BUDGET_COST,
+        precedence=precedence,
+        influence=InfluenceMatrix(pos=pos_m, neg=neg_m),
+    )
+    return problem, vdg
+
+
+# The row builder and LP writer from before models kept their rows by
+# column: one LinearConstraint with a coefficient dict per row, and one
+# formatted line per row. Kept as the references the row store is compared
+# with.
+
+
+def reference_model_rows(p: SelectionProblem, method: str, simplify: bool = False) -> list[LinearConstraint]:
+    """The rows build_model writes for `p`, one dict row at a time."""
+    n = p.n
+    x_names = [f"x{i + 1}" for i in range(n)]
+    if p.constraint_mode == BUDGET_COST:
+        coeffs = {x_names[i]: float(r.cost) for i, r in enumerate(p.requirements)}
+        rows = [LinearConstraint(name="budget", coeffs=coeffs, relation="<=", rhs=float(p.budget))]
+    else:
+        coeffs = {x_names[i]: float(r.value) for i, r in enumerate(p.requirements)}
+        rows = [LinearConstraint(name="price", coeffs=coeffs, relation="<=", rhs=float(p.budget))]
+    if method in (PCBK, SBK, DARS):
+        rows += reference_precedence_rows(p.precedence, x_names)
+    if method != DARS:
+        return rows
+    thetas = [f"theta{i + 1}" for i in range(n)]
+    ys = [f"y{i + 1}" for i in range(n)]
+    gs = x_names if simplify else [f"g{i + 1}" for i in range(n)]
+    influence = p.influence.influence
+    ii, jj = np.nonzero(influence)
+    for i, j, w in zip(ii.tolist(), jj.tolist(), influence[ii, jj].tolist()):
+        rows.append(
+            LinearConstraint(
+                name=f"penalty_{x_names[i]}_{x_names[j]}",
+                coeffs={thetas[i]: 1.0, x_names[j]: w},
+                relation=">=",
+                rhs=(abs(w) + w) / 2.0,
+            )
+        )
+    for i in range(n):
+        x, g, t, y = x_names[i], gs[i], thetas[i], ys[i]
+        if g != x:
+            rows.append(LinearConstraint(f"link_xg_{i + 1}", {x: 1.0, g: -1.0}, "<=", 0.0))
+            rows.append(LinearConstraint(f"link_gx_{i + 1}", {g: 1.0, x: -1.0}, "<=", 0.0))
+        rows.append(LinearConstraint(f"link_yg_{i + 1}", {y: 1.0, g: -1.0}, "<=", 0.0))
+        rows.append(LinearConstraint(f"link_ty_{i + 1}", {t: 1.0, y: -1.0, g: 1.0}, "<=", 1.0))
+    return rows
+
+
+def _reference_lp_terms(coeffs, pos, fallback) -> str:
+    parts = []
+    for name in sorted(coeffs, key=pos.__getitem__):
+        coef = coeffs[name]
+        if coef == 0.0:
+            continue
+        sign = "+" if coef >= 0 else "-"
+        parts.append(f"{sign} {abs(coef):.12g} {name}")
+    if not parts:
+        parts.append(f"+ 0 {fallback}")
+    return " ".join(parts)
+
+
+def reference_export_lp(m: LinearModel) -> str:
+    """The LP text export_lp writes for `m`, one row line at a time."""
+    pos = {v.name: i for i, v in enumerate(m.variables)}
+    first = m.variables[0].name
+    lines = ["Maximize" if m.objective_sense == "max" else "Minimize"]
+    lines.append(f" obj: {_reference_lp_terms(m.objective, pos, first)}")
+    lines.append("Subject To")
+    for c in m.constraints:
+        lines.append(f" {c.name}: {_reference_lp_terms(c.coeffs, pos, first)} {c.relation} {c.rhs:.12g}")
+    continuous = [v for v in m.variables if v.kind == CONTINUOUS]
+    if continuous:
+        lines.append("Bounds")
+        for v in continuous:
+            lo = "-inf" if math.isinf(v.lower) else f"{v.lower:.12g}"
+            hi = "+inf" if math.isinf(v.upper) else f"{v.upper:.12g}"
+            lines.append(f" {lo} <= {v.name} <= {hi}")
+    binaries = [v.name for v in m.variables if v.kind == BINARY]
+    if binaries:
+        lines.append("Binary")
+        lines += [f" {name}" for name in binaries]
+    lines.append("End")
+    return "\n".join(lines) + "\n"

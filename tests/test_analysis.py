@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import reference_generate_synthetic
 
 from reqsel import (
     BenchmarkReport,
@@ -85,6 +86,30 @@ class TestSyntheticGeneration:
         assert a_problem.requirements == b_problem.requirements
         assert a_problem.precedence.constraints == b_problem.precedence.constraints
         assert a_problem.budget == b_problem.budget
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SyntheticSpec(n=2, vdl=1.0, nvdl=0.5, pdl=0.5, npdl=1.0, seed=0),
+            SyntheticSpec(n=12, vdl=0.3, nvdl=0.4, pdl=0.1, npdl=0.3, seed=5),
+            SyntheticSpec(n=40, vdl=0.0, pdl=0.05, seed=2),
+            SyntheticSpec(n=150, vdl=0.1, nvdl=0.2, pdl=0.0, seed=9),
+            SyntheticSpec(n=2000, vdl=0.05, pdl=0.02, seed=5),
+        ],
+        ids=lambda spec: f"n{spec.n}-seed{spec.seed}",
+    )
+    def test_matches_the_per_edge_generator(self, spec):
+        # the same instance as the per-edge loop: edge order, records,
+        # matrices and requirements
+        problem, vdg = generate_synthetic(spec, budget_fraction=0.4)
+        want_problem, want_vdg = reference_generate_synthetic(spec, budget_fraction=0.4)
+        assert list(vdg.edges.items()) == list(want_vdg.edges.items())
+        assert problem.precedence.constraints == want_problem.precedence.constraints
+        assert problem.requirements == want_problem.requirements
+        assert repr(problem.budget) == repr(want_problem.budget)
+        for name in ("pos", "neg", "influence"):
+            got, want = getattr(problem.influence, name), getattr(want_problem.influence, name)
+            assert got.tobytes() == want.tobytes(), name
 
     def test_seeds_vary_the_instance(self):
         base = SyntheticSpec(n=7, vdl=0.2, seed=1)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from reqsel import (
     significance_test,
 )
 from reqsel.dependency_graph import NEGATIVE, POSITIVE
+from reqsel.identification import _membership
 
 
 def matrix_from_cells(cells):
@@ -217,6 +219,22 @@ class TestMembership:
         assert membership(0.65, cfg) == pytest.approx(0.75)
         assert membership(0.8, cfg) == 1.0
         assert membership(-0.9, cfg) == 1.0
+
+    def test_subnormal_cut_width_does_not_overflow(self):
+        # |eta| beyond the cuts is clipped before the division by their width
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _membership(np.array([0.5, 1.0]), MembershipConfig(0.0, 5e-324))
+        assert got.tolist() == [1.0, 1.0]
+
+    def test_values_inside_the_cuts_are_the_plain_ratio(self):
+        eta = np.random.default_rng(7).uniform(-1.0, 1.0, 4000)
+        cfg = MembershipConfig(lower_cut=0.15, upper_cut=0.85)
+        s = np.abs(eta)
+        inside = (s > cfg.lower_cut) & (s < cfg.upper_cut)
+        want = (s[inside] - cfg.lower_cut) / (cfg.upper_cut - cfg.lower_cut)
+        assert inside.sum() > 2000
+        assert _membership(eta, cfg)[inside].tobytes() == want.tobytes()
 
     def test_cut_validation(self):
         with pytest.raises(ValidationError):

@@ -1,10 +1,18 @@
+import dataclasses
 import hashlib
 import io
 import math
 
 import numpy as np
 import pytest
-from oracles import INCREASE_DECREASE, SubsetEstimate, increase_decrease_model, reference_parse_lp
+from oracles import (
+    INCREASE_DECREASE,
+    SubsetEstimate,
+    increase_decrease_model,
+    reference_export_lp,
+    reference_model_rows,
+    reference_parse_lp,
+)
 
 from reqsel import (
     BK,
@@ -22,13 +30,15 @@ from reqsel import (
     RequiresAll,
     RequiresAny,
     SelectionProblem,
+    SyntheticSpec,
     ValidationError,
     build_model,
     export_lp,
+    generate_synthetic,
     parse_lp,
 )
 from reqsel.errors import InputFormatError
-from reqsel.selection_models import BINARY, CONTINUOUS, LinearConstraint, Variable, link_rows
+from reqsel.selection_models import BINARY, CONTINUOUS, LinearConstraint, RowStore, Variable, link_rows
 
 
 def make_problem(
@@ -383,6 +393,128 @@ class TestModelValidation:
             LinearModel((x,), "max", {"x": 1.0}, (bad_row,))
 
 
+class TestRowStore:
+    """LinearModel.constraints: rows held by column, read as LinearConstraint views."""
+
+    ROWS = (
+        LinearConstraint("budget", {"x1": 2.0, "x2": 0.0, "x3": 1.5}, "<=", 3.0),
+        LinearConstraint("cover", {"x3": -1.0, "x1": 1.0}, ">=", -0.0),
+        LinearConstraint("pick", {"x2": 1.0, "x1": 1.0}, "=", 1),
+    )
+
+    def model(self, rows=ROWS):
+        names = ("x1", "x2", "x3")
+        return LinearModel(tuple(Variable(nm, BINARY) for nm in names), "max", {"x1": 1.0}, rows)
+
+    def test_reads_as_a_sequence_of_rows(self):
+        rows, store = self.ROWS, self.model().constraints
+        assert isinstance(store, RowStore)
+        assert len(store) == 3
+        assert store[0] == rows[0] and store[2] == rows[2]
+        assert store[-1] == rows[2] and store[-3] == rows[0]
+        for k in (3, -4):
+            with pytest.raises(IndexError):
+                store[k]
+        assert isinstance(store[1:], tuple) and store[1:] == rows[1:]
+        assert store[::-2] == rows[::-2] and store[5:] == ()
+        budget, *rest = store
+        assert budget == rows[0] and rest == list(rows[1:])
+        assert store == rows and rows == store and store == self.model().constraints
+        assert store != rows[:2] and store != rows[::-1] and store != list(rows)
+        assert [(c.name, list(c.coeffs.items()), c.relation, repr(c.rhs)) for c in store] == [
+            ("budget", [("x1", 2.0), ("x2", 0.0), ("x3", 1.5)], "<=", "3.0"),
+            ("cover", [("x3", -1.0), ("x1", 1.0)], ">=", "-0.0"),
+            ("pick", [("x2", 1.0), ("x1", 1.0)], "=", "1"),
+        ]
+
+    def test_columns(self):
+        store = self.model().constraints
+        assert store.names == ("budget", "cover", "pick")
+        assert store.relations == ("<=", ">=", "=")
+        assert store.rhs == (3.0, -0.0, 1)
+        assert store.starts == (0, 3, 5, 7)
+        assert store.terms == ("x1", "x2", "x3", "x3", "x1", "x2", "x1")
+        assert store.coefs == (2.0, 0.0, 1.5, -1.0, 1.0, 1.0, 1.0)
+
+    def test_views_are_built_per_access(self):
+        store = self.model().constraints
+        view = store[0]
+        view.coeffs["x1"] = 99.0
+        assert store[0].coeffs["x1"] == 2.0 and store[0] is not store[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            store.names = ()
+
+    def test_replace_takes_rows_or_a_store(self):
+        m = self.model()
+        budget, *rest = m.constraints
+        moved = dataclasses.replace(m, constraints=(budget, *reversed(rest)))
+        assert isinstance(moved.constraints, RowStore)
+        assert moved.constraints.names == ("budget", "pick", "cover")
+        assert moved.constraints == (self.ROWS[0], self.ROWS[2], self.ROWS[1])
+        same = dataclasses.replace(m, constraints=m.constraints)
+        assert same.constraints is m.constraints and same == m
+
+    def test_faults_keep_their_messages(self):
+        row = self.ROWS[0]
+        stray = LinearConstraint("d", {"x1": 1.0, "z": 2.0}, "<=", 1.0)
+        with pytest.raises(ValidationError, match=r"^duplicate constraint name 'budget'$"):
+            self.model((row, row))
+        with pytest.raises(ValidationError, match=r"^constraint d references undeclared variable 'z'$"):
+            self.model((row, stray, row))  # the first fault in row order
+        with pytest.raises(ValidationError, match=r"^constraint c: unknown relation '<'$"):
+            LinearConstraint("c", {"x1": 1.0}, "<", 1.0)
+        with pytest.raises(ValidationError, match=r"^constraint c: no coefficients$"):
+            LinearConstraint("c", {}, "<=", 1.0)
+        # parse_lp reports the faults it can meet the same way
+        head = "Maximize\n obj: x1\nSubject To\n"
+        with pytest.raises(ValidationError, match=r"^constraint c: no coefficients$"):
+            parse_lp(io.StringIO(head + " c: <= 1\nEnd\n"))
+        with pytest.raises(ValidationError, match=r"^duplicate constraint name 'c'$"):
+            parse_lp(io.StringIO(head + " c: + 1 x1 <= 1\n c: + 1 x1 >= 0\nEnd\n"))
+
+    def test_all_zero_row_writes_the_placeholder_term(self):
+        m = self.model(self.ROWS + (LinearConstraint("z", {"x3": 0.0, "x2": -0.0}, "<=", 1.0),))
+        buf = io.StringIO()
+        export_lp(m, buf)
+        assert " z: + 0 x1 <= 1\n" in buf.getvalue()
+        assert buf.getvalue() == reference_export_lp(m)
+
+
+def row_key(rows):
+    """Each row's name, coefficient items in order, relation and repr(rhs)."""
+    return [(c.name, list(c.coeffs.items()), c.relation, repr(c.rhs)) for c in rows]
+
+
+class TestRowsMatchReference:
+    """build_model and export_lp against the dict-row builder and the
+    line-by-line writer they replaced (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("mode", (BUDGET_COST, PRICE_VALUE))
+    @pytest.mark.parametrize("method, simplify", VARIANTS.values(), ids=VARIANTS.keys())
+    def test_variant_models(self, method, simplify, mode):
+        for seed in range(20):
+            m = variant_model(seed, mode, method, simplify)
+            if method != INCREASE_DECREASE:
+                want = reference_model_rows(zeroed_problem(seed, mode), method, simplify)
+                assert row_key(m.constraints) == row_key(want), f"seed {seed}"
+            buf = io.StringIO()
+            export_lp(m, buf)
+            assert buf.getvalue() == reference_export_lp(m), f"seed {seed}"
+
+    @pytest.mark.parametrize("simplify", (False, True), ids=("plain", "simplified"))
+    def test_simulated_dars_model(self, simplify):
+        spec = SyntheticSpec(n=300, vdl=0.05, nvdl=0.2, pdl=0.02, npdl=0.2, seed=3)
+        problem, _ = generate_synthetic(spec)
+        m = build_model(problem, DARS, simplify=simplify)
+        assert len(m.constraints) > 6000
+        assert row_key(m.constraints) == row_key(reference_model_rows(problem, DARS, simplify))
+        buf = io.StringIO()
+        export_lp(m, buf)
+        text = buf.getvalue()
+        assert text == reference_export_lp(m)
+        assert model_key(parse_lp(io.StringIO(text))) == model_key(reference_parse_lp(io.StringIO(text)))
+
+
 class TestLpFormat:
     def dars_model(self):
         p = make_problem(
@@ -723,3 +855,21 @@ class TestParseMatchesReference:
         with pytest.raises(want[0]) as info:
             parse_lp(io.StringIO(text))
         assert (type(info.value), str(info.value)) == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # rows in export_lp's word layout holding a negative zero or a repeated name
+        "Maximize\n obj: + 1 x1\nSubject To\n c: + 1 x1 - 0 x2 <= 1\n d: + 2 x1 - 3 x2 + 1.5 x1 >= 1\n"
+        " f: - .5e1 x2 = 0\nEnd\n",
+        # a row in that layout continued on the next line
+        "Maximize\n obj: x1\nSubject To\n c: + 1 x1 <= 2\n + 1 x2\nEnd\n",
+    ],
+)
+def test_word_layout_rows_read_like_the_reference(text):
+    try:
+        got = model_key(parse_lp(io.StringIO(text)))
+    except (InputFormatError, ValidationError) as exc:
+        got = type(exc), str(exc)
+    assert got == reference_outcome(text)
