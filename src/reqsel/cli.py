@@ -19,8 +19,11 @@ numbers), 3 when a node or time limit stopped a solve before it proved its
 answer, 4 when `select`'s solution breaks its own model.
 
 `select` and `sweep` bound every solve by `--node-limit` and `--time-limit`;
-a limit-stopped solve keeps its incumbent and reports status FEASIBLE (or
-UNKNOWN without one) with `proven: false`.
+a limit-stopped solve keeps its incumbent, polished by a flip/swap local
+search (see `reqsel.solver`), and reports status FEASIBLE (or UNKNOWN
+without one) with `proven: false`. `select`'s `solution.json` gives the
+search's `final_bound` and the `gap` between it and the objective (0.0 once
+proven, null without an answer).
 """
 
 from __future__ import annotations
@@ -485,11 +488,13 @@ def _add_limit_flags(sub: argparse.ArgumentParser) -> None:
     # out of the config hash: only an explicit limit changes the stamp
     sub.add_argument(
         "--node-limit", type=int, default=argparse.SUPPRESS, metavar="N",
-        help=f"branch-and-bound nodes per solve (default {DEFAULT_NODE_LIMIT})",
+        help=f"branch-and-bound nodes per solve (default {DEFAULT_NODE_LIMIT}); a solve "
+        "stopped here returns its best plan after a flip/swap local search",
     )
     sub.add_argument(
         "--time-limit", type=float, default=argparse.SUPPRESS, metavar="SECONDS",
-        help=f"seconds per solve (default {DEFAULT_TIME_LIMIT:g})",
+        help=f"seconds per solve (default {DEFAULT_TIME_LIMIT:g}); the flip/swap local "
+        "search on a stopped solve's plan runs after it, so the solve can overrun it",
     )
 
 

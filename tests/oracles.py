@@ -466,6 +466,45 @@ def enumerate_optimum(
     return best_x, best_obj
 
 
+def improving_neighbour(
+    problem: SelectionProblem, method: str, x, objective: float, tie_eps: float = 1e-12
+) -> tuple[tuple[int, ...], float] | None:
+    """A feasible selection one flip or one swap (a selected requirement out,
+    an unselected one in) away from x that beats `objective` by more than
+    tie_eps, or ties it within tie_eps and reads smaller as a binary string;
+    None when every flip and every swap is infeasible or no better. Brute
+    force over the whole neighbourhood, feasibility by `is_feasible` (BK
+    keeps the budget row only), the objective by the method's definition
+    with the DARS penalties of `penalties` in array form."""
+    if method == BK:
+        problem = dataclasses.replace(problem, precedence=None)
+    n = len(x)
+    moves = [(j,) for j in range(n)]
+    moves += [(j, k) for j in range(n) if x[j] for k in range(n) if not x[k]]
+    for move in moves:
+        y = list(x)
+        for j in move:
+            y[j] = 1 - y[j]
+        y = tuple(y)
+        if not is_feasible(problem, y):
+            continue
+        if method == DARS:
+            infl = problem.influence.influence
+            terms = (np.abs(infl) + (1.0 - 2.0 * np.array(y, dtype=float))[None, :] * infl) / 2.0
+            np.fill_diagonal(terms, 0.0)
+            theta = np.maximum(terms.max(axis=1), 0.0).tolist()
+            obj = sum(
+                (1.0 - theta[i]) * r.probability * r.value
+                for i, r in enumerate(problem.requirements)
+                if y[i]
+            )
+        else:
+            obj = objective_value(problem, method, y)
+        if obj > objective + tie_eps or (obj >= objective - tie_eps and y < tuple(x)):
+            return y, obj
+    return None
+
+
 def enumerate_model_optimum(
     model: LinearModel, tie_eps: float = 1e-12, feas_eps: float = 1e-9
 ) -> tuple[tuple[int, ...], float] | None:

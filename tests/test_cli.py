@@ -604,10 +604,12 @@ class TestSelect:
         "limit, rc, expected",
         [
             ([], 0, ("OPTIMAL", True, 90, ["r2", "r5", "r7", "r11", "r12"], 38.044728928414244,
-                     {})),
+                     {}, 38.044728928414244)),
+            # the search stops at r5, r7, r9, r11, r12 (36.26757315501587, theta
+            # r4 0.5148090255683649), and the polish takes it to the optimum
             (["--node-limit", "5"], 3,
-             ("FEASIBLE", False, 8, ["r5", "r7", "r9", "r11", "r12"], 36.26757315501587,
-              {"r4": 0.5148090255683649})),
+             ("FEASIBLE", False, 8, ["r2", "r5", "r7", "r11", "r12"], 38.044728928414244,
+              {}, 50.69013887552267)),
         ],
         ids=["unlimited", "node-limit-5"],
     )
@@ -624,13 +626,15 @@ class TestSelect:
              "--budget", "20", *limit, "--out", str(tmp_path / "sel")]
         ) == rc
         report = json.loads((tmp_path / "sel" / "solution.json").read_text())
-        status, proven, nodes, selected, objective, theta_changes = expected
+        status, proven, nodes, selected, objective, theta_changes, final_bound = expected
         assert report["status"] == status
         assert report["proven"] is proven
         assert report["stats"]["nodes"] == nodes
         assert report["selected"] == selected
         assert report["objective"] == pytest.approx(objective, abs=1e-12)
         assert report["stats"]["root_bound"] == pytest.approx(50.69013887552267, abs=1e-12)
+        assert report["stats"]["final_bound"] == pytest.approx(final_bound, abs=1e-12)
+        assert report["stats"]["gap"] == report["stats"]["final_bound"] - report["objective"]
         theta = {f"r{i}": 0.0 for i in range(1, 15)} | self.PINNED_THETA | theta_changes
         assert report["theta"] == theta
 

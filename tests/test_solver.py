@@ -1,6 +1,8 @@
 import dataclasses
 import io
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from oracles import (
     SubsetEstimate,
     enumerate_model_optimum,
     enumerate_optimum,
+    improving_neighbour,
     increase_decrease_model,
     objective_value,
     penalties,
@@ -60,6 +63,7 @@ from reqsel.solver import (
     FREE,
     INFEASIBLE,
     OPTIMAL,
+    TIE_EPS,
     UNKNOWN,
     _Compiled,
     _Search,
@@ -500,7 +504,7 @@ class TestSolutionReport:
         got = solve(model)
         rep = solution_report(model, got)
         assert set(rep) == {"status", "selected", "objective", "theta", "proven", "stats"}
-        assert set(rep["stats"]) == {"nodes", "root_bound"}
+        assert list(rep["stats"]) == ["nodes", "root_bound", "final_bound", "gap"]
         assert all(rid in problem.ids for rid in rep["selected"])
         if got.status == OPTIMAL:
             assert rep["objective"] == got.objective
@@ -968,17 +972,158 @@ class TestSearchParity:
         assert expanded > 1000
 
     @pytest.mark.parametrize(
-        "n, objective, nodes, root_bound",
+        "n, objective, nodes, root_bound, final_bound",
         [
-            (60, 176.08124802377924, 40_021, 271.7585896773415),
-            (100, 187.45841194958928, 40_013, 419.0676593817241),
+            (60, 188.94914930083021, 40_021, 271.7585896773415, 247.98294771011044),
+            (100, 257.1586451980872, 40_013, 419.0676593817241, 373.5249947940024),
         ],
+        ids=["n60", "n100"],
     )
-    def test_node_capped_incumbents_pinned(self, n, objective, nodes, root_bound):
-        # the same search under a node cap: the incumbent, node count and
-        # root bound of the precedence-free instances no solve proves in 40k
+    def test_node_capped_incumbents_pinned(self, n, objective, nodes, root_bound, final_bound):
+        # the same search under a node cap: the polished incumbent, node
+        # count and root and final bounds of the precedence-free instances no
+        # solve proves in 40k (the search's own incumbents were 176.08124802377924
+        # and 187.45841194958928)
         got = solve(build_model(pinned_problem(n, 0.0, 0), DARS), SolverLimits(max_nodes=40_000))
         assert (got.status, got.proven) == (FEASIBLE, False)
         assert repr(got.objective) == repr(objective)
         assert got.stats.nodes == nodes
         assert repr(got.stats.root_bound) == repr(root_bound)
+        assert repr(got.stats.final_bound) == repr(final_bound)
+        assert got.stats.gap == final_bound - objective
+
+
+def polish_cases():
+    """400 node-limited solves: n = 8-40, every method, both constraint
+    modes, with and without precedence (BK ignores it), caps of 1-24 nodes
+    and, one time in five, of 500 nodes, which proves about half of those."""
+    for seed in range(400):
+        method = METHODS[seed % 4]
+        n = 8 + (seed * 7) % 33
+        mode = (BUDGET_COST, PRICE_VALUE)[(seed // 4) % 2]
+        problem = random_problem(seed + 3000, n=n, mode=mode, with_precedence=(seed // 8) % 2 == 0)
+        yield problem, method, SolverLimits(max_nodes=500 if seed % 5 == 0 else 1 + seed % 24)
+
+
+def without_clock(sol):
+    return dataclasses.replace(sol, stats=dataclasses.replace(sol.stats, elapsed_s=0.0))
+
+
+class TestPolish:
+    def test_limit_stopped_incumbents_are_flip_and_swap_optimal(self, monkeypatch):
+        # every polished incumbent verifies, never loses to the search's own
+        # incumbent under the tie rule, and no flip or swap beats it
+        stopped = moved = 0
+        for problem, method, limits in polish_cases():
+            model = build_model(problem, method)
+            got = solve(model, limits)
+            if got.status != FEASIBLE:
+                continue
+            with monkeypatch.context() as patch:
+                patch.setattr(_Search, "_polish", lambda search: None)
+                base = solve(model, limits)
+            stopped += 1
+            assert verify_solution(model, got).ok
+            assert got.objective == pytest.approx(objective_value(problem, method, got.x), abs=1e-9)
+            assert got.stats.nodes == base.stats.nodes
+            assert got.stats.root_bound == base.stats.root_bound
+            if got.x != base.x:
+                moved += 1
+                assert got.objective > base.objective + TIE_EPS or (
+                    got.objective >= base.objective - TIE_EPS and got.x < base.x
+                )
+            assert got.objective >= base.objective - TIE_EPS
+            assert improving_neighbour(problem, method, got.x, got.objective) is None
+            assert got.stats.final_bound == max(base.stats.final_bound, got.objective)
+            assert got.stats.gap == got.stats.final_bound - got.objective >= 0.0
+        assert stopped >= 300 and moved >= 100, (stopped, moved)
+
+    def test_proven_solves_match_the_unpolished_search(self, monkeypatch):
+        proven = 0
+        for problem, method, limits in polish_cases():
+            model = build_model(problem, method)
+            got = solve(model, limits)
+            if not got.proven:
+                continue
+            with monkeypatch.context() as patch:
+                patch.setattr(_Search, "_polish", lambda search: None)
+                base = solve(model, limits)
+            proven += 1
+            assert without_clock(got) == without_clock(base)
+            if got.status == OPTIMAL:
+                assert (got.stats.final_bound, got.stats.gap) == (got.objective, 0.0)
+            else:
+                assert (got.stats.final_bound, got.stats.gap) == (None, None)
+        assert proven >= 30, proven
+
+    @pytest.mark.parametrize("method", (SBK, DARS))
+    def test_move_floors_and_values_match_the_model(self, method):
+        # every flip's and every swap's floor read off the top three equals
+        # the floor of its penalty rows, and its estimate the objective
+        moves = 0
+        for seed in range(40):
+            problem = random_problem(seed + 4000, n=2 + seed % 11)
+            model = build_model(problem, method)
+            search = _Search(_Compiled(model), SolverLimits())
+            x = np.random.default_rng(seed).integers(0, 2, problem.n)
+            top = None if method == SBK else search._top3(x)
+            swaps = np.array([(j, k) for j in np.flatnonzero(x == 1) for k in np.flatnonzero(x == 0)])
+            for moved in (np.arange(problem.n)[:, None], swaps):
+                if not moved.size:
+                    continue
+                values = search._move_values(moved, x, top)
+                floors = None if top is None else search._move_floors(top, moved, x)
+                for k, move in enumerate(moved):
+                    y = x.copy()
+                    y[move] = 1 - y[move]
+                    if floors is not None:
+                        assert np.array_equal(floors[k], penalty_floor(model, y.astype(np.int8)))
+                    assert values[k] == pytest.approx(objective_value(problem, method, y), abs=1e-9)
+                    moves += 1
+        assert moves > 700
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_binary_models_polish_in_their_own_sense(self, seed):
+        # LP-only shapes: minimized objectives, coefficients of either sign,
+        # ">=" and "=" rows; the gap reads the same in both senses
+        model = random_binary_model(seed)
+        for cap in (1, 2, 3):
+            got = solve(model, SolverLimits(max_nodes=cap))
+            if got.objective is None:
+                assert got.stats.gap is None
+                assert (got.stats.final_bound is None) == (got.status == INFEASIBLE)
+                continue
+            assert verify_solution(model, got).ok
+            sign = 1.0 if model.objective_sense == "max" else -1.0
+            assert got.stats.gap == sign * (got.stats.final_bound - got.objective) >= 0.0
+            if got.status == FEASIBLE:
+                _, obj = enumerate_model_optimum(model)
+                assert sign * got.objective <= sign * obj + 1e-9
+
+    def test_polish_at_n1000_is_bounded(self, monkeypatch):
+        # a 1-node DARS solve at n = 1000 hands the polish its first dive's
+        # leaf, 173.13, and the polish takes it to 317.63. On a 2-core x86
+        # host that takes 1.9 s (3.5 s under tracemalloc) with a 2.0 MB
+        # allocation peak; the bounds here are 20 s and 16 MB
+        polish = _Search._polish
+        seen = {}
+
+        def measured(search):
+            start = search.inc_obj
+            tracemalloc.start()
+            t0 = time.perf_counter()
+            try:
+                polish(search)
+            finally:
+                seen["s"] = time.perf_counter() - t0
+                seen["mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+                tracemalloc.stop()
+            seen["start"] = start
+
+        monkeypatch.setattr(_Search, "_polish", measured)
+        model = build_model(pinned_problem(1000, 0.0, 0), DARS)
+        got = solve(model, SolverLimits(max_nodes=1))
+        assert got.status == FEASIBLE
+        assert got.objective > seen["start"] + 100.0
+        assert seen["s"] < 20.0 and seen["mb"] < 16.0, seen
+        assert verify_solution(model, got).ok
