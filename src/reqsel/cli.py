@@ -488,7 +488,9 @@ def _add_limit_flags(sub: argparse.ArgumentParser) -> None:
     # out of the config hash: only an explicit limit changes the stamp
     sub.add_argument(
         "--node-limit", type=int, default=argparse.SUPPRESS, metavar="N",
-        help=f"branch-and-bound nodes per solve (default {DEFAULT_NODE_LIMIT}); a solve "
+        help=f"branch-and-bound nodes per solve (default {DEFAULT_NODE_LIMIT}), checked "
+        "between expansions, so a solve can overrun it by the expansion that reaches it "
+        "(its dive and two children: at most 2n + 2 nodes over n requirements); a solve "
         "stopped here returns its best plan after a flip/swap local search",
     )
     sub.add_argument(

@@ -11,23 +11,24 @@ Each starts from the x binaries and the budget row:
         penalty rows theta_i >= (|I(i,j)| + (1 - 2 x_j) I(i,j)) / 2, and
         the link rows of `link_rows`; at the optimum y_i = x_i theta_i, so
         the objective equals the overall value of the selection. The model's
-        metadata states this linearization ("links", "influence"), and the
-        solver reads it from there.
+        metadata names this linearization ("links").
 
 The budget row is either sum c_i x_i <= b (BUDGET_COST) or the price form
 sum v_i x_i <= gamma (PRICE_VALUE); both are available on every model kind.
 
-Every model declares x1..xn first, in requirement order. They are its only
-search binaries (a DARS model's g, theta and y only linearize the penalty),
-and a solution's x holds the search binaries in declaration order, so x_i
-is whether requirement i is selected.
+Every model declares x1..xn first, in requirement order, and states the
+problem and method it was written from in its metadata ("problem", "kind").
+The solver builds its search from those (the x binaries, `objective_weights`
+and the rows of `core_rows`, which `build_model` writes too), not from its
+rows: the model is the instance's export and verify view. A solution's x
+holds the x binaries in order, so x_i is whether requirement i is selected.
 
 A model keeps its rows by column in one immutable `RowStore`: row names,
 relations and right-hand sides, a row-start pointer, and flat term-name and
 coefficient sequences holding each row's terms in the order they were added.
 `build_model` writes the DARS penalty rows in bulk from the nonzeros of I,
-`parse_lp` appends each row's terms as it reads them, and `export_lp`, the
-solver and `verify_solution` read the columns. `LinearModel.constraints` is
+`parse_lp` appends each row's terms as it reads them, and `export_lp` and
+`verify_solution` read the columns. `LinearModel.constraints` is
 that store: indexing or iterating it builds a fresh `LinearConstraint` per
 row, which suits tests and small models, not a hot path.
 
@@ -43,7 +44,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from itertools import chain
-from typing import IO, Hashable, Iterable
+from typing import IO, Hashable, Iterable, Iterator
 
 import numpy as np
 
@@ -266,10 +267,26 @@ class LinearModel:
                     raise ValidationError(f"constraint {row_name} references undeclared variable {name!r}")
 
 
-def _budget_row(p: SelectionProblem, x_names: Sequence[str]) -> tuple:
+def objective_weights(p: SelectionProblem, method: str) -> list[float]:
+    """The objective coefficient of each x: its estimated value for BK and
+    PCBK, its expected value for SBK and DARS (whose y terms subtract the
+    penalty from it)."""
+    if method in (SBK, DARS):
+        return [float(r.expected_value) for r in p.requirements]
+    return [float(r.value) for r in p.requirements]
+
+
+def core_rows(p: SelectionProblem, method: str, x: Sequence[Hashable]) -> Iterator[tuple]:
+    """The rows over x alone, as (name, coefficients, relation, rhs) over
+    names or indices: the budget or price row first, then the precedence
+    rows of each record in order (none for BK)."""
     weights = [float(r.cost if p.constraint_mode == BUDGET_COST else r.value) for r in p.requirements]
     name = "budget" if p.constraint_mode == BUDGET_COST else "price"
-    return name, x_names, weights, "<=", float(p.budget)
+    yield name, dict(zip(x, weights)), "<=", float(p.budget)
+    if method != BK:
+        for ordinal, rec in enumerate(p.precedence.constraints, start=1):
+            for suffix, coeffs, relation, rhs in rec.rows(x):
+                yield f"prec{ordinal}_{suffix}", coeffs, relation, rhs
 
 
 def link_rows(x: Hashable, g: Hashable, theta: Hashable, y: Hashable) -> list[tuple]:
@@ -299,17 +316,12 @@ def build_model(p: SelectionProblem, method: str, simplify: bool = False) -> Lin
     x_names = [f"x{i + 1}" for i in range(n)]
     variables = [Variable(name=name, kind=BINARY) for name in x_names]
     rows = _RowBuffer()
-    rows.add(*_budget_row(p, x_names))
-    if method in (PCBK, SBK, DARS):
-        for ordinal, rec in enumerate(p.precedence.constraints, start=1):
-            for suffix, coeffs, relation, rhs in rec.rows(x_names):
-                rows.add(f"prec{ordinal}_{suffix}", coeffs, coeffs.values(), relation, rhs)
-    if method in (SBK, DARS):
-        weights = [float(r.expected_value) for r in p.requirements]
-    else:
-        weights = [float(r.value) for r in p.requirements]
+    for name, coeffs, relation, rhs in core_rows(p, method, x_names):
+        rows.add(name, coeffs, coeffs.values(), relation, rhs)
+    weights = objective_weights(p, method)
     objective = dict(zip(x_names, weights))
-    metadata = {"kind": method, "x_names": list(x_names), "requirement_ids": list(p.ids)}
+    # the solver builds its search from the problem itself (see solver._Compiled)
+    metadata = {"kind": method, "x_names": list(x_names), "problem": p}
 
     if method == DARS:
         if p.influence is None:
@@ -342,9 +354,8 @@ def build_model(p: SelectionProblem, method: str, simplify: bool = False) -> Lin
             for name, coeffs, relation, rhs in link_rows(x_names[i], gs[i], thetas[i], ys[i]):
                 rows.add(f"{name}_{i + 1}", coeffs, coeffs.values(), relation, rhs)
         objective.update({ys[i]: -weights[i] for i in range(n)})
-        # the solver searches x alone and fills theta, y and g from these
+        # solve fills theta, y and g by these names
         metadata["links"] = list(zip(x_names, gs, thetas, ys))
-        metadata["influence"] = influence
     return LinearModel(tuple(variables), "max", objective, rows.store(), metadata)
 
 
@@ -546,10 +557,10 @@ def parse_lp(source: Iterable[str]) -> LinearModel:
     Binary-section order, then Bounds-section order, then any other name by
     first appearance (objective first, then rows), which is the order
     export_lp wrote them in.
-    The model carries no metadata beyond {"kind": "PARSED"}. A parsed
-    BK, PCBK or SBK file is all-binary and solves like the model it was
-    written from; a parsed DARS file states no linearization, so `solve`
-    rejects its theta and y.
+    The model carries no metadata beyond {"kind": "PARSED"}. It is the
+    export's verifier: it reads back what `export_lp` wrote, and exporting it
+    writes the same bytes. No parsed file is solvable, since it states no
+    selection problem; `solve` rejects it.
     """
     sense = "max"
     section = None

@@ -1,16 +1,18 @@
-"""Exact deterministic optimizer for the compiled 0/1 models.
+"""Exact deterministic optimizer for the 0/1 models `build_model` writes.
 
-Branch and bound over the binary variables:
+Branch and bound over the x binaries:
 
-  * a dependency-aware (DARS) model is searched on its x core: the x
-    binaries and the rows over x alone (budget and precedence). Its g, theta
-    and y variables and their penalty and linking rows only linearize the
-    penalty, and `build_model` states them in the model's metadata (see
-    _Compiled); a continuous variable it does not state is rejected. The
-    incumbent is kept as its fixings; `solve` fills every value once from
-    that final selection in closed form (g = x, theta = the penalty floor,
-    y = theta x). Solution.x holds the search binaries in declaration order
-    (for a built model, the x binaries in requirement order), and
+  * `solve` builds its search from the selection problem and method the
+    model states in its metadata ("problem", "kind"), not from the model's
+    rows: the x binaries, the rows of `core_rows` over them (the budget or
+    price row, then the precedence rows) and, for DARS, the penalty-floor
+    table read off the influence matrix I (see _Compiled). A DARS model's g,
+    theta and y and their penalty and linking rows only linearize the
+    penalty: the incumbent is kept as its fixings, and `solve` fills every
+    value once from the final selection in closed form (g = x, theta = the
+    penalty floor, y = theta x), by the names in the metadata's "x_names"
+    and "links". A parsed or hand-built model states no problem, so `solve`
+    rejects it. Solution.x holds the x binaries in requirement order, and
     Solution.theta and Solution.y hold one entry per x;
   * node order: best bound first, ties by lowest branching-variable index,
     then by creation order; the child fixing the variable to 1 is created
@@ -18,10 +20,10 @@ Branch and bound over the binary variables:
     scored, pushed and expanded like any other, and each expanded node
     starts one greedy dive to a leaf. Its leaves complete the node, so the
     node is not checked again after the dive;
-  * every all-binary row is searched in the form a.x <= b: a ">=" row as
-    its negation, an "=" row as its "<=" half followed by its negated half.
-    Negation is exact in floating point, so each test on a negated row
-    gives the verdict the ">=" test on the row itself would;
+  * every row is searched in the form a.x <= b, an "=" row as its "<="
+    half followed by its negated half. Negation is exact in floating point,
+    so each test on the negated half gives the verdict the ">=" test on the
+    row itself would;
   * at every node a unit-propagation pass over these rows fixes implied
     variables (precedence chains, exhausted budget) and detects infeasible
     subtrees early. Each row keeps its entries sorted by |coefficient|,
@@ -38,13 +40,13 @@ Branch and bound over the binary variables:
     its activities from the rows and starts from a zero floor. The
     branching variable is the first free one in branch_order at or after
     the rank just past the parent's;
-  * the knapsack row is the first non-">=" all-binary row with non-negative
-    coefficients (the budget or price row every builder emits first);
+  * the knapsack row is the budget or price row, which `core_rows` yields
+    first;
   * bounds are admissible: a fractional knapsack relaxation over the
     knapsack row of the objective still obtainable, each value discounted
     by the penalty floor already implied by the fixed part of the selection.
-    The floor tables B0 and B1 are stored once, transposed: row j holds the
-    floors that fixing x_j to 0 or 1 imposes, so a child raises its
+    The floor table B is stored once, transposed: rows j and j + n hold the
+    floors that fixing x_j to 0 or to 1 imposes, so a child raises its
     parent's floor by the rows of the binaries its propagation fixed (a
     dive raises it once, at its leaf, over every fixing on the way).
 
@@ -59,10 +61,15 @@ bounds are floored onto that grid first, which collapses the bound plateau
 of price-style models whose budget weights equal the objective.
 
 Solutions report proven optimality; node or time limits return the best
-incumbent flagged non-proven instead of raising. Before it is returned, a
-limit-stopped incumbent is polished by a deterministic best-improvement
-local search (a proven solve never runs it, so no proven answer or node
-count depends on it):
+incumbent flagged non-proven instead of raising. The limits are checked
+between heap pops, so a solve stops only after the expansion that reaches
+them, dive included, and can overrun a node limit by that expansion: its
+dive tries at most two children per free binary and its branching adds two
+more, so over n search binaries stats.nodes <= max(max_nodes, 2) + 2n + 1
+(a 1-node solve of an n = 1000 DARS model counts 573). Before it is
+returned, a limit-stopped incumbent is polished by a deterministic
+best-improvement local search (a proven solve never runs it, so no proven
+answer or node count depends on it):
 
   * neighbourhood: every single flip, and every swap of a selected binary
     for an unselected one; when there are more than 32 x 32 such pairs,
@@ -82,8 +89,8 @@ count depends on it):
 
 SolveStats.final_bound is the best bound left open (the largest heap bound,
 never below the objective; the objective itself once proven) and
-SolveStats.gap its distance from the objective, both in the model's own
-sense; a solve without an answer has no gap.
+SolveStats.gap its distance from the objective; a solve without an answer
+has no gap.
 """
 
 from __future__ import annotations
@@ -96,7 +103,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .selection_models import BINARY, CONTINUOUS, LinearModel
+from .selection_models import BINARY, DARS, LinearModel, SelectionProblem, core_rows, objective_weights
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
@@ -122,8 +129,8 @@ class SolveStats:
     nodes: int
     elapsed_s: float
     root_bound: float | None
-    # the best bound left open, in the model's sense (the objective once
-    # proven), and how far it lies past the objective; None without an answer
+    # the best bound left open (the objective once proven), and how far it
+    # lies past the objective; None without an answer
     final_bound: float | None
     gap: float | None
 
@@ -134,11 +141,10 @@ class Solution:
     objective: float | None
     values: dict[str, float]
     x: tuple[int, ...]
-    theta: tuple[float, ...] | None  # one per x; None for a model without stated links
+    theta: tuple[float, ...] | None  # one per x; None but for DARS
     y: tuple[float, ...] | None
     proven: bool
     stats: SolveStats
-    x_names: tuple[str, ...] = ()  # the variable behind each entry of x
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", dict(self.values))
@@ -157,8 +163,8 @@ class VerificationReport:
 
 
 class _Row:
-    """An all-binary row sum(coefs[p] * x[vars[p]]) <= rhs over compact
-    binary indices; a ">=" or "=" model row becomes one or two of these."""
+    """A row sum(coefs[p] * x[vars[p]]) <= rhs over x indices; an "=" row
+    becomes two of these."""
 
     __slots__ = ("vars", "coefs", "rhs", "lim", "order")
 
@@ -179,105 +185,45 @@ class _Row:
 
 
 class _Compiled:
-    """Model preprocessed for search: compact binary indexing, all-binary
-    rows in "<=" form, the knapsack row, penalty-floor table.
+    """A selection problem preprocessed for search under one method: the x
+    binaries' objective weights, the rows of `core_rows` over indices in
+    "<=" form (row 0, the budget or price row, is the knapsack row), and for
+    DARS the penalty-floor table read off the influence matrix I. A DARS
+    model's g, theta and y and every row over them stay out of the search
+    (its x core); `verify_solution` is what checks a solution against them."""
 
-    A DARS model's metadata states its linearization: "links" holds one
-    (x, g, theta, y) name tuple per requirement, in requirement order (g is
-    x in a simplified model), and "influence" the matrix I its penalty rows
-    were written from. The stated theta, y and g, and every row over them,
-    stay out of the search (the model's x core), and the floor table is read
-    off I. Every continuous variable must be a stated theta or y, so a DARS
-    model parsed from an LP file, which states nothing, is rejected;
-    `verify_solution` is what checks a solution against the penalty rows."""
-
-    def __init__(self, m: LinearModel):
-        self.names = [v.name for v in m.variables]
-        self.index = {name: i for i, name in enumerate(self.names)}
-        self.nvars = len(self.names)
-        self.maximize = m.objective_sense == "max"
-        c = np.zeros(self.nvars)
-        for name, coef in m.objective.items():
-            c[self.index[name]] = coef
-        self.c = c if self.maximize else -c
-
-        # the linearization build_model states: one (x, g, theta, y) name
-        # tuple per requirement (g is x when simplified) and the matrix I its
-        # penalty rows were written from
-        links = [[self.index[name] for name in link] for link in m.metadata.get("links", ())]
-        stated = {i for x, g, t, y in links for i in (g, t, y) if i != x}
-        for v in m.variables:
-            if v.kind == CONTINUOUS and self.index[v.name] not in stated:
-                raise ValidationError(
-                    f"variable {v.name}: a continuous variable must be a theta or y that "
-                    "build_model states"
-                )
-
-        self.bin_vars = [
-            i for i, v in enumerate(m.variables) if v.kind == BINARY and i not in stated
-        ]
-        self.nbin = len(self.bin_vars)
-        self.bpos = {v: b for b, v in enumerate(self.bin_vars)}
-        self.c_bin = self.c[self.bin_vars] if self.nbin else np.zeros(0)
-
-        # theta_i, y_i and g_i belong to x_i, the i-th search binary
-        self.theta_idx = np.array([t for _, _, t, _ in links], dtype=np.intp)
-        self.y_idx = np.array([y for _, _, _, y in links], dtype=np.intp)
-        echoes = [(g, x) for x, g, *_ in links if g != x]
-        self.g_idx = np.array([g for g, _ in echoes], dtype=np.intp)
-        self.g_src = np.array([x for _, x in echoes], dtype=np.intp)
-
-        # penalty rows theta_i + I_ij x_j >= max(I_ij, 0) floor theta_i at
-        # max(I_ij, 0) while x_j = 0 and at max(-I_ij, 0) once x_j = 1: B0[j, i]
-        # and B1[j, i], so row j holds the floors that fixing x_j imposes.
-        # Both are views of one table B whose row j + nbin * v is the row of x_j = v.
-        self.B = self.B0 = self.B1 = None
-        if links:
-            infl = m.metadata["influence"]
-            # in C order, as every reader takes whole rows
-            self.B = np.ascontiguousarray(
-                np.concatenate((np.where(infl > 0, infl, 0.0).T, np.where(infl < 0, -infl, 0.0).T))
-            )
-            self.B0, self.B1 = self.B[: self.nbin], self.B[self.nbin :]
-        # the searched rows: those over no stated theta, y or g, told apart by
-        # their term names before any name is mapped to an index
-        rows = m.constraints
-        starts = rows.starts
-        kept = range(len(rows))
-        if stated:
-            stated_names = {self.names[i] for i in stated}
-            touches = np.fromiter(map(stated_names.__contains__, rows.terms), bool, len(rows.terms))
-            kept = np.flatnonzero(~np.logical_or.reduceat(touches, starts[:-1])).tolist()
-        bpos = {self.names[i]: b for i, b in self.bpos.items()}
+    def __init__(self, p: SelectionProblem, method: str):
+        self.nbin = p.n
+        self.c_bin = np.array(objective_weights(p, method))
         self.binrows: list[_Row] = []
-        self.kn_row: int | None = None
-        for r in kept:
-            s, e = starts[r], starts[r + 1]
-            coefs = [float(a) for a in rows.coefs[s:e]]
-            bidx = [bpos[name] for name in rows.terms[s:e]]
-            rhs = float(rows.rhs[r])
-            relation = rows.relations[r]
-            if relation != ">=":
-                # the first one: every builder emits its budget/price row first
-                if self.kn_row is None and all(a >= 0 for a in coefs):
-                    self.kn_row = len(self.binrows)
-                self.binrows.append(_Row(bidx, coefs, rhs))
-            if relation != "<=":
-                self.binrows.append(_Row(bidx, [-a for a in coefs], -rhs))
+        # every row is "<=" but an exactly-one row, which is "="
+        for _, coeffs, relation, rhs in core_rows(p, method, range(self.nbin)):
+            vars_, coefs = list(coeffs), list(coeffs.values())
+            self.binrows.append(_Row(vars_, coefs, rhs))
+            if relation == "=":
+                self.binrows.append(_Row(vars_, [-a for a in coefs], -rhs))
         self.nbinrows = len(self.binrows)
+        kn = self.binrows[0]
+        self.w_bin = np.array(kn.coefs)
+        self.kn_rhs = kn.rhs
 
         self.occ: list[list[tuple[int, float]]] = [[] for _ in range(self.nbin)]
         for rid, row in enumerate(self.binrows):
             for b, a in zip(row.vars, row.coefs):
                 self.occ[b].append((rid, a))
 
-        self.w_bin = np.zeros(self.nbin)
-        self.kn_rhs = math.inf
-        if self.kn_row is not None:
-            kn = self.binrows[self.kn_row]
-            self.w_bin[kn.vars] = kn.coefs
-            self.kn_rhs = kn.rhs
-        self._detect_objective_quantum()
+        # penalty rows theta_i + I_ij x_j >= max(I_ij, 0) floor theta_i at
+        # max(I_ij, 0) while x_j = 0 and at max(-I_ij, 0) once x_j = 1: the
+        # table B holds, in row j + nbin * v, the floors that fixing x_j = v
+        # imposes (in C order, as every reader takes whole rows)
+        self.B = None
+        if method == DARS:
+            infl = p.influence.influence
+            self.B = np.ascontiguousarray(
+                np.concatenate((np.where(infl > 0, infl, 0.0).T, np.where(infl < 0, -infl, 0.0).T))
+            )
+        # the DARS objective less its penalty lies on no grid
+        self.obj_quantum = None if method == DARS else _objective_quantum(self.c_bin)
 
         tiny = 1e-300
         ratio = self.c_bin / np.maximum(self.w_bin, tiny)
@@ -286,36 +232,30 @@ class _Compiled:
         for k, b in enumerate(self.branch_order):
             self.branch_rank[b] = k
 
-    def _detect_objective_quantum(self) -> None:
-        """Find a common quantum of the objective coefficients, if any.
 
-        When every coefficient is an integer multiple of some q (whole or
-        two-decimal input data, say) every attainable objective lies on the
-        q-grid, so fractional bounds can be floored onto it. That is what
-        prunes the plateau of a budget row whose weights equal the objective
-        (pure price models): the relaxation sticks at the budget while the
-        floored bound drops to the best reachable grid point. Models with an
-        objective term outside the search binaries get no grid. Quanta tiny
-        relative to the coefficient mass are rejected: flooring would then
-        sit inside floating-point noise.
-        """
-        self.obj_quantum: float | None = None
-        outside = np.ones(self.nvars, dtype=bool)
-        outside[self.bin_vars] = False
-        if np.any(self.c[outside] != 0.0):
-            return
-        nz = np.abs(self.c_bin[self.c_bin != 0.0])
-        if nz.size == 0:
-            return
-        floor_guard = 1e-7 * float(nz.sum())
-        for scale in (1.0, 10.0, 100.0, 1e3, 1e4, 1e5):
-            scaled = nz * scale
-            ints = np.rint(scaled)
-            if np.abs(scaled - ints).max() <= 1e-7:
-                q = math.gcd(*ints.astype(np.int64).tolist()) / scale
-                if q >= floor_guard:
-                    self.obj_quantum = q
-                return
+def _objective_quantum(c: np.ndarray) -> float | None:
+    """A common quantum of the objective coefficients c, if any.
+
+    When every coefficient is an integer multiple of some q (whole or
+    two-decimal input data, say) every attainable objective lies on the
+    q-grid, so fractional bounds can be floored onto it. That is what
+    prunes the plateau of a budget row whose weights equal the objective
+    (pure price models): the relaxation sticks at the budget while the
+    floored bound drops to the best reachable grid point. Quanta tiny
+    relative to the coefficient mass are rejected: flooring would then sit
+    inside floating-point noise.
+    """
+    nz = np.abs(c[c != 0.0])
+    if nz.size == 0:
+        return None
+    floor_guard = 1e-7 * float(nz.sum())
+    for scale in (1.0, 10.0, 100.0, 1e3, 1e4, 1e5):
+        scaled = nz * scale
+        ints = np.rint(scaled)
+        if np.abs(scaled - ints).max() <= 1e-7:
+            q = math.gcd(*ints.astype(np.int64).tolist()) / scale
+            return q if q >= floor_guard else None
+    return None
 
 
 def _frac_knapsack(w: np.ndarray, p: np.ndarray, cap: float) -> float:
@@ -432,8 +372,6 @@ class _Search:
         sel = fv == 1
         base = float(v[sel].sum())
         mask = (fv == -1) & (v > 0)
-        if comp.kn_row is None:
-            return self._grid_floor(base + float(v[mask].sum()))
         cap = comp.kn_rhs - float(comp.w_bin[sel].sum())
         if cap < -FEAS_EPS:
             return -math.inf
@@ -709,17 +647,25 @@ class _Search:
 
 
 def solve(m: LinearModel, limits: SolverLimits | None = None) -> Solution:
-    """Solve a compiled model to proven optimality (default: no limits)."""
-    comp = _Compiled(m)
+    """Solve a model `build_model` wrote to proven optimality (default: no
+    limits). The search is built from the selection problem and method the
+    model states in its metadata, not from its rows, so a parsed or
+    hand-built model, which states none, is rejected."""
+    p = m.metadata.get("problem")
+    if p is None:
+        raise ValidationError(
+            "solve takes a model build_model wrote: this one states no selection problem "
+            "(a parsed LP file or a hand-built model)"
+        )
+    comp = _Compiled(p, m.metadata["kind"])
     search = _Search(comp, limits or SolverLimits())
     root_bound = search.run()
     elapsed = time.perf_counter() - search.t0
-    sign = 1.0 if comp.maximize else -1.0
-    root = None if root_bound is None or not math.isfinite(root_bound) else sign * root_bound
+    root = None if root_bound is None or not math.isfinite(root_bound) else root_bound
     # what the search left open: the best heap bound (already on the
     # objective grid), never below the incumbent
     open_bound = max(-search.heap[0][0], search.inc_obj) if search.hit_limit else search.inc_obj
-    final = sign * open_bound if math.isfinite(open_bound) else None
+    final = open_bound if math.isfinite(open_bound) else None
     gap = None if search.inc_fix is None else open_bound - search.inc_obj
     stats = SolveStats(search.nodes, elapsed, root, final, gap)
 
@@ -728,23 +674,18 @@ def solve(m: LinearModel, limits: SolverLimits | None = None) -> Solution:
         return Solution(status, None, {}, (), None, None, not search.hit_limit, stats)
 
     fv, floor = search.inc_fix, search.inc_floor
-    vals = np.zeros(comp.nvars)
-    vals[comp.bin_vars] = fv
-    # the linearization in closed form: g = x, theta = floor, y = theta x
-    vals[comp.g_idx] = vals[comp.g_src]
+    x = fv.astype(np.float64).tolist()
+    values = dict(zip(m.metadata["x_names"], x))
     theta = y = None
     if floor is not None:
-        yy = floor * (fv == 1)
-        vals[comp.theta_idx] = floor
-        vals[comp.y_idx] = yy
-        theta, y = tuple(floor.tolist()), tuple(yy.tolist())
-    values = dict(zip(comp.names, vals.tolist()))
-    objective = sign * search.inc_obj
+        # the linearization in closed form: g = x, theta = floor, y = theta x
+        _, gs, thetas, ys = zip(*m.metadata["links"])
+        theta, y = tuple(floor.tolist()), tuple((floor * (fv == 1)).tolist())
+        values.update(zip(gs, x))
+        values.update(zip(thetas, theta))
+        values.update(zip(ys, y))
     status = FEASIBLE if search.hit_limit else OPTIMAL
-    x_names = tuple(comp.names[i] for i in comp.bin_vars)
-    return Solution(
-        status, objective, values, search.inc_key, theta, y, not search.hit_limit, stats, x_names
-    )
+    return Solution(status, search.inc_obj, values, search.inc_key, theta, y, not search.hit_limit, stats)
 
 
 def verify_solution(m: LinearModel, s: Solution) -> VerificationReport:
@@ -790,9 +731,8 @@ def verify_solution(m: LinearModel, s: Solution) -> VerificationReport:
 
 
 def solution_report(m: LinearModel, s: Solution) -> dict:
-    """Solution as a JSON-ready dict keyed by requirement ids, or by the
-    names of the x variables when the model carries no ids (a parsed LP)."""
-    ids = m.metadata.get("requirement_ids") or s.x_names
+    """Solution as a JSON-ready dict keyed by requirement ids."""
+    ids = m.metadata["problem"].ids
     selected = [ids[i] for i, xi in enumerate(s.x) if xi == 1]
     theta = {ids[i]: t for i, t in enumerate(s.theta or ())}
     return {

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import re
+import types
 
 import numpy as np
 from scipy import integrate
@@ -363,9 +364,9 @@ def increase_decrease_model(problem: SelectionProblem, subsets) -> LinearModel:
     x <= 0), with objective coefficient w_j - sum of member values. When that
     is negative the optimizer would leave y_j at 0, so a completeness row
     (sum of member x - y_j <= n_j - 1) forces it to 1 once the subset is
-    whole. The package builds no such model; its LP files still reach the
-    solver, with objective coefficients of either sign, binaries the budget
-    row does not weigh, and ">=" and "=" free rows."""
+    whole. The package builds no such model, and `solve` rejects it; the LP
+    tests export and parse it for what no built model holds: binaries after
+    the x binaries with objective coefficients of either sign."""
     base = build_model(problem, BK)
     x_names = base.metadata["x_names"]
     variables = list(base.variables)
@@ -388,7 +389,8 @@ def increase_decrease_model(problem: SelectionProblem, subsets) -> LinearModel:
                 )
             )
         objective[y_name] = adjustment
-    metadata = {**base.metadata, "kind": INCREASE_DECREASE}
+    # it states no selection problem: the problem's methods do not describe it
+    metadata = {"kind": INCREASE_DECREASE, "x_names": base.metadata["x_names"]}
     return LinearModel(tuple(variables), "max", objective, tuple(rows), metadata)
 
 
@@ -416,19 +418,11 @@ def is_feasible(problem: SelectionProblem, x) -> bool:
     return True
 
 
-def objective_value(problem: SelectionProblem, method: str, x, subsets=()) -> float:
-    """The method's objective at selection x; `subsets` (SubsetEstimate
-    records) only shape INCREASE_DECREASE."""
+def objective_value(problem: SelectionProblem, method: str, x) -> float:
+    """The method's objective at selection x."""
     reqs = problem.requirements
     if method in (BK, PCBK):
         return sum(r.value for i, r in enumerate(reqs) if x[i])
-    if method == INCREASE_DECREASE:
-        # each fully selected subset swaps its member values for its estimate
-        total = sum(r.value for i, r in enumerate(reqs) if x[i])
-        for s in subsets:
-            if all(x[m] for m in s.members):
-                total += s.estimated_value - sum(reqs[m].value for m in s.members)
-        return total
     if method == SBK:
         return sum(r.probability * r.value for i, r in enumerate(reqs) if x[i])
     if method == DARS:
@@ -442,21 +436,18 @@ def objective_value(problem: SelectionProblem, method: str, x, subsets=()) -> fl
 
 
 def enumerate_optimum(
-    problem: SelectionProblem, method: str, tie_eps: float = 1e-12, subsets=()
+    problem: SelectionProblem, method: str, tie_eps: float = 1e-12
 ) -> tuple[tuple[int, ...], float] | None:
     """Exhaustive 2^n optimum; ties resolved to the smallest selection
     vector read as a binary string with x1 most significant. None when no
-    selection (including the empty one) is feasible. INCREASE_DECREASE
-    selections are bound by the budget row only."""
+    selection (including the empty one) is feasible."""
     n = len(problem.requirements)
-    if method == INCREASE_DECREASE:
-        problem = dataclasses.replace(problem, precedence=None)
     best_obj = -math.inf
     best_x: tuple[int, ...] | None = None
     for bits in itertools.product((0, 1), repeat=n):
         if not is_feasible(problem, bits):
             continue
-        obj = objective_value(problem, method, bits, subsets)
+        obj = objective_value(problem, method, bits)
         if obj > best_obj + tie_eps:
             best_obj, best_x = obj, bits
         elif obj >= best_obj - tie_eps and best_x is not None and bits < best_x:
@@ -503,42 +494,6 @@ def improving_neighbour(
         if obj > objective + tie_eps or (obj >= objective - tie_eps and y < tuple(x)):
             return y, obj
     return None
-
-
-def enumerate_model_optimum(
-    model: LinearModel, tie_eps: float = 1e-12, feas_eps: float = 1e-9
-) -> tuple[tuple[int, ...], float] | None:
-    """Exhaustive 2^n optimum of an all-binary model, read off its rows and
-    objective alone: a selection is feasible when every row holds within
-    feas_eps, and ties within tie_eps go to the smallest selection read as a
-    binary string, the first declared variable most significant. Returns
-    (x, objective in the model's sense), or None when no selection is
-    feasible."""
-    if any(v.kind != BINARY for v in model.variables):
-        raise ValidationError("model enumeration needs an all-binary model")
-    names = [v.name for v in model.variables]
-    sign = 1.0 if model.objective_sense == "max" else -1.0
-    best_obj = -math.inf
-    best_x: tuple[int, ...] | None = None
-    for bits in itertools.product((0, 1), repeat=len(names)):
-        value = dict(zip(names, bits))
-        feasible = True
-        for con in model.constraints:
-            act = sum(a * value[name] for name, a in con.coeffs.items())
-            if con.relation != ">=" and act > con.rhs + feas_eps:
-                feasible = False
-            if con.relation != "<=" and act < con.rhs - feas_eps:
-                feasible = False
-        if not feasible:
-            continue
-        obj = sign * sum(a * value[name] for name, a in model.objective.items())
-        if obj > best_obj + tie_eps:
-            best_obj, best_x = obj, bits
-        elif obj >= best_obj - tie_eps and best_x is not None and bits < best_x:
-            best_x = bits
-    if best_x is None:
-        return None
-    return best_x, sign * best_obj
 
 
 def row_activities(rows, fixed) -> tuple[list[float], list[float]]:
@@ -630,6 +585,87 @@ def reference_propagate(rows, fixed, minact, maxact, feas_eps: float = 1e-9):
             if not scan(rid, queue):
                 return False, queue
     return True, queue
+
+
+def reference_compile(model: LinearModel) -> types.SimpleNamespace:
+    """The search a model's rows describe, read back out of them the way the
+    solver did before it built its search from the selection problem.
+
+    Every name maps to an index; the objective is read from its dict and
+    negated for a minimized model. The g, theta and y that metadata["links"]
+    names stay out of the search, and so does every row over them; any other
+    continuous variable is an error. Each kept row becomes (vars, coefs,
+    rhs) over the search binaries in "<=" form, a ">=" row negated and an
+    "=" row split into both halves, and the knapsack row is the first
+    non-">=" row with non-negative coefficients. The penalty-floor table B
+    holds max(I, 0).T over max(-I, 0).T, with I read off the ">=" rows over
+    a stated theta. The objective quantum is the gcd of the objective
+    coefficients at the first decimal scale that makes them integral, none
+    when any objective term lies outside the search binaries."""
+    names = [v.name for v in model.variables]
+    index = {name: i for i, name in enumerate(names)}
+    c = np.zeros(len(names))
+    for name, coef in model.objective.items():
+        c[index[name]] = coef
+    if model.objective_sense == "min":
+        c = -c
+    links = [[index[name] for name in link] for link in model.metadata.get("links", ())]
+    stated = {i for x, g, t, y in links for i in (g, t, y) if i != x}
+    for v in model.variables:
+        if v.kind == CONTINUOUS and index[v.name] not in stated:
+            raise ValidationError(f"variable {v.name}: an unstated continuous variable")
+    bin_vars = [i for i, v in enumerate(model.variables) if v.kind == BINARY and i not in stated]
+    bpos = {names[i]: b for b, i in enumerate(bin_vars)}
+    nbin = len(bin_vars)
+
+    binrows, kn_row = [], None
+    infl = np.zeros((nbin, nbin))
+    theta_of = {names[t]: i for i, (_, _, t, _) in enumerate(links)}
+    for con in model.constraints:
+        if any(index[name] in stated for name in con.coeffs):
+            theta = next((nm for nm in con.coeffs if nm in theta_of), None)
+            if con.relation == ">=" and theta is not None and len(con.coeffs) == 2:
+                ((x, w),) = [(nm, a) for nm, a in con.coeffs.items() if nm != theta]
+                infl[theta_of[theta], bpos[x]] = w
+            continue
+        vars_ = [bpos[name] for name in con.coeffs]
+        coefs = [float(a) for a in con.coeffs.values()]
+        if con.relation != ">=":
+            if kn_row is None and all(a >= 0 for a in coefs):
+                kn_row = len(binrows)
+            binrows.append((vars_, coefs, float(con.rhs)))
+        if con.relation != "<=":
+            binrows.append((vars_, [-a for a in coefs], -float(con.rhs)))
+
+    w_bin = np.zeros(nbin)
+    kn_rhs = math.inf
+    if kn_row is not None:
+        w_bin[binrows[kn_row][0]] = binrows[kn_row][1]
+        kn_rhs = binrows[kn_row][2]
+    c_bin = c[bin_vars]
+    B = None
+    if links:
+        B = np.concatenate((np.where(infl > 0, infl, 0.0).T, np.where(infl < 0, -infl, 0.0).T))
+
+    obj_quantum = None
+    outside = np.ones(len(names), dtype=bool)
+    outside[bin_vars] = False
+    nz = np.abs(c_bin[c_bin != 0.0])
+    if not np.any(c[outside] != 0.0) and nz.size:
+        for scale in (1.0, 10.0, 100.0, 1e3, 1e4, 1e5):
+            scaled = nz * scale
+            ints = np.rint(scaled)
+            if np.abs(scaled - ints).max() <= 1e-7:
+                q = math.gcd(*ints.astype(np.int64).tolist()) / scale
+                obj_quantum = q if q >= 1e-7 * float(nz.sum()) else None
+                break
+
+    ratio = c_bin / np.maximum(w_bin, 1e-300)
+    branch_order = sorted(range(nbin), key=lambda b: (-ratio[b], b))
+    return types.SimpleNamespace(
+        binrows=binrows, c_bin=c_bin, w_bin=w_bin, kn_rhs=kn_rhs, B=B,
+        obj_quantum=obj_quantum, branch_order=branch_order,
+    )
 
 
 _LP_TOKEN = re.compile(r"<=|>=|=|[+-]|[A-Za-z_][A-Za-z0-9_]*|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")

@@ -645,7 +645,8 @@ class TestSelect:
         def corrupted_solve(model, limits):
             got = solve(model, limits)
             x = (1,) * len(got.x)
-            return dataclasses.replace(got, x=x, values=got.values | dict.fromkeys(got.x_names, 1.0))
+            picked = dict.fromkeys(model.metadata["x_names"], 1.0)
+            return dataclasses.replace(got, x=x, values=got.values | picked)
 
         monkeypatch.setattr(cli, "solve", corrupted_solve)
         rc = cli.run(

@@ -295,7 +295,7 @@ class TestDarsStructure:
 
 class TestIncreaseDecrease:
     """The rows of the hand-built increase-decrease model (tests/oracles.py)
-    that the solver and LP tests below run on."""
+    that the LP tests below run on."""
 
     def test_activation_row(self):
         p = make_problem(3, values=[4.0, 5.0, 6.0])

@@ -1,6 +1,5 @@
 import dataclasses
 import io
-import itertools
 import time
 import tracemalloc
 
@@ -8,16 +7,13 @@ import numpy as np
 import pytest
 
 from oracles import (
-    INCREASE_DECREASE,
-    SubsetEstimate,
-    enumerate_model_optimum,
     enumerate_optimum,
     improving_neighbour,
-    increase_decrease_model,
     objective_value,
     penalties,
     penalty_floor,
     reference_accepted_link_rows,
+    reference_compile,
     reference_propagate,
     row_activities,
 )
@@ -40,7 +36,6 @@ from reqsel import (
     SyntheticSpec,
     ValidationError,
     build_model,
-    case_study_problem,
     evaluate_selection,
     export_lp,
     generate_synthetic,
@@ -51,7 +46,6 @@ from reqsel import (
 )
 from reqsel.selection_models import (
     BINARY,
-    CONTINUOUS,
     LinearConstraint,
     LinearModel,
     Variable,
@@ -70,11 +64,12 @@ from reqsel.solver import (
 )
 
 METHODS = (BK, PCBK, SBK, DARS)
+NO_PROBLEM = "this one states no selection problem"
 
 
-def random_precedence(rng, n):
+def random_precedence(rng, n, most=2):
     records = []
-    for _ in range(int(rng.integers(0, 3))):
+    for _ in range(int(rng.integers(0, most + 1))):
         kind = int(rng.integers(0, 4))
         idx = rng.permutation(n)
         if kind == 0:
@@ -106,7 +101,7 @@ def random_influence(rng, n, density=0.4):
     return InfluenceMatrix(pos=pos, neg=neg)
 
 
-def random_problem(seed, n=None, mode=None, with_precedence=True):
+def random_problem(seed, n=None, mode=None, with_precedence=True, most=2):
     rng = np.random.default_rng(seed)
     if n is None:
         n = int(rng.integers(2, 9))
@@ -123,7 +118,7 @@ def random_problem(seed, n=None, mode=None, with_precedence=True):
     )
     total = sum(r.cost if mode == BUDGET_COST else r.value for r in reqs)
     budget = float(np.round(rng.uniform(0.2, 0.9) * total, 2))
-    precedence = random_precedence(rng, n) if with_precedence else None
+    precedence = random_precedence(rng, n, most) if with_precedence else None
     return SelectionProblem(
         requirements=reqs,
         budget=budget,
@@ -152,39 +147,6 @@ def reparse(model):
     buf = io.StringIO()
     export_lp(model, buf)
     return parse_lp(io.StringIO(buf.getvalue()))
-
-
-def random_binary_model(seed):
-    """An all-binary model over 2-10 binaries with what only LP files bring
-    to the solver: objective coefficients of either sign or absent, binaries
-    the knapsack row leaves at zero weight or that no row names, and ">=" and
-    "=" rows next to "<=" rows; maximized or, one time in four, minimized.
-    Every number is a quarter multiple, so sums are exact and ties are real.
-    The rows after the knapsack row hold for one random selection, tight or
-    with one unit of slack."""
-    rng = np.random.default_rng(seed)
-    nb = int(rng.integers(2, 11))
-    names = [f"b{i}" for i in range(nb)]
-    in_knap = rng.random(nb) < 0.7
-    weights = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0], size=nb)
-    knap = {names[i]: float(weights[i]) for i in range(nb) if in_knap[i]} or {names[0]: 1.0}
-    picked = [a for a in knap.values() if rng.random() < 0.5]
-    rows = [LinearConstraint("knap", knap, "<=", float(sum(picked)))]
-    witness = rng.random(nb) < 0.5
-    for r in range(int(rng.integers(0, 4))):
-        members = rng.choice(nb, size=int(rng.integers(1, nb + 1)), replace=False)
-        coefs = rng.choice([-2.0, -1.0, -1.0, 1.0, 1.0, 2.0, 3.0], size=members.size)
-        relation = str(rng.choice(["<=", ">=", ">=", "=", "="]))
-        slack = 0.0 if relation == "=" else float(rng.choice([0.0, 1.0]))
-        rhs = float(coefs[witness[members]].sum()) + (slack if relation == "<=" else -slack)
-        rows.append(
-            LinearConstraint(f"r{r}", {names[m]: c for m, c in zip(members, coefs)}, relation, rhs)
-        )
-    c = rng.choice([-4.0, -2.5, -0.25, 0.0, 0.5, 1.0, 1.0, 2.0, 3.75, 6.0], size=nb)
-    objective = {names[i]: float(c[i]) for i in range(nb) if rng.random() < 0.85}
-    sense = "min" if rng.random() < 0.25 else "max"
-    variables = tuple(Variable(name, BINARY) for name in names)
-    return LinearModel(variables, sense, objective, tuple(rows))
 
 
 def assert_matches_oracle(problem, method, simplify=False):
@@ -275,56 +237,27 @@ class TestOracleEquivalence:
         problem = random_problem(seed, with_precedence=(method != BK))
         assert_matches_oracle(problem, method)
 
-    @pytest.mark.parametrize("mode", (BUDGET_COST, PRICE_VALUE))
-    @pytest.mark.parametrize("seed", range(60))
-    def test_increase_decrease_instances(self, mode, seed):
-        # one subset worth more than its members, one worth less, one either
-        # way; the precedence records must not bind this model. x holds the
-        # requirement binaries and then one y per subset, set exactly when
-        # the subset is whole
-        n = 2 + seed % 9
-        problem = random_problem(seed + 1200, n=n, mode=mode)
-        rng = np.random.default_rng(seed)
-        subsets = []
-        for sign in (1.0, -1.0, float(rng.choice((-1.0, 1.0)))):
-            members = tuple(int(m) for m in rng.permutation(n)[: int(rng.integers(2, min(4, n) + 1))])
-            base = sum(problem.requirements[m].value for m in members)
-            shift = sign * float(np.round(rng.uniform(0.5, 6.0), 2))
-            subsets.append(SubsetEstimate(members=members, estimated_value=base + shift))
-        model = increase_decrease_model(problem, subsets)
-        got = solve(model)
-        want_x, want_obj = enumerate_optimum(problem, INCREASE_DECREASE, subsets=subsets)
-        assert (got.status, got.proven) == (OPTIMAL, True)
-        assert got.objective == pytest.approx(want_obj, abs=1e-9)
-        whole = tuple(int(all(want_x[m] for m in s.members)) for s in subsets)
-        assert got.x == want_x + whole
-        report = verify_solution(model, got)
-        assert report.ok, report.violations
-
-    def test_hand_built_binary_models(self):
-        # solved as built and as read back from an LP file, which drops zero
-        # terms: both match the model's own 2^n enumeration, tie-break
-        # included, and x holds every binary in declaration order
-        seen = {"infeasible": 0, "negative objective": 0, "zero weight": 0, ">=": 0, "=": 0}
+    def test_built_models_match_enumeration(self):
+        # every method, plain and simplified DARS, both modes, n up to 12,
+        # sparse and dense precedence, and requirements worth nothing or
+        # free: each matches the 2^n enumeration, tie-break included
+        variants = ((BK, False), (PCBK, False), (SBK, False), (DARS, False), (DARS, True))
+        seen = {"infeasible": 0, "price": 0, "zero weight": 0, "dense": 0}
         for seed in range(400):
-            model = random_binary_model(seed)
-            want = enumerate_model_optimum(model)
-            names = tuple(v.name for v in model.variables)
-            direct, parsed = solve(model), solve(reparse(model))
-            for got in (direct, parsed):
-                if want is None:
-                    assert (got.status, got.proven) == (INFEASIBLE, True), seed
-                    continue
-                assert (got.status, got.proven) == (OPTIMAL, True), seed
-                assert (got.x, got.objective) == want, seed
-                assert got.x_names == names
-                assert verify_solution(model, got).ok, seed
-            assert direct.stats.nodes == parsed.stats.nodes, seed
-            seen["infeasible"] += want is None
-            seen["negative objective"] += min(model.objective.values(), default=0.0) < 0
-            seen["zero weight"] += any(model.constraints[0].coeffs.get(nm, 0.0) == 0 for nm in names)
-            for relation in (">=", "="):
-                seen[relation] += any(con.relation == relation for con in model.constraints)
+            n = 2 + seed % 11
+            dense = seed % 3 == 0
+            problem = random_problem(seed + 5000, n=n, most=2 * n if dense else 2)
+            if n >= 4 and seed % 4 == 1:
+                problem = with_zero_value_and_cost(problem)
+                seen["zero weight"] += 1
+            method, simplify = variants[seed % 5]
+            if method == BK:
+                # BK ignores precedence, and the enumeration does not
+                problem = dataclasses.replace(problem, precedence=None)
+            got = assert_matches_oracle(problem, method, simplify=simplify)
+            seen["infeasible"] += got.status == INFEASIBLE
+            seen["price"] += problem.constraint_mode == PRICE_VALUE
+            seen["dense"] += dense
         assert min(seen.values()) >= 20, seen
 
     @pytest.mark.parametrize("seed", range(6))
@@ -516,74 +449,30 @@ class TestSolutionReport:
         rep = solution_report(model, solve(model))
         assert "elapsed" not in repr(rep)
 
-    @pytest.mark.parametrize("method", (PCBK, DARS))
-    def test_parsed_model_reports_x_names(self, method):
-        # an LP file carries no requirement ids: the report names the x
-        # variables. A parsed DARS file is not solvable (see
-        # test_parsed_dars_file_is_rejected), so only its built model reports.
-        problem = case_study_problem(50.0, influence=InfluenceMatrix.zeros(27))
-        model = build_model(problem, method)
-        by_id = solution_report(model, solve(model))
-        if method == DARS:
-            assert by_id["selected"] and list(by_id["theta"]) == list(problem.ids)
-            return
-        parsed = reparse(model)
-        got = solve(parsed)
-        rep = solution_report(parsed, got)
-        assert got.status == OPTIMAL and any(got.x)
-        assert rep["selected"] == [f"x{i + 1}" for i, xi in enumerate(got.x) if xi == 1]
-        assert rep["selected"] == [f"x{problem.ids.index(r) + 1}" for r in by_id["selected"]]
-
-
 class TestForeignModels:
-    def test_handwritten_lp_solves(self):
-        text = (
-            "Maximize\n"
-            " obj: 3 a + 2 b + 4 c\n"
-            "Subject To\n"
-            " weight: 2 a + 1 b + 3 c <= 4\n"
-            " choose: a + b >= 1\n"
-            "Binary\n a\n b\n c\nEnd\n"
-        )
-        got = solve(parse_lp(io.StringIO(text)))
-        assert got.status == OPTIMAL
-        # best is {b, c}: value 6, weight 4
-        assert got.objective == pytest.approx(6.0)
-        assert got.values == {"a": 0.0, "b": 1.0, "c": 1.0}
-
-    def test_minimization_sense(self):
-        text = (
-            "Minimize\n"
-            " obj: 3 a + 2 b\n"
-            "Subject To\n"
-            " cover: a + b >= 1\n"
-            "Binary\n a\n b\nEnd\n"
-        )
-        got = solve(parse_lp(io.StringIO(text)))
-        assert got.status == OPTIMAL
-        assert got.objective == pytest.approx(2.0)
-        assert got.values["b"] == 1.0
-
-    def test_floor_forced_continuous_variable(self):
-        # a continuous variable that build_model does not state as a theta
-        # or y has no closed form at the leaves, so the solver rejects the model
-        text = (
-            "Maximize\n"
-            " obj: 2 x1 - 0.5 t\n"
-            "Subject To\n"
-            " floor: 1 t - 1 x1 >= 0\n"
-            "Bounds\n 0 <= t <= 1\n"
-            "Binary\n x1\nEnd\n"
-        )
-        with pytest.raises(ValidationError, match="variable t: a continuous variable"):
-            solve(parse_lp(io.StringIO(text)))
+    @pytest.mark.parametrize("source", ("bk", "pcbk", "sbk", "hand-built"))
+    def test_models_that_state_no_problem_are_rejected(self, source):
+        # the search is built from the problem build_model states, which no
+        # LP file and no hand-built model carries
+        if source == "hand-built":
+            names = ("a", "b")
+            model = LinearModel(
+                tuple(Variable(nm, BINARY) for nm in names),
+                "max",
+                {"a": 3.0, "b": 2.0},
+                (LinearConstraint("weight", {"a": 2.0, "b": 1.0}, "<=", 2.0),),
+            )
+        else:
+            model = reparse(build_model(random_problem(3, n=3), source.upper()))
+        with pytest.raises(ValidationError, match=NO_PROBLEM):
+            solve(model)
 
     @pytest.mark.parametrize("simplify", (False, True))
     def test_parsed_dars_file_is_rejected(self, simplify):
-        # an LP file states no linearization, so theta1 is an unstated
-        # continuous variable
+        # an LP file states no selection problem, so neither the search nor
+        # theta, y and g can be read from it
         model = build_model(random_problem(3, n=3), DARS, simplify=simplify)
-        with pytest.raises(ValidationError, match="variable theta1: a continuous variable"):
+        with pytest.raises(ValidationError, match=NO_PROBLEM):
             solve(reparse(model))
 
     @pytest.mark.parametrize("seed", range(20))
@@ -613,24 +502,6 @@ class TestDeterminism:
         assert a.values == b.values
         assert a.stats.nodes == b.stats.nodes
 
-    def test_round_trip_through_lp_preserves_answer(self):
-        # zero terms are not written, so the zeroed requirements appear in
-        # fewer rows of the parsed model than of the built one
-        problems = (random_problem(37, n=6), with_zero_value_and_cost(random_problem(41, n=7)))
-        for problem, method in itertools.product(problems, (BK, PCBK, SBK)):
-            model = build_model(problem, method)
-            direct = solve(model)
-            reparsed = solve(reparse(model))
-            assert reparsed.status == direct.status
-            assert reparsed.stats.nodes == direct.stats.nodes
-            if direct.status == OPTIMAL:
-                assert reparsed.objective == pytest.approx(direct.objective, abs=1e-9)
-                assert reparsed.x == direct.x
-                assert reparsed.theta is direct.theta is None
-                assert set(reparsed.values) == set(direct.values)
-                for name, value in direct.values.items():
-                    assert reparsed.values[name] == pytest.approx(value, abs=1e-9)
-
 
 class TestObjectiveIdentity:
     @pytest.mark.parametrize("seed", range(8))
@@ -654,48 +525,58 @@ class TestObjectiveIdentity:
         )
 
 
-def random_row_set(seed):
-    """All-binary rows: a widest <= knapsack row first (tied and zero
-    weights, rhs an exact partial sum, just off one, or inside the
-    feasibility tolerance below one), then narrower <=/>=/= rows with
-    mixed-sign integer coefficients that one random selection satisfies,
-    tight or with one unit of slack. Also a random partial fixing."""
+def dense_problem(seed):
+    """A problem with the rows propagation meets at their densest: a budget
+    row of quarter-multiple weights (tied and zero ones among them) whose
+    budget is an exact partial sum, just off one, or inside the feasibility
+    tolerance below one, then up to 2n precedence records (+-1 rows, and
+    "=" rows searched as two halves). Also a random partial fixing."""
     rng = np.random.default_rng(seed)
-    nb = int(rng.integers(3, 16))
-    names = [f"b{i}" for i in range(nb)]
-    weights = rng.choice([0.0, 0.25, 0.5, 1.0, 1.0, 2.0, 3.0, 3.0], size=nb)
-    rhs = float(weights[rng.random(nb) < 0.5].sum()) + float(rng.choice([0.0, 0.0, 0.25, -0.25, -5e-10]))
-    rows = [LinearConstraint("knap", dict(zip(names, weights.tolist())), "<=", rhs)]
-    witness = rng.random(nb) < 0.5
-    for r in range(int(rng.integers(1, 6))):
-        members = rng.choice(nb, size=int(rng.integers(1, nb)), replace=False)
-        coefs = rng.choice([-3.0, -2.0, -1.0, -1.0, 1.0, 1.0, 2.0, 3.0], size=members.size)
-        relation = str(rng.choice(["<=", "<=", ">=", ">=", "="]))
-        slack = 0.0 if relation == "=" else float(rng.choice([0.0, 1.0]))
-        row_rhs = float(coefs[witness[members]].sum()) + (slack if relation == "<=" else -slack)
-        rows.append(
-            LinearConstraint(f"r{r}", {names[m]: c for m, c in zip(members, coefs)}, relation, row_rhs)
+    n = int(rng.integers(3, 16))
+    mode = (BUDGET_COST, PRICE_VALUE)[seed % 2]
+    weights = rng.choice([0.0, 0.25, 0.5, 1.0, 1.0, 2.0, 3.0, 3.0], size=n).tolist()
+    other = rng.choice([0.0, 0.5, 1.0, 2.5, 4.0], size=n).tolist()
+    reqs = tuple(
+        Requirement(
+            id=f"r{i + 1}",
+            cost=weights[i] if mode == BUDGET_COST else other[i],
+            value=other[i] if mode == BUDGET_COST else weights[i],
+            probability=1.0,
         )
-    variables = tuple(Variable(name, BINARY) for name in names)
-    start = np.where(rng.random(nb) < 0.6, -1, rng.integers(0, 2, nb)).astype(np.int8)
-    return LinearModel(variables, "max", {names[0]: 1.0}, tuple(rows)), start
+        for i in range(n)
+    )
+    jitter = float(rng.choice([0.0, 0.0, 0.25, -0.25, -5e-10]))
+    budget = max(0.0, float(np.array(weights)[rng.random(n) < 0.5].sum()) + jitter)
+    precedence = random_precedence(rng, n, most=2 * n)
+    problem = SelectionProblem(reqs, budget, mode, precedence, random_influence(rng, n))
+    start = np.where(rng.random(n) < 0.6, -1, rng.integers(0, 2, n)).astype(np.int8)
+    return problem, start
 
 
-def model_rows(model, comp):
-    """The model's all-binary rows as (vars, coefs, relation, rhs) tuples over
-    the compact binary indices, and for each searched row the (model row,
+def model_rows(model):
+    """The model's rows over its x binaries alone as (vars, coefs, relation,
+    rhs) tuples over x indices, and for each searched row the (model row,
     sign) it is compiled from: a "<=" half (+1) or a negated half (-1)."""
+    x_pos = {name: j for j, name in enumerate(model.metadata["x_names"])}
     rows, halves = [], []
     for con in model.constraints:
-        idxs = [comp.index[name] for name in con.coeffs]
-        if all(i in comp.bpos for i in idxs):
+        if x_pos.keys() >= con.coeffs.keys():
             rid = len(rows)
             coefs = [float(a) for a in con.coeffs.values()]
-            rows.append(([comp.bpos[i] for i in idxs], coefs, con.relation, float(con.rhs)))
+            rows.append(([x_pos[name] for name in con.coeffs], coefs, con.relation, float(con.rhs)))
             halves += {"<=": [(rid, 1)], ">=": [(rid, -1)], "=": [(rid, 1), (rid, -1)]}[
                 con.relation
             ]
     return rows, halves
+
+
+def searched_rows(rows, halves):
+    """The model rows each searched row comes from, in "<=" form."""
+    return [(rows[r][0], [sign * a for a in rows[r][1]], sign * rows[r][3]) for r, sign in halves]
+
+
+def compiled_rows(comp):
+    return [(r.vars, r.coefs, r.rhs) for r in comp.binrows]
 
 
 def least_activities(halves, minact, maxact):
@@ -721,16 +602,14 @@ class TestSearchParity:
         verdicts = set()
         forced = 0
         for seed in range(300):
-            model, start = random_row_set(seed)
-            comp = _Compiled(model)
-            assert comp.kn_row == 0
+            problem, start = dense_problem(seed)
+            method = BK if seed % 10 == 0 else PCBK
+            comp = _Compiled(problem, method)
             search = _Search(comp, SolverLimits())
             f = bytearray(FREE if v == -1 else int(v) for v in start)
             fv = np.frombuffer(f, np.int8)
-            rows, halves = model_rows(model, comp)
-            assert [(r.vars, r.coefs, r.rhs) for r in comp.binrows] == [
-                (rows[r][0], [sign * a for a in rows[r][1]], sign * rows[r][3]) for r, sign in halves
-            ], seed
+            rows, halves = model_rows(build_model(problem, method))
+            assert compiled_rows(comp) == searched_rows(rows, halves), seed
             ref_min, ref_max = (np.array(act) for act in row_activities(rows, start))
             mi = least_activities(halves, ref_min.tolist(), ref_max.tolist())
             ref_fixed = start.copy()
@@ -751,88 +630,59 @@ class TestSearchParity:
         assert verdicts == {True, False}
         assert forced > 100
 
-    def test_knapsack_row_skips_negated_rows(self):
-        # -x1 - x2 >= -1 is searched as x1 + x2 <= 1: non-negative
-        # coefficients after negation, but a ">=" row is no knapsack row
-        names = ("x1", "x2", "x3")
-        rows = (
-            LinearConstraint("cover", {"x1": -1.0, "x2": -1.0}, ">=", -1.0),
-            LinearConstraint("budget", {"x1": 2.0, "x2": 1.0, "x3": 1.0}, "<=", 2.0),
-        )
-        model = LinearModel(
-            tuple(Variable(nm, BINARY) for nm in names), "max", dict(zip(names, (3.0, 2.0, 2.0))), rows
-        )
-        comp = _Compiled(model)
-        assert comp.kn_row == 1
-        assert (comp.binrows[1].coefs, comp.kn_rhs) == ([2.0, 1.0, 1.0], 2.0)
-        assert comp.w_bin.tolist() == [2.0, 1.0, 1.0]
-        got = solve(model)
-        assert (got.status, got.x, got.objective) == (OPTIMAL, (0, 1, 1), 4.0)
-
-    @pytest.mark.parametrize("method", (*METHODS, INCREASE_DECREASE))
+    @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("mode", (BUDGET_COST, PRICE_VALUE))
     def test_knapsack_row_is_the_budget_row(self, method, mode):
         problem = random_problem(41, n=7, mode=mode)
-        if method == INCREASE_DECREASE:
-            model = increase_decrease_model(problem, (SubsetEstimate(members=(0, 1), estimated_value=3.0),))
-        else:
-            model = build_model(problem, method)
-        models = [model]
-        if method != DARS:
-            # a parsed DARS file is not solvable
-            models.append(reparse(model))
-        for m in models:
-            comp = _Compiled(m)
-            assert m.constraints[0].name == ("budget" if mode == BUDGET_COST else "price")
-            assert comp.kn_row == 0
-            assert comp.kn_rhs == m.constraints[0].rhs
+        budget = build_model(problem, method).constraints[0]
+        comp = _Compiled(problem, method)
+        weights = list(budget.coeffs.values())
+        assert budget.name == ("budget" if mode == BUDGET_COST else "price")
+        assert compiled_rows(comp)[0] == (list(range(7)), weights, budget.rhs)
+        assert comp.kn_rhs == budget.rhs
+        assert comp.w_bin.tolist() == weights
 
-    def test_knapsack_row_survives_zero_costs(self):
-        # the LP file drops the zero-cost terms, so the parsed budget row is
-        # narrower than the ExactlyOne row and is still the knapsack row
-        reqs = tuple(
-            Requirement(id=f"r{i + 1}", cost=cost, value=value, probability=1.0)
-            for i, (cost, value) in enumerate(((0.0, 5.0), (0.0, 4.0), (3.0, 9.0)))
-        )
-        precedence = PrecedenceGraph(n=3, constraints=(ExactlyOne(members=(0, 1)),))
-        model = build_model(SelectionProblem(reqs, budget=2.0, precedence=precedence), PCBK)
-        buf = io.StringIO()
-        export_lp(model, buf)
-        parsed = parse_lp(io.StringIO(buf.getvalue()))
-        assert len(parsed.constraints[0].coeffs) == 1
-        built, reparsed = solve(model), solve(parsed)
-        for m in (model, parsed):
-            assert _Compiled(m).kn_row == 0
-        assert built.stats.root_bound == reparsed.stats.root_bound == 9.0
-        assert (built.x, built.objective, built.stats.nodes) == (
-            reparsed.x,
-            reparsed.objective,
-            reparsed.stats.nodes,
-        )
+    def test_compile_matches_the_row_reader(self):
+        # the kernel built from (problem, method) against the reader that
+        # recovered it from the model's rows (oracles.reference_compile)
+        variants = ((BK, False), (PCBK, False), (SBK, False), (DARS, False), (DARS, True))
+        for seed in range(300):
+            problem = random_problem(seed + 6000, n=2 + seed % 15, most=2 * (seed % 3))
+            if problem.n >= 4 and seed % 5 == 1:
+                problem = with_zero_value_and_cost(problem)
+            for method, simplify in variants:
+                comp = _Compiled(problem, method)
+                want = reference_compile(build_model(problem, method, simplify=simplify))
+                where = (seed, method, simplify)
+                assert compiled_rows(comp) == want.binrows, where
+                for name in ("c_bin", "w_bin", "B"):
+                    got, ref = getattr(comp, name), getattr(want, name)
+                    assert (got is ref is None) or np.array_equal(got, ref), (where, name)
+                assert repr(comp.kn_rhs) == repr(want.kn_rhs), where
+                assert comp.obj_quantum == want.obj_quantum, where
+                assert comp.branch_order == want.branch_order, where
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dars_searches_the_x_core(self, seed):
-        # plain or simplified: the search sees the x binaries, the PCBK rows
-        # and one penalty-floor table
-        def rows(comp):
-            return [(r.vars, r.coefs, r.rhs) for r in comp.binrows]
-
+        # the search sees the x binaries, the PCBK rows and one penalty-floor
+        # table; its rows are the DARS model's rows over x alone, plain or
+        # simplified
         problem = random_problem(seed + 300, n=4 + seed)
-        core = rows(_Compiled(build_model(problem, PCBK)))
-        floors = None
+        comp = _Compiled(problem, DARS)
+        assert comp.nbin == problem.n
+        assert compiled_rows(comp) == compiled_rows(_Compiled(problem, PCBK))
         for simplify in (False, True):
-            comp = _Compiled(build_model(problem, DARS, simplify=simplify))
-            assert comp.nbin == problem.n
-            assert rows(comp) == core
-            floors = floors or (comp.B0, comp.B1)
-            assert np.array_equal(comp.B0, floors[0]) and np.array_equal(comp.B1, floors[1])
+            rows, halves = model_rows(build_model(problem, DARS, simplify=simplify))
+            assert compiled_rows(comp) == searched_rows(rows, halves)
+        assert comp.B.shape == (2 * problem.n, problem.n)
+        assert _Compiled(problem, PCBK).B is None
 
     @pytest.mark.parametrize("simplify", (False, True))
     @pytest.mark.parametrize("kind", ("zero", "negative", "dense"))
     @pytest.mark.parametrize("seed", range(5))
     def test_stated_floor_table_matches_the_penalty_rows(self, seed, kind, simplify):
-        # the search reads its floors from metadata["influence"] and only
-        # verify_solution reads the penalty rows, so the two must agree:
+        # the search reads its floors from the problem's influence matrix and
+        # only verify_solution reads the penalty rows, so the two must agree:
         # a row theta_i + w x_j >= rhs floors theta_i at rhs while x_j = 0
         # and at rhs - w once x_j = 1
         rng = np.random.default_rng(seed)
@@ -845,9 +695,8 @@ class TestSearchParity:
             ),
             "dense": random_influence(rng, n, density=1.0),
         }[kind]
-        model = build_model(
-            dataclasses.replace(problem, influence=influence), DARS, simplify=simplify
-        )
+        problem = dataclasses.replace(problem, influence=influence)
+        model = build_model(problem, DARS, simplify=simplify)
         x_pos = {name: j for j, name in enumerate(model.metadata["x_names"])}
         theta_pos = {f"theta{i + 1}": i for i in range(n)}
         want0, want1 = np.zeros((n, n)), np.zeros((n, n))
@@ -862,29 +711,9 @@ class TestSearchParity:
             penalty_rows += 1
         assert penalty_rows == np.count_nonzero(influence.influence)
         assert penalty_rows == 0 if kind == "zero" else penalty_rows > 0
-        comp = _Compiled(model)
-        assert np.array_equal(comp.B0, want0) and np.array_equal(comp.B1, want1)
+        comp = _Compiled(problem, DARS)
+        assert np.array_equal(comp.B[:n], want0) and np.array_equal(comp.B[n:], want1)
         assert not np.signbit(comp.B).any()
-
-    @pytest.mark.parametrize("simplify", (False, True))
-    @pytest.mark.parametrize("seed", range(6))
-    def test_row_order_leaves_the_compile_unchanged(self, seed, simplify):
-        # shuffling the rows after the budget row changes neither the
-        # compiled model (up to row order) nor the answer
-        model = build_model(random_problem(seed + 500, n=5 + seed), DARS, simplify=simplify)
-        budget, *rest = model.constraints
-        order = np.random.default_rng(seed).permutation(len(rest))
-        shuffled = dataclasses.replace(model, constraints=(budget, *(rest[i] for i in order)))
-        built, moved = _Compiled(model), _Compiled(shuffled)
-
-        def rows(comp):
-            return sorted((r.vars, r.coefs, r.rhs) for r in comp.binrows)
-
-        assert rows(moved) == rows(built) and moved.kn_row == built.kn_row == 0
-        for name in ("B0", "B1", "theta_idx", "y_idx", "g_idx"):
-            assert np.array_equal(getattr(moved, name), getattr(built, name)), name
-        got, want = solve(shuffled), solve(model)
-        assert (got.x, got.objective) == (want.x, want.objective)
 
     @pytest.mark.parametrize(
         "n, pdl, seed, nodes",
@@ -930,7 +759,7 @@ class TestSearchParity:
             patch.setattr(_Search, "_expand", recording_expand)
             solve(model)
         for comp, fv, mi, pos, floor, bvar in records:
-            rows, halves = model_rows(model, comp)
+            rows, halves = model_rows(model)
             want = least_activities(halves, *row_activities(rows, fv))
             assert len(mi) == len(want)
             for k, (r, _) in enumerate(halves):
@@ -965,8 +794,8 @@ class TestSearchParity:
     def test_carried_activities_match_rescan_random(self, monkeypatch):
         expanded = 0
         for seed in range(120):
-            model, _ = random_row_set(seed)
-            expanded += self.assert_carried_match_oracle(model, monkeypatch)
+            problem, _ = dense_problem(seed)
+            expanded += self.assert_carried_match_oracle(build_model(problem, PCBK), monkeypatch)
             problem = random_problem(seed + 700, n=6 + seed % 6)
             expanded += self.assert_carried_match_oracle(build_model(problem, DARS), monkeypatch)
         assert expanded > 1000
@@ -1064,7 +893,7 @@ class TestPolish:
         for seed in range(40):
             problem = random_problem(seed + 4000, n=2 + seed % 11)
             model = build_model(problem, method)
-            search = _Search(_Compiled(model), SolverLimits())
+            search = _Search(_Compiled(problem, method), SolverLimits())
             x = np.random.default_rng(seed).integers(0, 2, problem.n)
             top = None if method == SBK else search._top3(x)
             swaps = np.array([(j, k) for j in np.flatnonzero(x == 1) for k in np.flatnonzero(x == 0)])
@@ -1082,23 +911,17 @@ class TestPolish:
                     moves += 1
         assert moves > 700
 
-    @pytest.mark.parametrize("seed", range(60))
-    def test_binary_models_polish_in_their_own_sense(self, seed):
-        # LP-only shapes: minimized objectives, coefficients of either sign,
-        # ">=" and "=" rows; the gap reads the same in both senses
-        model = random_binary_model(seed)
-        for cap in (1, 2, 3):
-            got = solve(model, SolverLimits(max_nodes=cap))
-            if got.objective is None:
-                assert got.stats.gap is None
-                assert (got.stats.final_bound is None) == (got.status == INFEASIBLE)
-                continue
-            assert verify_solution(model, got).ok
-            sign = 1.0 if model.objective_sense == "max" else -1.0
-            assert got.stats.gap == sign * (got.stats.final_bound - got.objective) >= 0.0
-            if got.status == FEASIBLE:
-                _, obj = enumerate_model_optimum(model)
-                assert sign * got.objective <= sign * obj + 1e-9
+    def test_node_limit_is_overrun_by_one_expansion_at_most(self):
+        # the limit is checked between heap pops: the expansion that reaches
+        # it still dives (at most two children per free binary) and branches
+        # (two more), so a solve over n binaries visits at most
+        # max(max_nodes, 2) + 2n + 1 nodes
+        over = 0
+        for problem, method, limits in polish_cases():
+            got = solve(build_model(problem, method), limits)
+            assert got.stats.nodes <= max(limits.max_nodes, 2) + 2 * problem.n + 1
+            over += got.stats.nodes > limits.max_nodes
+        assert over >= 300, over
 
     def test_polish_at_n1000_is_bounded(self, monkeypatch):
         # a 1-node DARS solve at n = 1000 hands the polish its first dive's
@@ -1124,6 +947,7 @@ class TestPolish:
         model = build_model(pinned_problem(1000, 0.0, 0), DARS)
         got = solve(model, SolverLimits(max_nodes=1))
         assert got.status == FEASIBLE
+        assert got.stats.nodes == 573  # the root's expansion, dive and children
         assert got.objective > seen["start"] + 100.0
         assert seen["s"] < 20.0 and seen["mb"] < 16.0, seen
         assert verify_solution(model, got).ok
