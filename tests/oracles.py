@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import re
+import time
 import types
 
 import numpy as np
@@ -39,6 +40,17 @@ from reqsel import (
 )
 from reqsel.dependency_graph import NEGATIVE, POSITIVE
 from reqsel.selection_models import BINARY, CONTINUOUS, LinearConstraint, Variable
+from reqsel.solver import (
+    FEASIBLE,
+    INFEASIBLE,
+    OPTIMAL,
+    UNKNOWN,
+    Solution,
+    SolverLimits,
+    SolveStats,
+    _Row,
+    _Search,
+)
 
 
 def contingency(cells: np.ndarray, i: int, j: int) -> tuple[int, int, int, int]:
@@ -364,9 +376,10 @@ def increase_decrease_model(problem: SelectionProblem, subsets) -> LinearModel:
     x <= 0), with objective coefficient w_j - sum of member values. When that
     is negative the optimizer would leave y_j at 0, so a completeness row
     (sum of member x - y_j <= n_j - 1) forces it to 1 once the subset is
-    whole. The package builds no such model, and `solve` rejects it; the LP
-    tests export and parse it for what no built model holds: binaries after
-    the x binaries with objective coefficients of either sign."""
+    whole. The package builds no such model, and `solve` rejects it; the
+    search and LP tests run it through `reference_solve` and the LP writer
+    and reader for what no built model holds: binaries after the x binaries
+    with objective coefficients of either sign."""
     base = build_model(problem, BK)
     x_names = base.metadata["x_names"]
     variables = list(base.variables)
@@ -418,11 +431,19 @@ def is_feasible(problem: SelectionProblem, x) -> bool:
     return True
 
 
-def objective_value(problem: SelectionProblem, method: str, x) -> float:
-    """The method's objective at selection x."""
+def objective_value(problem: SelectionProblem, method: str, x, subsets=()) -> float:
+    """The method's objective at selection x; `subsets` (SubsetEstimate
+    records) only shape INCREASE_DECREASE."""
     reqs = problem.requirements
     if method in (BK, PCBK):
         return sum(r.value for i, r in enumerate(reqs) if x[i])
+    if method == INCREASE_DECREASE:
+        # each fully selected subset swaps its member values for its estimate
+        total = sum(r.value for i, r in enumerate(reqs) if x[i])
+        for s in subsets:
+            if all(x[m] for m in s.members):
+                total += s.estimated_value - sum(reqs[m].value for m in s.members)
+        return total
     if method == SBK:
         return sum(r.probability * r.value for i, r in enumerate(reqs) if x[i])
     if method == DARS:
@@ -436,18 +457,21 @@ def objective_value(problem: SelectionProblem, method: str, x) -> float:
 
 
 def enumerate_optimum(
-    problem: SelectionProblem, method: str, tie_eps: float = 1e-12
+    problem: SelectionProblem, method: str, tie_eps: float = 1e-12, subsets=()
 ) -> tuple[tuple[int, ...], float] | None:
     """Exhaustive 2^n optimum; ties resolved to the smallest selection
     vector read as a binary string with x1 most significant. None when no
-    selection (including the empty one) is feasible."""
+    selection (including the empty one) is feasible. INCREASE_DECREASE
+    selections are bound by the budget row only."""
     n = len(problem.requirements)
+    if method == INCREASE_DECREASE:
+        problem = dataclasses.replace(problem, precedence=None)
     best_obj = -math.inf
     best_x: tuple[int, ...] | None = None
     for bits in itertools.product((0, 1), repeat=n):
         if not is_feasible(problem, bits):
             continue
-        obj = objective_value(problem, method, bits)
+        obj = objective_value(problem, method, bits, subsets)
         if obj > best_obj + tie_eps:
             best_obj, best_x = obj, bits
         elif obj >= best_obj - tie_eps and best_x is not None and bits < best_x:
@@ -494,6 +518,42 @@ def improving_neighbour(
         if obj > objective + tie_eps or (obj >= objective - tie_eps and y < tuple(x)):
             return y, obj
     return None
+
+
+def enumerate_model_optimum(
+    model: LinearModel, tie_eps: float = 1e-12, feas_eps: float = 1e-9
+) -> tuple[tuple[int, ...], float] | None:
+    """Exhaustive 2^n optimum of an all-binary model, read off its rows and
+    objective alone: a selection is feasible when every row holds within
+    feas_eps, and ties within tie_eps go to the smallest selection read as a
+    binary string, the first declared variable most significant. Returns
+    (x, objective in the model's sense), or None when no selection is
+    feasible."""
+    if any(v.kind != BINARY for v in model.variables):
+        raise ValidationError("model enumeration needs an all-binary model")
+    names = [v.name for v in model.variables]
+    sign = 1.0 if model.objective_sense == "max" else -1.0
+    best_obj = -math.inf
+    best_x: tuple[int, ...] | None = None
+    for bits in itertools.product((0, 1), repeat=len(names)):
+        value = dict(zip(names, bits))
+        feasible = True
+        for con in model.constraints:
+            act = sum(a * value[name] for name, a in con.coeffs.items())
+            if con.relation != ">=" and act > con.rhs + feas_eps:
+                feasible = False
+            if con.relation != "<=" and act < con.rhs - feas_eps:
+                feasible = False
+        if not feasible:
+            continue
+        obj = sign * sum(a * value[name] for name, a in model.objective.items())
+        if obj > best_obj + tie_eps:
+            best_obj, best_x = obj, bits
+        elif obj >= best_obj - tie_eps and best_x is not None and bits < best_x:
+            best_x = bits
+    if best_x is None:
+        return None
+    return best_x, sign * best_obj
 
 
 def row_activities(rows, fixed) -> tuple[list[float], list[float]]:
@@ -663,8 +723,64 @@ def reference_compile(model: LinearModel) -> types.SimpleNamespace:
     ratio = c_bin / np.maximum(w_bin, 1e-300)
     branch_order = sorted(range(nbin), key=lambda b: (-ratio[b], b))
     return types.SimpleNamespace(
-        binrows=binrows, c_bin=c_bin, w_bin=w_bin, kn_rhs=kn_rhs, B=B,
-        obj_quantum=obj_quantum, branch_order=branch_order,
+        binrows=binrows, c_bin=c_bin, w_bin=w_bin, kn_row=kn_row, kn_rhs=kn_rhs, B=B,
+        obj_quantum=obj_quantum, branch_order=branch_order, names=names, bin_vars=bin_vars,
+        links=links, sign=-1.0 if model.objective_sense == "min" else 1.0,
+    )
+
+
+def reference_solve(model: LinearModel, limits: SolverLimits | None = None) -> Solution:
+    """`solve` as it was when it read its search out of the model's rows:
+    the solver's branch and bound (`_Search`) run on what `reference_compile`
+    reads, so the search stays checked on what only LP files and hand-built
+    models hold (objective coefficients of either sign, ">=" and "=" rows,
+    binaries outside the knapsack row, a minimized objective).
+
+    The objective, root and final bounds are reported in the model's sense;
+    x holds every search binary in declaration order, and so do the first
+    keys of values. A model's stated g, theta and y are filled in closed
+    form (g = x, theta = the penalty floor, y = theta x). A model without a
+    non-">=" row of non-negative coefficients has no knapsack row: its
+    search weighs nothing and its bound takes every positive value."""
+    ref = reference_compile(model)
+    nbin = len(ref.bin_vars)
+    rows = [_Row(list(vars_), list(coefs), rhs) for vars_, coefs, rhs in ref.binrows]
+    occ: list[list[tuple[int, float]]] = [[] for _ in range(nbin)]
+    for rid, row in enumerate(rows):
+        for b, a in zip(row.vars, row.coefs):
+            occ[b].append((rid, a))
+    rank = [0] * nbin
+    for k, b in enumerate(ref.branch_order):
+        rank[b] = k
+    kernel = types.SimpleNamespace(
+        nbin=nbin, binrows=rows, nbinrows=len(rows), occ=occ, c_bin=ref.c_bin,
+        w_bin=ref.w_bin, kn_rhs=ref.kn_rhs, B=ref.B, obj_quantum=ref.obj_quantum,
+        branch_order=ref.branch_order, branch_rank=rank,
+    )
+    search = _Search(kernel, limits or SolverLimits())
+    root_bound = search.run()
+    sign = ref.sign
+    root = None if root_bound is None or not math.isfinite(root_bound) else sign * root_bound
+    open_bound = max(-search.heap[0][0], search.inc_obj) if search.hit_limit else search.inc_obj
+    final = sign * open_bound if math.isfinite(open_bound) else None
+    gap = None if search.inc_fix is None else open_bound - search.inc_obj
+    stats = SolveStats(search.nodes, time.perf_counter() - search.t0, root, final, gap)
+    if search.inc_fix is None:
+        status = UNKNOWN if search.hit_limit else INFEASIBLE
+        return Solution(status, None, {}, (), None, None, not search.hit_limit, stats)
+    fv, floor = search.inc_fix, search.inc_floor
+    x = fv.astype(np.float64).tolist()
+    values = {ref.names[i]: x[b] for b, i in enumerate(ref.bin_vars)}
+    theta = y = None
+    if floor is not None:
+        theta, y = tuple(floor.tolist()), tuple((floor * (fv == 1)).tolist())
+        for i, (_, g, t, yy) in enumerate(ref.links):
+            values[ref.names[g]] = x[i]
+            values[ref.names[t]] = theta[i]
+            values[ref.names[yy]] = y[i]
+    status = FEASIBLE if search.hit_limit else OPTIMAL
+    return Solution(
+        status, sign * search.inc_obj, values, search.inc_key, theta, y, not search.hit_limit, stats
     )
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import time
 import tracemalloc
 
@@ -7,14 +8,19 @@ import numpy as np
 import pytest
 
 from oracles import (
+    INCREASE_DECREASE,
+    SubsetEstimate,
+    enumerate_model_optimum,
     enumerate_optimum,
     improving_neighbour,
+    increase_decrease_model,
     objective_value,
     penalties,
     penalty_floor,
     reference_accepted_link_rows,
     reference_compile,
     reference_propagate,
+    reference_solve,
     row_activities,
 )
 from reqsel import (
@@ -149,6 +155,39 @@ def reparse(model):
     return parse_lp(io.StringIO(buf.getvalue()))
 
 
+def random_binary_model(seed):
+    """An all-binary model over 2-10 binaries with what only LP files bring
+    to the search: objective coefficients of either sign or absent, binaries
+    the knapsack row leaves at zero weight or that no row names, and ">=" and
+    "=" rows next to "<=" rows; maximized or, one time in four, minimized.
+    Every number is a quarter multiple, so sums are exact and ties are real.
+    The rows after the knapsack row hold for one random selection, tight or
+    with one unit of slack."""
+    rng = np.random.default_rng(seed)
+    nb = int(rng.integers(2, 11))
+    names = [f"b{i}" for i in range(nb)]
+    in_knap = rng.random(nb) < 0.7
+    weights = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0], size=nb)
+    knap = {names[i]: float(weights[i]) for i in range(nb) if in_knap[i]} or {names[0]: 1.0}
+    picked = [a for a in knap.values() if rng.random() < 0.5]
+    rows = [LinearConstraint("knap", knap, "<=", float(sum(picked)))]
+    witness = rng.random(nb) < 0.5
+    for r in range(int(rng.integers(0, 4))):
+        members = rng.choice(nb, size=int(rng.integers(1, nb + 1)), replace=False)
+        coefs = rng.choice([-2.0, -1.0, -1.0, 1.0, 1.0, 2.0, 3.0], size=members.size)
+        relation = str(rng.choice(["<=", ">=", ">=", "=", "="]))
+        slack = 0.0 if relation == "=" else float(rng.choice([0.0, 1.0]))
+        rhs = float(coefs[witness[members]].sum()) + (slack if relation == "<=" else -slack)
+        rows.append(
+            LinearConstraint(f"r{r}", {names[m]: c for m, c in zip(members, coefs)}, relation, rhs)
+        )
+    c = rng.choice([-4.0, -2.5, -0.25, 0.0, 0.5, 1.0, 1.0, 2.0, 3.75, 6.0], size=nb)
+    objective = {names[i]: float(c[i]) for i in range(nb) if rng.random() < 0.85}
+    sense = "min" if rng.random() < 0.25 else "max"
+    variables = tuple(Variable(name, BINARY) for name in names)
+    return LinearModel(variables, sense, objective, tuple(rows))
+
+
 def assert_matches_oracle(problem, method, simplify=False):
     model = build_model(problem, method, simplify=simplify)
     got = solve(model)
@@ -236,6 +275,59 @@ class TestOracleEquivalence:
     def test_random_instances(self, method, seed):
         problem = random_problem(seed, with_precedence=(method != BK))
         assert_matches_oracle(problem, method)
+
+    @pytest.mark.parametrize("mode", (BUDGET_COST, PRICE_VALUE))
+    @pytest.mark.parametrize("seed", range(60))
+    def test_increase_decrease_instances(self, mode, seed):
+        # one subset worth more than its members, one worth less, one either
+        # way; the precedence records must not bind this model. x holds the
+        # requirement binaries and then one y per subset, set exactly when
+        # the subset is whole. The model states no selection problem, so the
+        # search runs on the rows reference_solve reads
+        n = 2 + seed % 9
+        problem = random_problem(seed + 1200, n=n, mode=mode)
+        rng = np.random.default_rng(seed)
+        subsets = []
+        for sign in (1.0, -1.0, float(rng.choice((-1.0, 1.0)))):
+            members = tuple(int(m) for m in rng.permutation(n)[: int(rng.integers(2, min(4, n) + 1))])
+            base = sum(problem.requirements[m].value for m in members)
+            shift = sign * float(np.round(rng.uniform(0.5, 6.0), 2))
+            subsets.append(SubsetEstimate(members=members, estimated_value=base + shift))
+        model = increase_decrease_model(problem, subsets)
+        got = reference_solve(model)
+        want_x, want_obj = enumerate_optimum(problem, INCREASE_DECREASE, subsets=subsets)
+        assert (got.status, got.proven) == (OPTIMAL, True)
+        assert got.objective == pytest.approx(want_obj, abs=1e-9)
+        whole = tuple(int(all(want_x[m] for m in s.members)) for s in subsets)
+        assert got.x == want_x + whole
+        report = verify_solution(model, got)
+        assert report.ok, report.violations
+
+    def test_hand_built_binary_models(self):
+        # searched as built and as read back from an LP file, which drops
+        # zero terms: both match the model's own 2^n enumeration, tie-break
+        # included, and x holds every binary in declaration order
+        seen = {"infeasible": 0, "negative objective": 0, "zero weight": 0, ">=": 0, "=": 0}
+        for seed in range(400):
+            model = random_binary_model(seed)
+            want = enumerate_model_optimum(model)
+            names = tuple(v.name for v in model.variables)
+            direct, parsed = reference_solve(model), reference_solve(reparse(model))
+            for got in (direct, parsed):
+                if want is None:
+                    assert (got.status, got.proven) == (INFEASIBLE, True), seed
+                    continue
+                assert (got.status, got.proven) == (OPTIMAL, True), seed
+                assert (got.x, got.objective) == want, seed
+                assert tuple(got.values) == names
+                assert verify_solution(model, got).ok, seed
+            assert direct.stats.nodes == parsed.stats.nodes, seed
+            seen["infeasible"] += want is None
+            seen["negative objective"] += min(model.objective.values(), default=0.0) < 0
+            seen["zero weight"] += any(model.constraints[0].coeffs.get(nm, 0.0) == 0 for nm in names)
+            for relation in (">=", "="):
+                seen[relation] += any(con.relation == relation for con in model.constraints)
+        assert min(seen.values()) >= 20, seen
 
     def test_built_models_match_enumeration(self):
         # every method, plain and simplified DARS, both modes, n up to 12,
@@ -449,7 +541,58 @@ class TestSolutionReport:
         rep = solution_report(model, solve(model))
         assert "elapsed" not in repr(rep)
 
+
 class TestForeignModels:
+    def test_handwritten_lp_solves(self):
+        # solve rejects the file; the search runs on the rows it states
+        text = (
+            "Maximize\n"
+            " obj: 3 a + 2 b + 4 c\n"
+            "Subject To\n"
+            " weight: 2 a + 1 b + 3 c <= 4\n"
+            " choose: a + b >= 1\n"
+            "Binary\n a\n b\n c\nEnd\n"
+        )
+        model = parse_lp(io.StringIO(text))
+        with pytest.raises(ValidationError, match=NO_PROBLEM):
+            solve(model)
+        got = reference_solve(model)
+        assert got.status == OPTIMAL
+        # best is {b, c}: value 6, weight 4
+        assert got.objective == pytest.approx(6.0)
+        assert got.values == {"a": 0.0, "b": 1.0, "c": 1.0}
+
+    def test_minimization_sense(self):
+        text = (
+            "Minimize\n"
+            " obj: 3 a + 2 b\n"
+            "Subject To\n"
+            " cover: a + b >= 1\n"
+            "Binary\n a\n b\nEnd\n"
+        )
+        got = reference_solve(parse_lp(io.StringIO(text)))
+        assert got.status == OPTIMAL
+        assert got.objective == pytest.approx(2.0)
+        assert got.values["b"] == 1.0
+
+    def test_floor_forced_continuous_variable(self):
+        # a continuous variable that build_model does not state as a theta
+        # or y has no closed form at the leaves: the row reader rejects the
+        # model, and solve rejects it as stating no selection problem
+        text = (
+            "Maximize\n"
+            " obj: 2 x1 - 0.5 t\n"
+            "Subject To\n"
+            " floor: 1 t - 1 x1 >= 0\n"
+            "Bounds\n 0 <= t <= 1\n"
+            "Binary\n x1\nEnd\n"
+        )
+        model = parse_lp(io.StringIO(text))
+        with pytest.raises(ValidationError, match="variable t: an unstated continuous variable"):
+            reference_solve(model)
+        with pytest.raises(ValidationError, match=NO_PROBLEM):
+            solve(model)
+
     @pytest.mark.parametrize("source", ("bk", "pcbk", "sbk", "hand-built"))
     def test_models_that_state_no_problem_are_rejected(self, source):
         # the search is built from the problem build_model states, which no
@@ -501,6 +644,26 @@ class TestDeterminism:
         assert a.objective == b.objective
         assert a.values == b.values
         assert a.stats.nodes == b.stats.nodes
+
+    def test_round_trip_through_lp_preserves_answer(self):
+        # the search read back out of the parsed file's rows answers as solve
+        # does from the problem. Zero terms are not written, so the zeroed
+        # requirements appear in fewer rows of the parsed model than of the
+        # built one
+        problems = (random_problem(37, n=6), with_zero_value_and_cost(random_problem(41, n=7)))
+        for problem, method in itertools.product(problems, (BK, PCBK, SBK)):
+            model = build_model(problem, method)
+            direct = solve(model)
+            reparsed = reference_solve(reparse(model))
+            assert reparsed.status == direct.status
+            assert reparsed.stats.nodes == direct.stats.nodes
+            if direct.status == OPTIMAL:
+                assert reparsed.objective == pytest.approx(direct.objective, abs=1e-9)
+                assert reparsed.x == direct.x
+                assert reparsed.theta is direct.theta is None
+                assert set(reparsed.values) == set(direct.values)
+                for name, value in direct.values.items():
+                    assert reparsed.values[name] == pytest.approx(value, abs=1e-9)
 
 
 class TestObjectiveIdentity:
@@ -630,10 +793,38 @@ class TestSearchParity:
         assert verdicts == {True, False}
         assert forced > 100
 
-    @pytest.mark.parametrize("method", METHODS)
+    def test_knapsack_row_skips_negated_rows(self):
+        # -x1 - x2 >= -1 is searched as x1 + x2 <= 1: non-negative
+        # coefficients after negation, but a ">=" row is no knapsack row
+        names = ("x1", "x2", "x3")
+        rows = (
+            LinearConstraint("cover", {"x1": -1.0, "x2": -1.0}, ">=", -1.0),
+            LinearConstraint("budget", {"x1": 2.0, "x2": 1.0, "x3": 1.0}, "<=", 2.0),
+        )
+        model = LinearModel(
+            tuple(Variable(nm, BINARY) for nm in names), "max", dict(zip(names, (3.0, 2.0, 2.0))), rows
+        )
+        comp = reference_compile(model)
+        assert comp.kn_row == 1
+        assert (comp.binrows[1][1], comp.kn_rhs) == ([2.0, 1.0, 1.0], 2.0)
+        assert comp.w_bin.tolist() == [2.0, 1.0, 1.0]
+        got = reference_solve(model)
+        assert (got.status, got.x, got.objective) == (OPTIMAL, (0, 1, 1), 4.0)
+
+    @pytest.mark.parametrize("method", (*METHODS, INCREASE_DECREASE))
     @pytest.mark.parametrize("mode", (BUDGET_COST, PRICE_VALUE))
     def test_knapsack_row_is_the_budget_row(self, method, mode):
         problem = random_problem(41, n=7, mode=mode)
+        if method == INCREASE_DECREASE:
+            # it states no problem: the row reader finds the budget row first,
+            # in the model and in its LP file
+            model = increase_decrease_model(problem, (SubsetEstimate(members=(0, 1), estimated_value=3.0),))
+            for m in (model, reparse(model)):
+                comp = reference_compile(m)
+                assert m.constraints[0].name == ("budget" if mode == BUDGET_COST else "price")
+                assert comp.kn_row == 0
+                assert comp.kn_rhs == m.constraints[0].rhs
+            return
         budget = build_model(problem, method).constraints[0]
         comp = _Compiled(problem, method)
         weights = list(budget.coeffs.values())
@@ -641,6 +832,30 @@ class TestSearchParity:
         assert compiled_rows(comp)[0] == (list(range(7)), weights, budget.rhs)
         assert comp.kn_rhs == budget.rhs
         assert comp.w_bin.tolist() == weights
+
+    def test_knapsack_row_survives_zero_costs(self):
+        # the LP file drops the zero-cost terms, so the parsed budget row is
+        # narrower than the ExactlyOne row and is still the knapsack row
+        reqs = tuple(
+            Requirement(id=f"r{i + 1}", cost=cost, value=value, probability=1.0)
+            for i, (cost, value) in enumerate(((0.0, 5.0), (0.0, 4.0), (3.0, 9.0)))
+        )
+        precedence = PrecedenceGraph(n=3, constraints=(ExactlyOne(members=(0, 1)),))
+        problem = SelectionProblem(reqs, budget=2.0, precedence=precedence)
+        model = build_model(problem, PCBK)
+        buf = io.StringIO()
+        export_lp(model, buf)
+        parsed = parse_lp(io.StringIO(buf.getvalue()))
+        assert len(parsed.constraints[0].coeffs) == 1
+        built, reparsed = solve(model), reference_solve(parsed)
+        assert compiled_rows(_Compiled(problem, PCBK))[0] == ([0, 1, 2], [0.0, 0.0, 3.0], 2.0)
+        assert reference_compile(parsed).kn_row == 0
+        assert built.stats.root_bound == reparsed.stats.root_bound == 9.0
+        assert (built.x, built.objective, built.stats.nodes) == (
+            reparsed.x,
+            reparsed.objective,
+            reparsed.stats.nodes,
+        )
 
     def test_compile_matches_the_row_reader(self):
         # the kernel built from (problem, method) against the reader that
@@ -714,6 +929,22 @@ class TestSearchParity:
         comp = _Compiled(problem, DARS)
         assert np.array_equal(comp.B[:n], want0) and np.array_equal(comp.B[n:], want1)
         assert not np.signbit(comp.B).any()
+
+    @pytest.mark.parametrize("simplify", (False, True))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_row_order_leaves_the_compile_unchanged(self, seed, simplify):
+        # shuffling the rows after the budget row changes neither the search
+        # read out of them (up to row order) nor its answer, which is the
+        # one solve finds from the problem the model states
+        model = build_model(random_problem(seed + 500, n=5 + seed), DARS, simplify=simplify)
+        budget, *rest = model.constraints
+        order = np.random.default_rng(seed).permutation(len(rest))
+        shuffled = dataclasses.replace(model, constraints=(budget, *(rest[i] for i in order)))
+        built, moved = reference_compile(model), reference_compile(shuffled)
+        assert sorted(moved.binrows) == sorted(built.binrows) and moved.kn_row == built.kn_row == 0
+        assert np.array_equal(moved.B, built.B)
+        got, want = reference_solve(shuffled), solve(model)
+        assert (got.x, got.objective) == (want.x, want.objective)
 
     @pytest.mark.parametrize(
         "n, pdl, seed, nodes",
@@ -910,6 +1141,25 @@ class TestPolish:
                     assert values[k] == pytest.approx(objective_value(problem, method, y), abs=1e-9)
                     moves += 1
         assert moves > 700
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_binary_models_polish_in_their_own_sense(self, seed):
+        # LP-only shapes, searched through the row reader: minimized
+        # objectives, coefficients of either sign, ">=" and "=" rows; the gap
+        # reads the same in both senses
+        model = random_binary_model(seed)
+        for cap in (1, 2, 3):
+            got = reference_solve(model, SolverLimits(max_nodes=cap))
+            if got.objective is None:
+                assert got.stats.gap is None
+                assert (got.stats.final_bound is None) == (got.status == INFEASIBLE)
+                continue
+            assert verify_solution(model, got).ok
+            sign = 1.0 if model.objective_sense == "max" else -1.0
+            assert got.stats.gap == sign * (got.stats.final_bound - got.objective) >= 0.0
+            if got.status == FEASIBLE:
+                _, obj = enumerate_model_optimum(model)
+                assert sign * got.objective <= sign * obj + 1e-9
 
     def test_node_limit_is_overrun_by_one_expansion_at_most(self):
         # the limit is checked between heap pops: the expansion that reaches
