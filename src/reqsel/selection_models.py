@@ -27,7 +27,7 @@ A model keeps its rows by column in one immutable `RowStore`: row names,
 relations and right-hand sides, a row-start pointer, and flat term-name and
 coefficient sequences holding each row's terms in the order they were added.
 `build_model` writes the DARS penalty rows in bulk from the nonzeros of I,
-`parse_lp` appends each row's terms as it reads them, and `export_lp` and
+`parse_lp` appends a block of rows at a time, and `export_lp` and
 `verify_solution` read the columns. `LinearModel.constraints` is
 that store: indexing or iterating it builds a fresh `LinearConstraint` per
 row, which suits tests and small models, not a hot path.
@@ -43,7 +43,7 @@ import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from itertools import chain, islice, repeat
 from typing import IO, Hashable, Iterable, Iterator
 
 import numpy as np
@@ -210,15 +210,15 @@ class _RowBuffer:
         self.coefs.extend(coefs)
         self.starts.append(len(self.terms))
 
-    def add_block(self, names, relation: str, rhs, terms, coefs, width: int) -> None:
-        """Rows of `width` terms each; terms and coefs run row after row."""
+    def add_rows(self, names, relations, rhs, terms, coefs, sizes: np.ndarray) -> None:
+        """Rows of `sizes[r]` terms each; terms and coefs run row after row."""
         base = self.starts[-1]
         self.names.extend(names)
-        self.relations.extend([relation] * len(names))
+        self.relations.extend(relations)
         self.rhs.extend(rhs)
         self.terms.extend(terms)
         self.coefs.extend(coefs)
-        self.starts.extend(range(base + width, base + width * len(names) + 1, width))
+        self.starts.extend((base + np.cumsum(sizes)).tolist())
 
     def store(self) -> RowStore:
         return RowStore(self.names, self.relations, self.rhs, self.starts, self.terms, self.coefs)
@@ -347,8 +347,13 @@ def build_model(p: SelectionProblem, method: str, simplify: bool = False) -> Lin
         coefs = np.ones((len(w), 2))
         coefs[:, 1] = w
         names = np.array([f"penalty_{x}_" for x in x_names], dtype=object)[ii] + x_col[jj]
-        rows.add_block(
-            names.tolist(), ">=", ((np.abs(w) + w) / 2.0).tolist(), terms.ravel().tolist(), coefs.ravel().tolist(), 2
+        rows.add_rows(
+            names.tolist(),
+            [">="] * len(w),
+            ((np.abs(w) + w) / 2.0).tolist(),
+            terms.ravel().tolist(),
+            coefs.ravel().tolist(),
+            np.full(len(w), 2),
         )
         for i in range(n):
             for name, coeffs, relation, rhs in link_rows(x_names[i], gs[i], thetas[i], ys[i]):
@@ -372,6 +377,8 @@ def _lp_terms(coeffs: dict[str, float], pos: dict[str, int], fallback: str) -> s
     parts = []
     for name in sorted(coeffs, key=pos.__getitem__):
         coef = coeffs[name]
+        if not math.isfinite(coef):
+            raise ValidationError(f"objective: coefficient {coef} of {name} is not finite")
         if coef == 0.0:
             continue
         sign = "+" if coef >= 0 else "-"
@@ -390,10 +397,17 @@ def _row_lines(rows: RowStore, pos: dict[str, int], fallback: str) -> str:
     if not nrows:
         return ""
     coefs = np.array(rows.coefs, dtype=np.float64)
+    row_of = np.repeat(np.arange(nrows), np.diff(rows.starts))
+    bad = np.flatnonzero(~np.isfinite(coefs))
+    if len(bad):
+        k = bad[0]
+        raise ValidationError(f"constraint {rows.names[row_of[k]]}: coefficient {coefs[k]} of {rows.terms[k]} is not finite")
+    if not all(map(math.isfinite, rows.rhs)):
+        r = next(r for r, rhs in enumerate(rows.rhs) if not math.isfinite(rhs))
+        raise ValidationError(f"constraint {rows.names[r]}: right-hand side {rows.rhs[r]} is not finite")
     values, which = np.unique(coefs, return_inverse=True)
     signs = np.where(values >= 0, "+ ", "- ").astype(object)
     coef_words = (signs + np.array(_lp_numbers(np.abs(values).tolist()), dtype=object))[which]
-    row_of = np.repeat(np.arange(nrows), np.diff(rows.starts))
     # each row's nonzero terms in declaration order
     key = row_of * len(pos) + np.fromiter(map(pos.__getitem__, rows.terms), np.int64, len(coefs))
     order = np.argsort(key)
@@ -423,14 +437,18 @@ def export_lp(m: LinearModel, sink: IO[str]) -> None:
     are dropped. For a model whose binaries are declared before its
     continuous variables, as every builder here declares them, parse_lp of
     the output equals the model up to metadata and zero coefficients, and
-    exporting that parsed model writes the same bytes again.
+    exporting that parsed model writes the same bytes again. A coefficient
+    or right-hand side that is infinite or NaN has no LP form: it raises
+    ValidationError before anything is written.
     """
     pos = {v.name: i for i, v in enumerate(m.variables)}
     first = m.variables[0].name
+    objective = _lp_terms(m.objective, pos, first)
+    rows = _row_lines(m.constraints, pos, first)
     sink.write("Maximize\n" if m.objective_sense == "max" else "Minimize\n")
-    sink.write(f" obj: {_lp_terms(m.objective, pos, first)}\n")
+    sink.write(f" obj: {objective}\n")
     sink.write("Subject To\n")
-    sink.write(_row_lines(m.constraints, pos, first))
+    sink.write(rows)
     continuous = [v for v in m.variables if v.kind == CONTINUOUS]
     if continuous:
         sink.write("Bounds\n")
@@ -447,14 +465,19 @@ def export_lp(m: LinearModel, sink: IO[str]) -> None:
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
-_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_TOKEN = re.compile(rf"<=|>=|=|[+-]|{_NAME.pattern}|{_NUMBER}")
-# a row body as export_lp writes it: ` sign number name` per term, then
-# ` rel rhs`; its words are its tokens, but for the sign of a negative rhs
-_PLAIN_ROW = re.compile(rf"(?: [+-] {_NUMBER} {_NAME.pattern})+ (?:<=|>=|=) -?{_NUMBER}")
+# ASCII digits only: float() also reads the digits of other scripts
+_NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_TOKEN = re.compile(rf"<=|>=|=|[+-]|{_NAME.pattern}|{_NUMBER.pattern}")
+# the characters of _NUMBER words joined by spaces, and a word that starts
+# with none of the characters a _NUMBER starts with
+_NUMBER_TEXT = re.compile(r"[0-9.eE+\- ]*")
+_NOT_NUMBER_START = re.compile(r" [^0-9.]")
 
 _RELATIONS = frozenset(("<=", ">=", "="))
 _NUMBER_START = frozenset("0123456789.")
+
+# the most lines parse_lp reads as one block of plain rows
+_BLOCK = 4096
 
 _SECTION_STARTS = {
     "maximize": "objective",
@@ -514,20 +537,14 @@ def _parse_terms(tokens: list[str], where: str) -> dict[str, float]:
         pending = None
     if pending is not None:
         raise InputFormatError(f"{where}: dangling number without a variable")
+    for name, coef in coeffs.items():
+        if not math.isfinite(coef):
+            raise InputFormatError(f"{where}: coefficient {coef} of {name} is not finite")
     return coeffs
 
 
-def _add_row(rows: _RowBuffer, name: str, tokens: list[str], plain: bool) -> None:
-    """Append the row `name: terms rel rhs` read from its tokens; `plain`
-    when they are the words of a _PLAIN_ROW body."""
-    if plain:
-        # slices read what _parse_terms would, unless a name repeats or a
-        # coefficient is zero (_parse_terms adds it to 0.0, which drops a -0 sign)
-        terms = tokens[2:-2:3]
-        coefs = [float(v) if s == "+" else -float(v) for s, v in zip(tokens[0:-2:3], tokens[1:-2:3])]
-        if len(set(terms)) == len(terms) and 0.0 not in coefs:
-            rows.add(name, terms, coefs, tokens[-2], float(tokens[-1]))
-            return
+def _add_row(rows: _RowBuffer, name: str, tokens: list[str]) -> None:
+    """Append the row `name: terms rel rhs` read from its tokens."""
     if len(tokens) > 2 and tokens[-2] in ("+", "-") and tokens[-3] in _RELATIONS:
         tokens[-2:] = [tokens[-2] + tokens[-1]]  # a signed right-hand side: >= -1
     if len(tokens) < 2 or tokens[-2] not in _RELATIONS or not _RELATIONS.isdisjoint(tokens[:-2]):
@@ -537,8 +554,139 @@ def _add_row(rows: _RowBuffer, name: str, tokens: list[str], plain: bool) -> Non
         rhs = float(tokens[-1])
     except ValueError as exc:
         raise InputFormatError(f"constraint {name}: bad right-hand side") from exc
+    if not math.isfinite(rhs):
+        raise InputFormatError(f"constraint {name}: right-hand side {tokens[-1]!r} is not finite")
     _check_row(name, tokens[-2], len(coeffs))
     rows.add(name, coeffs, coeffs.values(), tokens[-2], rhs)
+
+
+def _plain_numbers(words: list[str], signed: bool = False) -> np.ndarray | None:
+    """The values of `words`, which hold no blank, if each is a finite
+    _NUMBER (when `signed`, after an optional '-'), else None.
+
+    A word of the characters [0-9.eE+-] that starts with a digit or '.' is a
+    _NUMBER exactly when float() reads it, so two scans of the joined words
+    and the conversion check them all."""
+    text = " " + " ".join(words)
+    if signed:
+        text = text.replace(" -", " ")
+    if not _NUMBER_TEXT.fullmatch(text) or _NOT_NUMBER_START.search(text):
+        return None
+    try:
+        values = np.fromiter(map(float, words), np.float64, len(words))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _plain_rows(lines: list[str], known: dict[str, int]) -> tuple | None:
+    """The columns of `lines`, one row each, if every line is a row as
+    export_lp writes it, else None.
+
+    Such a line is ` name:`, then ` sign number term` per term, then ` rel
+    rhs` and a newline, with single spaces and one colon: a sign is + or -,
+    a number a finite nonzero _NUMBER, a term a _NAME named once in its row,
+    rel one of _RELATIONS and rhs a finite -?_NUMBER. Its words are then its
+    tokens, and the token reader would read the same row. `known` numbers
+    the term names already matched against _NAME, in order; this adds the
+    new ones."""
+    text = "".join(lines)
+    nlines = len(lines)
+    size = np.fromiter(map(str.count, lines, repeat(" ")), np.intp, nlines)
+    if not (
+        text.startswith(" ")
+        and text.endswith("\n")
+        and text.count(":") == text.count("\n") == nlines
+        and not (size % 3).any()
+        and size.min() >= 6
+    ):
+        return None
+    # line r holds the size[r] words after its spaces
+    words = text.split(" ")
+    word = np.fromiter(words, object, len(words))
+    head = np.cumsum(size) - size + 1
+    tail = head + size
+    heads = " ".join(word[head].tolist()) + " "
+    ends = " ".join(word[tail - 1].tolist())
+    # every colon ends a name and every newline an rhs; a name holds no
+    # blank, which the token reader would strip from it, and no comment
+    if not (
+        heads.count(": ") == nlines
+        and heads.isprintable()
+        and "\\" not in heads
+        and ends.count("\n ") == nlines - 1
+    ):
+        return None
+    relations = word[tail - 2].tolist()
+    body = np.ones(len(word), dtype=bool)
+    body[0] = False
+    body[head] = body[tail - 2] = body[tail - 1] = False
+    signs, numbers, terms = word[body].reshape(-1, 3).T
+    negative = signs == "-"
+    if not (negative | (signs == "+")).all() or not _RELATIONS.issuperset(relations):
+        return None
+    terms = terms.tolist()
+    new = set(terms).difference(known)
+    if not all(map(_NAME.fullmatch, new)):
+        return None
+    known.update(zip(new, range(len(known), len(known) + len(new))))
+    values = _plain_numbers(numbers.tolist())
+    rhs = _plain_numbers(ends[:-1].split("\n "), signed=True)
+    if values is None or rhs is None or not values.all():
+        return None
+    # no term twice in a row
+    terms_per_row = size // 3 - 1
+    ids = np.fromiter(map(known.__getitem__, terms), np.intp, len(terms))
+    key = np.repeat(np.arange(nlines) * len(known), terms_per_row) + ids
+    key.sort()
+    if (key[1:] == key[:-1]).any():
+        return None
+    coefs = np.where(negative, -values, values).tolist()
+    # the model keeps one string per variable name
+    terms = np.fromiter(known, object, len(known))[ids].tolist()
+    return heads.split(": ")[:-1], relations, rhs.tolist(), terms, coefs, terms_per_row
+
+
+def _starts_row(line: str) -> bool:
+    """Whether a Subject To line starts a row: it holds one colon and no comment."""
+    return line.count(":") == 1 and "\\" not in line
+
+
+def _read_rows(rows: _RowBuffer, first: str, lines: Iterator[str], known: dict[str, int]) -> list[str]:
+    """Read Subject To rows from the line `first` on, pulling more lines
+    from `lines`, in blocks of up to _BLOCK rows of one line each, and
+    return the lines read past the last block.
+
+    A block ends only where the line after it starts a row, so it holds
+    whole rows. A block of plain rows (see _plain_rows) is read at once,
+    any other line by line through the token reader."""
+    chunk = [first]
+    while True:
+        chunk += islice(lines, _BLOCK - len(chunk))
+        n = len(chunk)
+        ended = n < _BLOCK
+        # as export_lp writes them, every line but the last is a plain row
+        # and the last starts the next one
+        columns = None if ended else _plain_rows(chunk[:-1], known)
+        if columns is not None and _starts_row(chunk[-1]):
+            rows.add_rows(*columns)
+            chunk = chunk[-1:]
+            continue
+        starts = np.fromiter(map(_starts_row, chunk), bool, n)
+        stop = n if starts.all() else int(np.argmin(starts))
+        # the last row start before `stop` may go on past it
+        cut = n if stop == n and ended else stop - 1
+        block, chunk = chunk[:cut], chunk[cut:]
+        columns = _plain_rows(block, known) if block else None
+        if columns is not None:
+            rows.add_rows(*columns)
+        else:
+            for line in block:
+                head, _, body = line.strip().partition(":")
+                name = head.strip()
+                _add_row(rows, name, _tokens(body, "constraint", name))
+        if stop < n or ended:
+            return chunk
 
 
 def parse_lp(source: Iterable[str]) -> LinearModel:
@@ -547,12 +695,21 @@ def parse_lp(source: Iterable[str]) -> LinearModel:
     Handles the objective, constraint rows `name: terms rel rhs` with a
     signed or unsigned rhs, simple one- and two-sided bounds (signed
     numbers, -inf, +inf), and Binary/General sections. Reads `source`, any
-    iterable of lines, in one pass and builds each row as soon as it ends, at
-    the next row or section header. Any name matching [A-Za-z_][A-Za-z0-9_.]*
+    iterable of lines, in one pass, and keeps at most one block of lines
+    ahead. In the Subject To section a block is up to 4,096 consecutive
+    rows of one line each, ending where the next line starts a row or a
+    section. A block whose every line is laid out as export_lp writes a row
+    (` name:`, then ` sign number name` per term, then ` rel rhs`, with
+    single spaces, no zero coefficient and no name twice in a row) is read
+    at once; any other block, and any row continued on a further line, is
+    read token by token. Both readings give the same rows and errors.
+    Any name matching [A-Za-z_][A-Za-z0-9_.]*
     is a variable, `inf` and `nan` too; a Binary-section token or the name
     slot of a Bounds line that is no such name is an error. A character that
     starts no name, number, sign or relation (`*` in `x1 * x2`, say) is an
-    error naming its row or section. Variables that appear in rows but in no Bounds/Binary
+    error naming its row or section, and so is a coefficient or right-hand
+    side that is infinite or NaN (`<= inf`, `+ 1e400 x1`); bounds may be
+    -inf and +inf. Variables that appear in rows but in no Bounds/Binary
     section default to continuous [0, +inf). Variables are declared in
     Binary-section order, then Bounds-section order, then any other name by
     first appearance (objective first, then rows), which is the order
@@ -565,8 +722,9 @@ def parse_lp(source: Iterable[str]) -> LinearModel:
     sense = "max"
     section = None
     objective_tokens: list[str] = []
-    row: list | None = None  # the row being read: name, tokens, and its body while plain
+    row: tuple[str, list[str]] | None = None  # the row the token reader is reading
     rows = _RowBuffer()
+    known: dict[str, int] = {}  # the term names the block reader has checked
     bounds: dict[str, tuple[float, float]] = {}
     binaries: list[str] = []
 
@@ -577,7 +735,22 @@ def parse_lp(source: Iterable[str]) -> LinearModel:
         except ValueError as exc:
             raise InputFormatError(f"bounds: bad number {text!r}") from exc
 
-    for raw_line in source:
+    lines = iter(source)
+    ahead: list[str] = []  # lines read past the last block, last first
+    while True:
+        if ahead:
+            raw_line = ahead.pop()
+        else:
+            raw_line = next(lines, None)
+            if raw_line is None:
+                break
+            # a row starts: read on a block at a time (see _read_rows)
+            if section == "constraints" and _starts_row(raw_line):
+                if row is not None:
+                    _add_row(rows, *row)
+                    row = None
+                ahead = _read_rows(rows, raw_line, lines, known)[::-1]
+                continue
         line = raw_line.split("\\")[0].strip()
         if not line:
             continue
@@ -586,7 +759,7 @@ def parse_lp(source: Iterable[str]) -> LinearModel:
         matched_section = None if colon else _SECTION_STARTS.get(line.lower())
         if matched_section is not None:
             if row is not None:
-                _add_row(rows, row[0], row[1], row[2] is not None)
+                _add_row(rows, *row)
                 row = None
             section = matched_section
             if line.lower() in ("minimize", "min"):
@@ -597,18 +770,12 @@ def parse_lp(source: Iterable[str]) -> LinearModel:
         if section == "constraints":
             if colon:
                 if row is not None:
-                    _add_row(rows, row[0], row[1], row[2] is not None)
+                    _add_row(rows, *row)
                 name = head.strip()
-                if _PLAIN_ROW.fullmatch(body):
-                    row = [name, body.split(), body]
-                else:
-                    row = [name, _tokens(body, "constraint", name), None]
+                row = name, _tokens(body, "constraint", name)
             elif row is None:
                 raise InputFormatError("constraint continuation before any named row")
             else:
-                if row[2] is not None:
-                    # a continued row is read token by token
-                    row[1:] = [_tokens(row[2], "constraint", row[0]), None]
                 row[1].extend(_tokens(line, "constraint", row[0]))
         elif section == "objective":
             objective_tokens.extend(_tokens(body if colon else line, "objective"))
@@ -636,7 +803,7 @@ def parse_lp(source: Iterable[str]) -> LinearModel:
         else:
             raise InputFormatError(f"content before any section header: {line!r}")
     if row is not None:
-        _add_row(rows, row[0], row[1], row[2] is not None)
+        _add_row(rows, *row)
 
     objective = _parse_terms(objective_tokens, "objective")
     binary_set = set(binaries)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,7 +39,18 @@ from reqsel import (
     parse_lp,
 )
 from reqsel.errors import InputFormatError
-from reqsel.selection_models import BINARY, CONTINUOUS, LinearConstraint, RowStore, Variable, link_rows
+from reqsel.selection_models import (
+    _BLOCK,
+    _NUMBER,
+    BINARY,
+    CONTINUOUS,
+    LinearConstraint,
+    RowStore,
+    Variable,
+    _plain_numbers,
+    _plain_rows,
+    link_rows,
+)
 
 
 def make_problem(
@@ -757,7 +769,7 @@ HAND_WRITTEN_LP = [
     "Maximize\n obj: a + b + c + d\nSubject To\n r: a + b + c + d <= 5\n"
     "Bounds\n -inf <= a <= +inf\n 0 <= b <= +Infinity\n -INFINITY <= c <= 2\n d = 4\n b >= -3\nEnd\n",
     "Minimize\n obj: 2.5 x1\nSubject To\n c: x1 >= 1\nBinary\n x1\nEnd\n",
-    "min\n obj: y\ns.t.\n c: y + z <= inf\nBinaries\n z\n",
+    "min\n obj: y\ns.t.\n c: y + z <= 7\nBinaries\n z\n",
     "Maximize\n obj: x1\n obj2: x2\nSuch That\n c: x1 + x2 <= 1\nEND\n ignored: after end\n",
     "MAXIMIZE\n obj: + 0 x1\nSUBJECT TO\n c: + 1 x1 <= 1\nBinary\n x1\nEnd\n",
 ]
@@ -787,8 +799,10 @@ MALFORMED_LP = [
 # Inputs parse_lp reads differently from the reference, with parse_lp's
 # reading: a signed right-hand side, which the reference rejects, characters
 # that start no token, which the reference skips (reading `x1 * x2` as
-# x1 + x2, and `x.1 + y` as x + 0.1 y), and a number or relation where a
-# variable name belongs, which the reference declares as a variable.
+# x1 + x2, and `x.1 + y` as x + 0.1 y), a number or relation where a
+# variable name belongs, which the reference declares as a variable, a digit
+# of another script, which the reference reads as a number, and an infinite
+# right-hand side, which the reference keeps.
 KNOWN_DIFFERENCES = [
     (
         "Maximize\n obj: x1\nSubject To\n c: x1 - x2 >= -1\nEnd\n",
@@ -807,6 +821,8 @@ KNOWN_DIFFERENCES = [
         "Maximize\n obj: x1\nSubject To\n c: x1 <= 1\nBounds\n 0 <= 5 <= 1\nEnd\n",
         "bounds: '5' is not a variable name",
     ),
+    ("Maximize\n obj: x1\nSubject To\n c: + \u0661 x1 <= 1\nEnd\n", "constraint c: unexpected '\u0661'"),
+    ("min\n obj: y\ns.t.\n c: y + z <= inf\nBinaries\n z\n", "constraint c: right-hand side 'inf' is not finite"),
 ]
 
 
@@ -873,3 +889,205 @@ def test_word_layout_rows_read_like_the_reference(text):
     except (InputFormatError, ValidationError) as exc:
         got = type(exc), str(exc)
     assert got == reference_outcome(text)
+
+
+def exported(m):
+    buf = io.StringIO()
+    export_lp(m, buf)
+    return buf.getvalue()
+
+
+def row_lines(text):
+    """The Subject To lines of an exported LP text."""
+    lines = text.splitlines(keepends=True)
+    start = lines.index("Subject To\n") + 1
+    stop = next(k for k in range(start, len(lines)) if ":" not in lines[k])
+    return lines[start:stop]
+
+
+# three row shapes export_lp never writes, which parse_lp reads token by token
+TOKEN_SHAPES = (
+    lambda line: re.sub(r" ([+-]) ", r" \1", line),  # `+1 x1`
+    lambda line: line.replace(": ", ":\t", 1),
+    lambda line: line.replace(" ", "  ", 2),
+)
+
+
+def token_layout(text):
+    """`text` with each Subject To row written in one of TOKEN_SHAPES, by turns."""
+    rows = row_lines(text)
+    assert rows, "no rows to rewrite"
+    head, _, rest = text.partition("".join(rows))
+    return head + "".join(TOKEN_SHAPES[k % 3](line) for k, line in enumerate(rows)) + rest
+
+
+def parsed_columns(text):
+    """parse_lp of `text`, every RowStore column included, or its error."""
+    try:
+        m = parse_lp(io.StringIO(text))
+    except (InputFormatError, ValidationError) as exc:
+        return type(exc), str(exc)
+    rows = m.constraints
+    return (
+        [(v.name, v.kind, repr(v.lower), repr(v.upper)) for v in m.variables],
+        m.objective_sense,
+        repr(list(m.objective.items())),
+        rows.names,
+        rows.relations,
+        repr(rows.rhs),
+        rows.starts,
+        rows.terms,
+        repr(rows.coefs),
+    )
+
+
+def assert_blocks_read_like_tokens(text):
+    twin = token_layout(text)
+    assert all(a != b for a, b in zip(row_lines(text), row_lines(twin)))
+    assert parsed_columns(text) == parsed_columns(twin)
+
+
+def lp_text(rows, objective=" obj: + 1 x1\n"):
+    return "Maximize\n" + objective + "Subject To\n" + "".join(rows) + "End\n"
+
+
+def plain_rows(count, start=0):
+    """`count` rows in export_lp's layout over x1..x7."""
+    return [f" r{k}: + 1 x{k % 7 + 1} - 2.5 x{(k + 3) % 7 + 1} <= {k % 5}\n" for k in range(start, start + count)]
+
+
+class TestBlockReader:
+    """parse_lp's block reader against its token reader, which reads the
+    rows of TOKEN_SHAPES, and against the reference reader."""
+
+    @pytest.mark.parametrize("mode", (BUDGET_COST, PRICE_VALUE))
+    @pytest.mark.parametrize("method, simplify", VARIANTS.values(), ids=VARIANTS.keys())
+    def test_exported_models(self, method, simplify, mode):
+        for seed in range(20):
+            text = exported(variant_model(seed, mode, method, simplify))
+            # every row export_lp writes here is plain, so the block reader reads it
+            assert _plain_rows(row_lines(text), {}) is not None, f"seed {seed}"
+            assert_blocks_read_like_tokens(text)
+
+    @pytest.mark.parametrize("simplify", (False, True), ids=("plain", "simplified"))
+    def test_simulated_models(self, simplify):
+        for seed in range(3):
+            problem, _ = generate_synthetic(SyntheticSpec(n=40, vdl=0.1, nvdl=0.3, pdl=0.05, npdl=0.2, seed=seed))
+            for method in (PCBK, DARS):
+                assert_blocks_read_like_tokens(exported(build_model(problem, method, simplify=simplify)))
+
+    def test_model_of_several_blocks(self):
+        problem, _ = generate_synthetic(SyntheticSpec(n=600, vdl=0.05, nvdl=0.2, pdl=0.02, npdl=0.2, seed=4))
+        text = exported(build_model(problem, DARS))
+        assert len(row_lines(text)) > 3 * _BLOCK
+        assert_blocks_read_like_tokens(text)
+        assert model_key(parse_lp(io.StringIO(text))) == reference_outcome(text)
+
+    @pytest.mark.parametrize("at", (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 2))
+    def test_row_continued_at_a_block_boundary(self, at):
+        rows = plain_rows(3 * _BLOCK)
+        # row `at - 1` goes on on line `at`
+        rows[at - 1 : at] = [" split: + 1 x1\n", " - 2 x2 + 3 x3 >= 1\n"]
+        text = lp_text(rows)
+        assert model_key(parse_lp(io.StringIO(text))) == reference_outcome(text)
+        assert_blocks_read_like_tokens(text)
+        (row,) = [c for c in parse_lp(io.StringIO(text)).constraints if c.name == "split"]
+        assert (row.coeffs, row.relation, row.rhs) == ({"x1": 1.0, "x2": -2.0, "x3": 3.0}, ">=", 1.0)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (" bad: + 1 x1 * x2 <= 1\n", "constraint bad: unexpected '*'"),
+            (" bad: + 1 x1 + 2 <= 1\n", "constraint bad: dangling number without a variable"),
+            (" bad: + 1 x1 x2\n", "constraint bad: expected `terms rel rhs`"),
+        ],
+    )
+    def test_malformed_row_after_plain_blocks(self, row, message):
+        text = lp_text(plain_rows(2 * _BLOCK + 10) + [row] + plain_rows(50, start=2 * _BLOCK + 10))
+        assert parsed_columns(text) == parsed_columns(token_layout(text)) == (InputFormatError, message)
+
+    def test_unusual_rows_inside_large_blocks(self):
+        special = {
+            100: " dup: + 1 x1 + 2 x1 - 4 x2 <= 1\n",
+            _BLOCK + 7: " zero: + 1 x1 - 0 x2 <= 1\n",
+            _BLOCK + 8: " eq: + 1 x1 + 1 x2 = 2\n",
+            _BLOCK + 9: " negzero: + 1 x3 <= -0\n",
+            2 * _BLOCK + 3: " neg: - 1 x3 + 0.5 x4 >= -4.5\n",
+            2 * _BLOCK + 4: " exp: + 1e-05 x1 - 2.5E+3 x2 + 5. x3 + .5 x4 <= 1e3\n",
+        }
+        rows = plain_rows(3 * _BLOCK)
+        for k, row in special.items():
+            rows[k] = row
+        text = lp_text(rows)
+        assert_blocks_read_like_tokens(text)
+        got = {c.name: c for c in parse_lp(io.StringIO(text)).constraints}
+        assert got["dup"].coeffs == {"x1": 3.0, "x2": -4.0}
+        assert repr(list(got["zero"].coeffs.values())) == "[1.0, 0.0]"
+        assert (got["eq"].relation, got["eq"].rhs) == ("=", 2.0)
+        assert repr(got["negzero"].rhs) == "-0.0"
+        assert got["neg"].rhs == -4.5
+        assert got["exp"].coeffs == {"x1": 1e-05, "x2": -2500.0, "x3": 5.0, "x4": 0.5}
+
+    def test_names_that_spell_numbers_inside_a_block(self):
+        rows = plain_rows(_BLOCK + 20)
+        rows[_BLOCK - 5] = " names: + 1 inf - 2 nan + 3 x.1 <= 1\n"
+        text = lp_text(rows)
+        assert_blocks_read_like_tokens(text)
+        (row,) = [c for c in parse_lp(io.StringIO(text)).constraints if c.name == "names"]
+        assert row.coeffs == {"inf": 1.0, "nan": -2.0, "x.1": 3.0}
+
+
+NUMBER_CORPUS = [
+    "0", "7", "00", "1_0", "+1", "-1", ".", "5.", ".5", "1e", "1e+5", "1E-05", "1e+", "1e5e5", "1.2.3",
+    "12.5e3", ".5e-2", "e5", "E5", "1ee5", "1..2", "+.5", "inf", "nan", "infinity", "1e400",
+    "\u0661", "1\u0661", "0x10", "1e5.5", "--1", "5e-", "3.14159",
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("word", NUMBER_CORPUS)
+def test_block_number_check_is_the_number_grammar(word):
+    # _plain_numbers' character scan and float() accept exactly the finite _NUMBER words
+    want = float(word) if _NUMBER.fullmatch(word) and math.isfinite(float(word)) else None
+
+    def values(words, signed=False):
+        got = _plain_numbers(words, signed)
+        return None if got is None else got.tolist()
+
+    assert values([word]) == (None if want is None else [want])
+    assert values(["2", word, "3"]) == (None if want is None else [2.0, want, 3.0])
+    assert values(["-" + word], signed=True) == (None if want is None else [-want])
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("value", (math.inf, -math.inf, math.nan), ids=("inf", "-inf", "nan"))
+    @pytest.mark.parametrize("where", ("objective", "coefficient", "rhs"))
+    def test_export_rejects_before_writing(self, where, value):
+        objective = {"x1": value if where == "objective" else 1.0}
+        row = LinearConstraint(
+            "c", {"x1": 1.0, "x2": value if where == "coefficient" else 2.0}, "<=", value if where == "rhs" else 1.0
+        )
+        m = LinearModel((Variable("x1", BINARY), Variable("x2", BINARY)), "max", objective, (row,))
+        sink = io.StringIO()
+        with pytest.raises(ValidationError, match="^(objective|constraint c): .* is not finite$"):
+            export_lp(m, sink)
+        assert sink.getvalue() == ""
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (" c: + 1 x1 <= nan\n", "constraint c: right-hand side 'nan' is not finite"),
+            (" c: + 1 x1 <= inf\n", "constraint c: right-hand side 'inf' is not finite"),
+            (" c: + 1 x1 <= infinity\n", "constraint c: right-hand side 'infinity' is not finite"),
+            (" c: + 1 x1 <= 1e400\n", "constraint c: right-hand side '1e400' is not finite"),
+            (" c: + 1 x1 >= -1e400\n", "constraint c: right-hand side '-1e400' is not finite"),
+            (" c: + 1e400 x1 <= 1\n", "constraint c: coefficient inf of x1 is not finite"),
+            (" c: + 1 x2 - 1e400 x1 <= 1\n", "constraint c: coefficient -inf of x1 is not finite"),
+        ],
+    )
+    def test_parse_names_the_row(self, row, message):
+        text = lp_text(plain_rows(_BLOCK + 10) + [row] + plain_rows(10, start=_BLOCK + 10))
+        assert parsed_columns(text) == parsed_columns(token_layout(text)) == (InputFormatError, message)
+
+    def test_parse_rejects_an_infinite_objective_coefficient(self):
+        with pytest.raises(InputFormatError, match="^objective: coefficient inf of x1 is not finite$"):
+            parse_lp(io.StringIO(lp_text(plain_rows(3), objective=" obj: + 1e400 x1\n")))
