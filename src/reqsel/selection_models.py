@@ -111,8 +111,11 @@ class Variable:
             raise ValidationError(f"variable {self.name}: unknown kind {self.kind!r}")
         if self.kind == BINARY and (self.lower, self.upper) != (0.0, 1.0):
             raise ValidationError(f"variable {self.name}: binary bounds must be [0, 1]")
-        if self.lower > self.upper:
-            raise ValidationError(f"variable {self.name}: empty bound interval")
+        # every comparison with NaN is false, so this test also rejects one
+        if not self.lower <= self.upper:
+            nan = math.isnan(self.lower) or math.isnan(self.upper)
+            what = "a bound is NaN" if nan else "empty bound interval"
+            raise ValidationError(f"variable {self.name}: {what}")
 
 
 @dataclass(frozen=True)
@@ -709,11 +712,11 @@ def parse_lp(source: Iterable[str]) -> LinearModel:
     starts no name, number, sign or relation (`*` in `x1 * x2`, say) is an
     error naming its row or section, and so is a coefficient or right-hand
     side that is infinite or NaN (`<= inf`, `+ 1e400 x1`); bounds may be
-    -inf and +inf. Variables that appear in rows but in no Bounds/Binary
-    section default to continuous [0, +inf). Variables are declared in
-    Binary-section order, then Bounds-section order, then any other name by
-    first appearance (objective first, then rows), which is the order
-    export_lp wrote them in.
+    -inf and +inf, but not NaN. Variables that appear in rows but in no
+    Bounds/Binary section default to continuous [0, +inf). Variables are
+    declared in Binary-section order, then Bounds-section order, then any
+    other name by first appearance (objective first, then rows), which is
+    the order export_lp wrote them in.
     The model carries no metadata beyond {"kind": "PARSED"}. It is the
     export's verifier: it reads back what `export_lp` wrote, and exporting it
     writes the same bytes. No parsed file is solvable, since it states no

@@ -49,6 +49,22 @@ Branch and bound over the x binaries:
     floors that fixing x_j to 0 or to 1 imposes, so a child raises its
     parent's floor by the rows of the binaries its propagation fixed (a
     dive raises it once, at its leaf, over every fixing on the way).
+    The bound is one walk over the node's bytearray in ratio order (value
+    over weight, largest first, ties by index): it skips fixed binaries and
+    values <= 0, adds weights in order and stops at the first binary that
+    no longer fits, taking that break item in part (Dantzig's bound). A
+    model without a floor has fixed values, so its order is fixed too:
+    branch_order over the positive values, kept once per solve. Under DARS
+    the values depend on the node's floor, so each node sorts all n stably
+    and the walk filters that order, which is the stable order of the free
+    subset. The sums of the selected values and weights and of the items
+    taken are formed in numpy's pairwise order (`_pairwise_sum`), so every
+    bound is bit-identical to the array bound over the free subset: heap
+    order, node counts, the incumbents of capped solves and the root and
+    final bounds do not depend on how the bound is computed;
+  * leaves and the tie rule compare selections as bytes: a leaf's key is
+    its fixings' bytes, and a node's zero-filled selection is its
+    bytearray with every free binary translated to 0.
 
 Ties between equal-objective optima (within 1e-12) break lexicographically:
 the smallest Solution.x read as a binary string, its first entry most
@@ -99,6 +115,9 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import compress
+from operator import add
 
 import numpy as np
 
@@ -115,6 +134,8 @@ PRUNE_EPS = 1e-9
 TIE_EPS = 1e-12
 
 FREE = 255  # an unfixed binary in the bytearray state; an int8 view reads it as -1
+_SELECTED = bytes(int(v == 1) for v in range(256))  # translate table: 1 where a binary is 1
+_ZERO_FILL = bytes.maketrans(bytes([FREE]), b"\0")  # translate table: free binaries to 0
 SWAP_SIDE = 32  # polish swap candidates per side, once there are over SWAP_SIDE ** 2 pairs
 BLOCK = 1 << 16  # floats in one block of a polish pass's transient arrays
 
@@ -258,21 +279,34 @@ def _objective_quantum(c: np.ndarray) -> float | None:
     return None
 
 
-def _frac_knapsack(w: np.ndarray, p: np.ndarray, cap: float) -> float:
-    if p.size == 0 or cap < 0:
-        return 0.0
-    order = np.argsort(-(p / np.maximum(w, 1e-300)), kind="stable")
-    ws = w[order]
-    cw = np.cumsum(ws)
-    k = int(np.searchsorted(cw, cap + 1e-12, side="right"))
-    ps = p[order]
-    total = float(ps[:k].sum())
-    if k < ws.size:
-        prev = float(cw[k - 1]) if k > 0 else 0.0
-        room = cap - prev
-        if room > 0:
-            total += float(ps[k]) * (room / float(ws[k]))
-    return total
+def _pairwise_sum(a: list[float]) -> float:
+    """The float64 sum of a as `ndarray.sum()` forms it, bit for bit: 0.0
+    plus numpy's pairwise sum, which adds fewer than 8 entries in order, up
+    to 128 in 8 interleaved accumulators and splits longer runs in two."""
+    return 0.0 + _pairwise(a)
+
+
+def _pairwise(a: list[float]) -> float:
+    n = len(a)
+    if n < 8:
+        return reduce(add, a, 0.0)
+    if n <= 128:
+        end = n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = a[:8]
+        rest = iter(a[8:end])
+        for x0, x1, x2, x3, x4, x5, x6, x7 in zip(*(rest,) * 8):
+            r0 += x0
+            r1 += x1
+            r2 += x2
+            r3 += x3
+            r4 += x4
+            r5 += x5
+            r6 += x6
+            r7 += x7
+        return reduce(add, a[end:], ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+    half = n // 2
+    half -= half % 8
+    return _pairwise(a[:half]) + _pairwise(a[half:])
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -289,11 +323,18 @@ class _Search:
         self.seq = 0
         self.heap: list = []
         self.inc_obj = -math.inf
-        self.inc_key: tuple[int, ...] | None = None
+        self.inc_key: bytes | None = None
         self.inc_fix: np.ndarray | None = None
         self.inc_floor: np.ndarray | None = None  # the penalty floor of inc_fix
         self.hit_limit = False
         self.t0 = time.perf_counter()
+        # the knapsack bound walks plain lists. Without a floor the values
+        # never change, so its ratio order is branch_order's over the
+        # positive values; under a floor each node sorts by -(c / w), formed
+        # as c / -w (the same float), with weights kept off zero
+        self.c, self.w = comp.c_bin.tolist(), comp.w_bin.tolist()
+        self.order = [b for b in comp.branch_order if self.c[b] > 0]
+        self.w_neg = -np.maximum(comp.w_bin, 1e-300)
 
     # ---- propagation over all-binary rows ----
 
@@ -365,17 +406,39 @@ class _Search:
             return bound
         return math.floor(bound / q + 1e-5) * q
 
-    def _bound(self, fv, floor) -> float:
-        comp = self.comp
-        # a selected requirement is worth at most its value past the floor
-        v = comp.c_bin if floor is None else comp.c_bin * (1.0 - floor)
-        sel = fv == 1
-        base = float(v[sel].sum())
-        mask = (fv == -1) & (v > 0)
-        cap = comp.kn_rhs - float(comp.w_bin[sel].sum())
+    def _bound(self, f: bytearray, floor) -> float:
+        """The fractional knapsack bound of a node's fixings f: the values
+        selected so far, then the free ones worth taking in ratio order up to
+        the room the knapsack row has left, the break item in part; -inf once
+        the selection alone overfills the row."""
+        sel = f.translate(_SELECTED)
+        cap = self.comp.kn_rhs - _pairwise_sum(list(compress(self.w, sel)))
         if cap < -FEAS_EPS:
             return -math.inf
-        return self._grid_floor(base + _frac_knapsack(comp.w_bin[mask], v[mask], cap))
+        if floor is None:
+            v, order = self.c, self.order
+        else:
+            # a selected requirement is worth at most its value past the floor
+            va = self.comp.c_bin * (1.0 - floor)
+            v = va.tolist()
+            order = np.argsort(va / self.w_neg, kind="stable").tolist()
+        base = _pairwise_sum(list(compress(v, sel)))
+        # running weights add in order, as numpy's cumsum does, so the walk
+        # breaks where searchsorted over them would; a row overfilled within
+        # FEAS_EPS has no room
+        w, lim = self.w, cap + 1e-12
+        used, taken, part = 0.0, [], 0.0
+        for b in () if cap < 0 else order:
+            if f[b] != FREE or v[b] <= 0:
+                continue
+            if used + w[b] > lim:
+                room = cap - used
+                if room > 0:
+                    part = v[b] * (room / w[b])
+                break
+            used += w[b]
+            taken.append(v[b])
+        return self._grid_floor(base + (_pairwise_sum(taken) + part))
 
     # ---- leaves ----
 
@@ -386,18 +449,18 @@ class _Search:
             obj = float(np.dot(comp.c_bin[sel], 1.0 - floor[sel]))
         else:
             obj = float(np.dot(comp.c_bin, sel.astype(np.float64)))
-        key = tuple(fv.tolist())
+        key = fv.tobytes()
         if self._improves(obj, key):
             self.inc_obj, self.inc_key = obj, key
             self.inc_fix, self.inc_floor = fv.copy(), floor
         return obj
 
-    def _improves(self, obj: float, key: tuple[int, ...]) -> bool:
+    def _improves(self, obj: float, key: bytes) -> bool:
         if obj > self.inc_obj + TIE_EPS:
             return True
         return obj >= self.inc_obj - TIE_EPS and self.inc_key is not None and key < self.inc_key
 
-    def _pruned(self, bound: float, fv) -> bool:
+    def _pruned(self, bound: float, f: bytearray) -> bool:
         if bound < self.inc_obj - PRUNE_EPS:
             return True
         # a subtree that can at best tie the incumbent is useful only for
@@ -406,8 +469,7 @@ class _Search:
         # not smaller than the incumbent key the subtree cannot win a tie.
         if self.inc_key is None or bound > self.inc_obj + TIE_EPS:
             return False
-        zf = tuple((fv == 1).astype(np.int8).tolist())
-        return zf >= self.inc_key
+        return f.translate(_ZERO_FILL) >= self.inc_key
 
     # ---- tree ----
 
@@ -435,19 +497,17 @@ class _Search:
     def _enter(self, f, mi, pos, floor, k: int) -> float:
         """A node's bound, or a leaf's objective; an unpruned non-leaf joins
         the heap with its fixings, row activities, scan cursors and floor."""
-        fv = np.frombuffer(f, np.int8)
         bvar = self._branch_var(f, k)
         if bvar == -1:
-            return self._leaf(fv, floor)
-        bound = self._bound(fv, floor)
-        if not self._pruned(bound, fv):
+            return self._leaf(np.frombuffer(f, np.int8), floor)
+        bound = self._bound(f, floor)
+        if not self._pruned(bound, f):
             self.seq += 1
             heapq.heappush(self.heap, (-bound, bvar, self.seq, f, mi, pos, floor))
         return bound
 
     def _expand(self, bound: float, bvar: int, f: bytearray, mi, pos, floor) -> None:
-        fv = np.frombuffer(f, np.int8)
-        if self._pruned(bound, fv):
+        if self._pruned(bound, f):
             return
         # plunge: a greedy dive from every expanded node keeps the
         # incumbent close to the best bound instead of waiting for the
@@ -685,7 +745,7 @@ def solve(m: LinearModel, limits: SolverLimits | None = None) -> Solution:
         values.update(zip(thetas, theta))
         values.update(zip(ys, y))
     status = FEASIBLE if search.hit_limit else OPTIMAL
-    return Solution(status, search.inc_obj, values, search.inc_key, theta, y, not search.hit_limit, stats)
+    return Solution(status, search.inc_obj, values, tuple(search.inc_key), theta, y, not search.hit_limit, stats)
 
 
 def verify_solution(m: LinearModel, s: Solution) -> VerificationReport:

@@ -41,6 +41,7 @@ from reqsel import (
 from reqsel.dependency_graph import NEGATIVE, POSITIVE
 from reqsel.selection_models import BINARY, CONTINUOUS, LinearConstraint, Variable
 from reqsel.solver import (
+    FEAS_EPS,
     FEASIBLE,
     INFEASIBLE,
     OPTIMAL,
@@ -727,6 +728,45 @@ def reference_compile(model: LinearModel) -> types.SimpleNamespace:
         obj_quantum=obj_quantum, branch_order=branch_order, names=names, bin_vars=bin_vars,
         links=links, sign=-1.0 if model.objective_sense == "min" else 1.0,
     )
+
+
+def _reference_frac_knapsack(w: np.ndarray, p: np.ndarray, cap: float) -> float:
+    if p.size == 0 or cap < 0:
+        return 0.0
+    order = np.argsort(-(p / np.maximum(w, 1e-300)), kind="stable")
+    ws = w[order]
+    cw = np.cumsum(ws)
+    k = int(np.searchsorted(cw, cap + 1e-12, side="right"))
+    ps = p[order]
+    total = float(ps[:k].sum())
+    if k < ws.size:
+        prev = float(cw[k - 1]) if k > 0 else 0.0
+        room = cap - prev
+        if room > 0:
+            total += float(ps[k]) * (room / float(ws[k]))
+    return total
+
+
+def reference_bound(comp, fv: np.ndarray, floor) -> float:
+    """A node's knapsack bound as the solver formed it with array operations
+    before it walked the node's bytearray: fv holds the fixings as int8 (-1
+    free), comp is the search kernel (c_bin, w_bin, kn_rhs, obj_quantum) and
+    floor the node's penalty floor or None. The masked subset is sorted by
+    ratio at every call, its running weights come from cumsum and the break
+    item from searchsorted; the bound is floored onto the objective grid."""
+    # a selected requirement is worth at most its value past the floor
+    v = comp.c_bin if floor is None else comp.c_bin * (1.0 - floor)
+    sel = fv == 1
+    base = float(v[sel].sum())
+    mask = (fv == -1) & (v > 0)
+    cap = comp.kn_rhs - float(comp.w_bin[sel].sum())
+    if cap < -FEAS_EPS:
+        return -math.inf
+    bound = base + _reference_frac_knapsack(comp.w_bin[mask], v[mask], cap)
+    q = comp.obj_quantum
+    if q is None or not math.isfinite(bound):
+        return bound
+    return math.floor(bound / q + 1e-5) * q
 
 
 def reference_solve(model: LinearModel, limits: SolverLimits | None = None) -> Solution:

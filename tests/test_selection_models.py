@@ -1091,3 +1091,15 @@ class TestNonFiniteNumbers:
     def test_parse_rejects_an_infinite_objective_coefficient(self):
         with pytest.raises(InputFormatError, match="^objective: coefficient inf of x1 is not finite$"):
             parse_lp(io.StringIO(lp_text(plain_rows(3), objective=" obj: + 1e400 x1\n")))
+
+    @pytest.mark.parametrize("lower, upper", ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)))
+    def test_variable_rejects_a_nan_bound(self, lower, upper):
+        # every comparison with NaN is false, so no interval test catches it
+        with pytest.raises(ValidationError, match="^variable x1: a bound is NaN$"):
+            Variable("x1", CONTINUOUS, lower=lower, upper=upper)
+
+    @pytest.mark.parametrize("bound", (" nan <= x1 <= 2\n", " 0 <= x1 <= nan\n", " x1 >= NaN\n"))
+    def test_parse_rejects_a_nan_bound(self, bound):
+        text = "Maximize\n obj: x1\nSubject To\n c: x1 <= 1\nBounds\n" + bound + "End\n"
+        with pytest.raises(ValidationError, match="^variable x1: a bound is NaN$"):
+            parse_lp(io.StringIO(text))

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import itertools
+import math
 import time
 import tracemalloc
 
@@ -18,6 +19,7 @@ from oracles import (
     penalties,
     penalty_floor,
     reference_accepted_link_rows,
+    reference_bound,
     reference_compile,
     reference_propagate,
     reference_solve,
@@ -66,6 +68,7 @@ from reqsel.solver import (
     TIE_EPS,
     UNKNOWN,
     _Compiled,
+    _pairwise_sum,
     _Search,
 )
 
@@ -1051,6 +1054,128 @@ class TestSearchParity:
         assert repr(got.stats.root_bound) == repr(root_bound)
         assert repr(got.stats.final_bound) == repr(final_bound)
         assert got.stats.gap == final_bound - objective
+
+
+def checked_bounds(monkeypatch) -> list[float]:
+    """Check every bound a search scores against the array bound it
+    replaced (oracles.reference_bound), bit for bit; returns the bounds."""
+    seen = []
+    bound = _Search._bound
+
+    def checked(search, f, floor):
+        got = bound(search, f, floor)
+        want = reference_bound(search.comp, np.frombuffer(bytes(f), np.int8), floor)
+        assert repr(got) == repr(want), (bytes(f), floor)
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(_Search, "_bound", checked)
+    return seen
+
+
+class TestKnapsackBound:
+    """The bound walked over a node's bytearray in ratio order against the
+    array bound that sorted the free subset at every node."""
+
+    def test_every_scored_node_matches_the_array_bound(self, monkeypatch):
+        seen = checked_bounds(monkeypatch)
+        solves = 0
+        for seed in range(80):
+            n = 2 + seed * 37 % 59  # every n in 2-60
+            mode = (BUDGET_COST, PRICE_VALUE)[seed % 2]
+            problem = random_problem(seed + 7000, n=n, mode=mode, most=1 + n // 4)
+            if n >= 4 and seed % 3 == 0:
+                problem = with_zero_value_and_cost(problem)
+            for method in METHODS:
+                got = solve(build_model(problem, method), SolverLimits(max_nodes=300))
+                assert all(type(xi) is int for xi in got.x)
+                solves += 1
+        assert solves >= 300
+        assert len(seen) > 10_000 and len(set(seen)) > 1_000
+
+    def test_row_reader_kernels_match_the_array_bound(self, monkeypatch):
+        # what only LP files and hand-built models bring: objective
+        # coefficients of either sign, a minimized objective, "=" rows, and
+        # no knapsack row at all (kn_rhs = inf), here by dropping the first
+        seen = checked_bounds(monkeypatch)
+        shapes = set()
+        for seed in range(150):
+            model = random_binary_model(seed)
+            for m in (model, dataclasses.replace(model, constraints=tuple(model.constraints)[1:])):
+                ref = reference_compile(m)
+                shapes.add("min" if m.objective_sense == "min" else "max")
+                shapes.add("no knapsack row" if ref.kn_rhs == math.inf else "knapsack row")
+                shapes.update("=" for con in m.constraints if con.relation == "=")
+                got = reference_solve(m, SolverLimits(max_nodes=50))
+                assert all(type(xi) is int for xi in got.x)
+        assert shapes == {"min", "max", "no knapsack row", "knapsack row", "="}
+        assert len(seen) > 500
+
+    def test_random_fixings_match_the_array_bound(self):
+        # fixings no search reaches, selections past the budget (-inf) among
+        # them, under the floor those fixings impose
+        rng = np.random.default_rng(26)
+        outcomes = set()
+        for seed in range(60):
+            n = 2 + seed % 30
+            problem = random_problem(seed + 7500, n=n)
+            if n >= 4 and seed % 4 == 0:
+                problem = with_zero_value_and_cost(problem)
+            for method in METHODS:
+                comp = _Compiled(problem, method)
+                if seed % 3 == 0:
+                    # values of either sign, under a floor too
+                    comp.c_bin = comp.c_bin * rng.choice([-1.0, 1.0], size=n)
+                search = _Search(comp, SolverLimits())
+                for share in (0.2, 0.5, 0.8):
+                    values = rng.choice([1, 0, FREE], size=n, p=[share, (1 - share) / 2, (1 - share) / 2])
+                    f = bytearray(values.tolist())
+                    fixed = [b for b in range(n) if f[b] != FREE]
+                    floor = None if comp.B is None else search._raise(np.zeros(n), f, fixed)
+                    got = search._bound(f, floor)
+                    want = reference_bound(comp, np.frombuffer(bytes(f), np.int8), floor)
+                    assert repr(got) == repr(want), (seed, method, bytes(f))
+                    outcomes.add("-inf" if got == -math.inf else "finite")
+        assert outcomes == {"-inf", "finite"}
+
+    @pytest.mark.parametrize(
+        "costs, budget, f, want",
+        [
+            # 0.1 + 0.2 passes a budget of 0.3 by 5.6e-17: the selection
+            # stands, and not even the free r3, which weighs nothing, fits
+            ((0.1, 0.2, 0.0), 0.3, (1, 1, FREE), 8.0),
+            # running weights that end exactly at the room plus 1e-12 fit
+            # (DARS keeps the bound off the objective grid, which would
+            # round the break item's 4 - 4e-12 up to 4)
+            ((1.0, 1.0, 1.0), 1.0 - 1e-12, (FREE, 0, FREE), 4.0),
+        ],
+    )
+    def test_knapsack_edges_match_the_array_bound(self, costs, budget, f, want):
+        reqs = tuple(
+            Requirement(id=f"r{i + 1}", cost=cost, value=4.0, probability=1.0)
+            for i, cost in enumerate(costs)
+        )
+        problem = SelectionProblem(reqs, budget=budget, influence=InfluenceMatrix.zeros(3))
+        f = bytearray(f)
+        for method, floor in ((PCBK, None), (DARS, np.zeros(3))):
+            comp = _Compiled(problem, method)
+            got = _Search(comp, SolverLimits())._bound(f, floor)
+            assert got == reference_bound(comp, np.frombuffer(bytes(f), np.int8), floor) == want
+
+    def test_pairwise_sum_is_numpy_sum_bit_for_bit(self):
+        # every length to 1,000, so runs past 128 split at several depths;
+        # mixed signs, magnitudes from 1e-300 to 1e300 or within a few
+        # decades of each other (where the order of additions shows), -0.0
+        rng = np.random.default_rng(0)
+        for n in range(1001):
+            for spread in (300.0, 3.0):
+                centre = 0.0 if spread == 300.0 else rng.uniform(-290.0, 290.0)
+                a = rng.choice([-1.0, 1.0], size=n) * 10.0 ** (centre + rng.uniform(-spread, spread, n))
+                a[rng.random(n) < 0.05] = -0.0
+                assert _pairwise_sum(a.tolist()).hex() == float(np.add.reduce(a)).hex(), (n, spread)
+        for zeros in ([], [-0.0], [-0.0] * 9, [-0.0] * 200, [0.0, -0.0], [-0.0, 0.0] * 70):
+            a = np.array(zeros, dtype=np.float64)
+            assert _pairwise_sum(zeros).hex() == float(np.add.reduce(a)).hex() == "0x0.0p+0", zeros
 
 
 def polish_cases():
